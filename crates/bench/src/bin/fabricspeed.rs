@@ -19,11 +19,11 @@ use std::time::Instant;
 
 use serde::{Serialize, Value};
 
-use llmss_cluster::{bursty_trace, BurstyTraceSpec};
-use llmss_core::{json, Fabric, FabricGraph, SimConfig};
-use llmss_disagg::{DisaggConfig, DisaggReport, DisaggSimulator};
+use llmss_bench::disagg_fleet;
+use llmss_core::{json, DisaggReport, Fabric, FabricGraph, PairingPolicyKind, SimConfig};
 use llmss_model::ModelSpec;
-use llmss_sched::Request;
+use llmss_net::LinkSpec;
+use llmss_sched::{bursty_trace, BurstyTraceSpec, Request};
 
 /// CI gate: the fair fabric may cost at most this ratio over FIFO.
 const MAX_OVERHEAD: f64 = 1.10;
@@ -94,27 +94,23 @@ fn trace(smoke: bool) -> Vec<Request> {
     bursty_trace(&spec)
 }
 
-/// The ample, uncongested deployment both disciplines run.
-fn config() -> DisaggConfig {
-    DisaggConfig::new(2, 2).kv_link_gbps(256.0)
+/// The ample, uncongested KV link both disciplines run over.
+fn kv_link() -> LinkSpec {
+    LinkSpec::new(256.0, LinkSpec::cxl().latency_ns)
 }
 
 fn run(requests: &[Request], fair: bool) -> (f64, SummaryStats) {
     let mut best = f64::INFINITY;
     let mut last = None;
     for _ in 0..REPS {
-        let cfg = replica_config();
-        let disagg = config();
         let fabric = if fair {
-            Fabric::fair("single", FabricGraph::single(4, disagg.kv_link))
+            Fabric::fair("single", FabricGraph::single(4, kv_link()))
         } else {
-            Fabric::fifo(vec![disagg.kv_link])
+            Fabric::fifo(vec![kv_link()])
         };
         let t0 = Instant::now();
-        let report =
-            DisaggSimulator::with_fabric(cfg.clone(), cfg, disagg, fabric, requests.to_vec())
-                .expect("gpt2 fits one Table-I NPU")
-                .run();
+        let fleet = disagg_fleet(replica_config(), 2, 2, fabric, requests.to_vec()).run();
+        let report = DisaggReport::from_fleet(fleet, 2, PairingPolicyKind::LeastKvLoad);
         best = best.min(t0.elapsed().as_secs_f64());
         last = Some(report);
     }

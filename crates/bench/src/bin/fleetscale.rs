@@ -38,10 +38,10 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use llmss_cluster::{bursty_trace, BurstyTraceSpec, ClusterConfig, ClusterSimulator};
-use llmss_core::SimConfig;
+use llmss_bench::cluster_fleet;
+use llmss_core::{ClusterReport, SimConfig};
 use llmss_model::ModelSpec;
-use llmss_sched::Request;
+use llmss_sched::{bursty_trace, BurstyTraceSpec, Request};
 
 /// KV bucket for the memoized local tier (the simspeed headline value).
 const KV_BUCKET: usize = 64;
@@ -205,15 +205,13 @@ struct RunOutcome {
 /// per-request TSV for the smoke determinism comparison.
 fn run_cell(replicas: usize, requests: Vec<Request>, mode: Mode, keep_tsv: bool) -> RunOutcome {
     let n = requests.len();
-    let mut sim =
-        ClusterSimulator::new(replica_config(), ClusterConfig::new(replicas), requests)
-            .expect("gpt2 fits one Table-I NPU");
+    let mut sim = cluster_fleet(replica_config(), replicas, requests);
     sim.set_shards(mode.shards());
     if mode.shared() {
         sim.enable_shared_cache();
     }
     let t0 = Instant::now();
-    let report = sim.run();
+    let report = ClusterReport::from(sim.run());
     let wall_s = t0.elapsed().as_secs_f64();
     let reuse = report.aggregate_reuse();
     let iterations: u64 =

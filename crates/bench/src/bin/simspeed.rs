@@ -28,11 +28,14 @@ use std::time::Instant;
 
 use serde::{Serialize, Value};
 
-use llmss_cluster::{bursty_trace, BurstyTraceSpec, ClusterConfig, ClusterSimulator};
-use llmss_core::{json, MemorySink, SimConfig, SimReport, Telemetry, WallBreakdown};
-use llmss_disagg::{DisaggConfig, DisaggSimulator};
+use llmss_bench::{cluster_fleet, disagg_fleet};
+use llmss_core::{
+    json, ClusterReport, DisaggReport, Fabric, MemorySink, PairingPolicyKind, SimConfig,
+    SimReport, Telemetry, WallBreakdown,
+};
 use llmss_model::ModelSpec;
-use llmss_sched::Request;
+use llmss_net::LinkSpec;
+use llmss_sched::{bursty_trace, BurstyTraceSpec, Request};
 
 /// The bucketed-memoization granularity the headline numbers use.
 const KV_BUCKET: usize = 64;
@@ -240,9 +243,7 @@ fn run_single(memo: Memo, requests: Vec<Request>) -> ScenarioResult {
 fn run_cluster(memo: Memo, requests: Vec<Request>) -> ScenarioResult {
     let cfg = memo.apply(replica_config());
     let t0 = Instant::now();
-    let report = ClusterSimulator::new(cfg, ClusterConfig::new(4), requests)
-        .expect("gpt2 fits one Table-I NPU")
-        .run();
+    let report = ClusterReport::from(cluster_fleet(cfg, 4, requests).run());
     let wall_s = t0.elapsed().as_secs_f64();
     let summary = parse_summary(&report.summary_json());
     let iterations = sum_iterations(&[field(&summary, "replicas")]);
@@ -259,10 +260,9 @@ fn run_cluster(memo: Memo, requests: Vec<Request>) -> ScenarioResult {
 fn run_cluster_shared(memo: Memo, requests: Vec<Request>) -> ScenarioResult {
     let cfg = memo.apply(replica_config());
     let t0 = Instant::now();
-    let mut sim = ClusterSimulator::new(cfg, ClusterConfig::new(4), requests)
-        .expect("gpt2 fits one Table-I NPU");
+    let mut sim = cluster_fleet(cfg, 4, requests);
     sim.enable_shared_cache();
-    let report = sim.run();
+    let report = ClusterReport::from(sim.run());
     let wall_s = t0.elapsed().as_secs_f64();
     let summary = parse_summary(&report.summary_json());
     let iterations = sum_iterations(&[field(&summary, "replicas")]);
@@ -275,9 +275,8 @@ fn run_cluster_shared(memo: Memo, requests: Vec<Request>) -> ScenarioResult {
 fn run_disagg(memo: Memo, requests: Vec<Request>) -> ScenarioResult {
     let cfg = memo.apply(replica_config());
     let t0 = Instant::now();
-    let report = DisaggSimulator::new(cfg.clone(), cfg, DisaggConfig::new(2, 2), requests)
-        .expect("gpt2 fits one Table-I NPU")
-        .run();
+    let fleet = disagg_fleet(cfg, 2, 2, Fabric::fifo(vec![LinkSpec::cxl()]), requests).run();
+    let report = DisaggReport::from_fleet(fleet, 2, PairingPolicyKind::LeastKvLoad);
     let wall_s = t0.elapsed().as_secs_f64();
     let summary = parse_summary(&report.summary_json());
     let iterations =

@@ -1,5 +1,5 @@
-//! Shared harness utilities for the figure/table binaries and Criterion
-//! benches.
+//! Shared harness utilities for the figure/table and simulator-speed
+//! binaries.
 //!
 //! Every binary regenerates one table or figure of the paper and writes its
 //! rows as TSV under `evaluation/` (mirroring the artifact's layout), plus
@@ -10,12 +10,45 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use llmss_core::{
-    EngineStack, GraphConverter, ParallelismSpec, PimMode, ReuseStats, SimReport, WallBreakdown,
+    EngineStack, Fabric, FleetEngine, GraphConverter, PairingPolicyKind, ParallelismSpec,
+    PimMode, ReuseStats, RoutingPolicyKind, SimConfig, SimReport, StaticControl, WallBreakdown,
 };
 use llmss_model::{ModelSpec, SeqSlot};
 use llmss_net::{simulate_graph, LinkSpec, TimePs, Topology};
 use llmss_npu::NpuConfig;
-use llmss_sched::IterationBatch;
+use llmss_sched::{IterationBatch, Request};
+
+/// A static cluster: `replicas` copies of `config` behind round-robin
+/// routing, with no KV links.
+pub fn cluster_fleet(config: SimConfig, replicas: usize, trace: Vec<Request>) -> FleetEngine {
+    let control = StaticControl::new(
+        RoutingPolicyKind::RoundRobin.build(0),
+        PairingPolicyKind::LeastKvLoad.build(),
+    );
+    FleetEngine::new(vec![config; replicas], Vec::new(), Box::new(control), trace)
+        .expect("the replica config fits its NPUs")
+}
+
+/// A static disaggregated deployment: `prefill` prefill-role then
+/// `decode` decode-role copies of `config` (fleet indices `0..P`, then
+/// `P..P+D`) behind least-outstanding routing and least-KV pairing, with
+/// KV handoffs over `fabric`.
+pub fn disagg_fleet(
+    config: SimConfig,
+    prefill: usize,
+    decode: usize,
+    fabric: Fabric,
+    trace: Vec<Request>,
+) -> FleetEngine {
+    let mut configs = vec![config.clone().prefill_only(); prefill];
+    configs.resize(prefill + decode, config.decode_only());
+    let control = StaticControl::new(
+        RoutingPolicyKind::LeastOutstanding.build(0),
+        PairingPolicyKind::LeastKvLoad.build(),
+    );
+    FleetEngine::with_fabric(configs, fabric, Box::new(control), trace)
+        .expect("the replica config fits its NPUs")
+}
 
 /// Result of timing LLMServingSim on a standalone iteration (no serving
 /// loop, no memory admission — the simulation-time experiments' setup).

@@ -1,46 +1,21 @@
-//! Cluster-level results: SLO percentiles, per-replica utilization, and
-//! load-imbalance statistics.
+//! The cluster view of a fleet run: SLO percentiles, per-replica
+//! utilization, and load-imbalance statistics for N unified replicas
+//! behind a router.
 
-use llmss_core::{PercentileSummary, ReportOutput, SimReport, SloSummary};
+use serde::Value;
+
 use llmss_sched::{Completion, TimePs};
 
-/// Per-replica aggregate statistics derived from its [`SimReport`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicaStats {
-    /// Replica index.
-    pub replica: usize,
-    /// Requests the router assigned to this replica.
-    pub routed_requests: usize,
-    /// Requests it finished.
-    pub completions: usize,
-    /// Serving iterations it ran.
-    pub iterations: usize,
-    /// Simulated time spent executing iterations.
-    pub busy_ps: TimePs,
-    /// The replica's final clock.
-    pub final_clock_ps: TimePs,
-    /// Prompt tokens processed.
-    pub prompt_tokens: u64,
-    /// Tokens generated.
-    pub generated_tokens: u64,
-}
+use crate::json::obj;
+use crate::{PercentileSummary, ReportOutput, ReuseStats, SimReport, SloSummary};
 
-impl ReplicaStats {
-    /// Fraction of the cluster makespan this replica spent executing
-    /// iterations (`0.0` for an empty makespan).
-    pub fn utilization(&self, makespan_ps: TimePs) -> f64 {
-        if makespan_ps == 0 {
-            return 0.0;
-        }
-        self.busy_ps as f64 / makespan_ps as f64
-    }
-}
+use super::report::{merged_reuse, shared_cache_suffix, FleetReport, ReplicaStats};
 
 /// The aggregated result of one cluster simulation.
 ///
-/// Wraps the per-replica [`SimReport`]s and derives the cluster-level
-/// view: merged completions, SLO percentiles (via the shared
-/// [`SloSummary`] pipeline), utilization, and imbalance.
+/// Wraps the per-replica [`SimReport`]s of a linkless [`FleetReport`] and
+/// derives the cluster-level view: merged completions, SLO percentiles
+/// (via the shared [`SloSummary`] pipeline), utilization, and imbalance.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
     /// Name of the routing policy that produced this run.
@@ -53,18 +28,21 @@ pub struct ClusterReport {
     makespan_ps: TimePs,
 }
 
-impl ClusterReport {
-    /// Assembles a report from per-replica results.
-    pub(crate) fn new(
-        policy: String,
-        replica_reports: Vec<SimReport>,
-        routed: Vec<usize>,
-        assignments: Vec<(u64, usize)>,
-    ) -> Self {
-        let makespan_ps = replica_reports.iter().map(|r| r.sim_duration_ps).max().unwrap_or(0);
-        Self { policy, replica_reports, assignments, routed, makespan_ps }
+impl From<FleetReport> for ClusterReport {
+    fn from(report: FleetReport) -> Self {
+        let makespan_ps = report.makespan_ps();
+        let routed = report.replicas.iter().map(|r| r.routed).collect();
+        Self {
+            policy: report.control,
+            replica_reports: report.replicas.into_iter().map(|r| r.report).collect(),
+            assignments: report.assignments,
+            routed,
+            makespan_ps,
+        }
     }
+}
 
+impl ClusterReport {
     /// Cluster makespan: the latest replica clock (simulated time until
     /// the last request finished anywhere).
     pub fn makespan_ps(&self) -> TimePs {
@@ -124,20 +102,7 @@ impl ClusterReport {
 
     /// Per-replica statistics, by replica index.
     pub fn per_replica(&self) -> Vec<ReplicaStats> {
-        self.replica_reports
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ReplicaStats {
-                replica: i,
-                routed_requests: self.routed.get(i).copied().unwrap_or(0),
-                completions: r.completions.len(),
-                iterations: r.iterations.len(),
-                busy_ps: r.iterations.iter().map(|it| it.latency_ps).sum(),
-                final_clock_ps: r.sim_duration_ps,
-                prompt_tokens: r.total_prompt_tokens(),
-                generated_tokens: r.total_generated_tokens(),
-            })
-            .collect()
+        ReplicaStats::collect(&self.replica_reports, &self.routed)
     }
 
     /// Load imbalance as max/mean routed requests per replica (`1.0` is
@@ -155,11 +120,7 @@ impl ClusterReport {
     /// Coefficient of variation (stddev/mean) of per-replica busy time —
     /// `0.0` when every replica worked equally long.
     pub fn utilization_imbalance(&self) -> f64 {
-        let busy: Vec<f64> = self
-            .replica_reports
-            .iter()
-            .map(|r| r.iterations.iter().map(|it| it.latency_ps as f64).sum())
-            .collect();
+        let busy: Vec<f64> = self.per_replica().iter().map(|s| s.busy_ps as f64).collect();
         let mean = busy.iter().sum::<f64>() / busy.len() as f64;
         if mean == 0.0 {
             return 0.0;
@@ -171,12 +132,8 @@ impl ClusterReport {
     /// Fleet-wide reuse statistics: every replica's operator- and
     /// iteration-level counters merged, so a cluster run reports one
     /// combined hit rate for each cache tier.
-    pub fn aggregate_reuse(&self) -> llmss_core::ReuseStats {
-        let mut total = llmss_core::ReuseStats::default();
-        for r in &self.replica_reports {
-            total.merge(&r.reuse);
-        }
-        total
+    pub fn aggregate_reuse(&self) -> ReuseStats {
+        merged_reuse(&self.replica_reports)
     }
 
     /// One-paragraph human summary (the cluster analog of
@@ -186,10 +143,10 @@ impl ClusterReport {
         let tpot = PercentileSummary::display_or_na(self.tpot_percentiles());
         let latency = PercentileSummary::display_or_na(self.latency_percentiles());
         let reuse = self.aggregate_reuse();
-        let mut out = format!(
+        format!(
             "cluster policy={} replicas={} requests={} makespan={:.2}s \
              gen_tput={:.1} tok/s ttft[{ttft}] tpot[{tpot}] latency[{latency}] \
-             imbalance={:.2} util_cv={:.3} op_reuse={:.1}% iter_reuse={:.1}%",
+             imbalance={:.2} util_cv={:.3} op_reuse={:.1}% iter_reuse={:.1}%{}",
             self.policy,
             self.replica_reports.len(),
             self.total_completions(),
@@ -199,15 +156,8 @@ impl ClusterReport {
             self.utilization_imbalance(),
             reuse.hit_rate() * 100.0,
             reuse.iteration_hit_rate() * 100.0,
-        );
-        if reuse.shared_armed {
-            out.push_str(&format!(
-                " shared_hits={} local_iter_reuse={:.1}%",
-                reuse.shared_hits,
-                reuse.local_iteration_hit_rate() * 100.0,
-            ));
-        }
-        out
+            shared_cache_suffix(&reuse),
+        )
     }
 
     /// Machine-readable cluster summary as pretty-printed JSON: cluster
@@ -217,9 +167,6 @@ impl ClusterReport {
     /// Virtual-time results only, so the artifact is byte-identical
     /// across runs of the same seed.
     pub fn summary_json(&self) -> String {
-        use llmss_core::json::obj;
-        use serde::Value;
-
         let makespan = self.makespan_ps();
         let replicas: Vec<Value> = self
             .per_replica()
@@ -252,7 +199,7 @@ impl ClusterReport {
             ("reuse", self.aggregate_reuse().json_value()),
             ("replicas", Value::Array(replicas)),
         ]);
-        llmss_core::json::pretty(&v) + "\n"
+        crate::json::pretty(&v) + "\n"
     }
 
     /// Per-replica TSV (the CLI's `{output}-cluster.tsv`): one row per
@@ -290,10 +237,7 @@ impl ClusterReport {
             self.total_completions(),
             per_replica.iter().map(|s| s.iterations).sum::<usize>(),
             per_replica.iter().map(|s| s.busy_ps).sum::<TimePs>() as f64 / 1e12,
-            // Mean, not sum: a fleet-level utilization above 1.0 would
-            // read as nonsense in the totals row.
-            per_replica.iter().map(|s| s.utilization(makespan)).sum::<f64>()
-                / per_replica.len().max(1) as f64,
+            ReplicaStats::mean_utilization(&per_replica, makespan),
             per_replica.iter().map(|s| s.prompt_tokens).sum::<u64>(),
             per_replica.iter().map(|s| s.generated_tokens).sum::<u64>(),
         ));
@@ -308,99 +252,5 @@ impl ReportOutput for ClusterReport {
 
     fn artifacts(&self) -> Vec<(&'static str, String)> {
         vec![("-cluster.tsv", self.to_tsv()), ("-summary.json", self.summary_json())]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use llmss_core::{ReuseStats, WallBreakdown};
-    use llmss_sched::Completion;
-
-    fn completion(id: u64, arrival: TimePs, first: TimePs, finish: TimePs) -> Completion {
-        Completion {
-            id,
-            arrival_ps: arrival,
-            first_token_ps: first,
-            finish_ps: finish,
-            input_len: 16,
-            output_len: 4,
-        }
-    }
-
-    fn report_with(completions: Vec<Completion>, duration: TimePs) -> SimReport {
-        SimReport {
-            iterations: Vec::new(),
-            completions,
-            wall: WallBreakdown::default(),
-            reuse: ReuseStats::default(),
-            sim_duration_ps: duration,
-        }
-    }
-
-    fn two_replica_report() -> ClusterReport {
-        ClusterReport::new(
-            "round-robin".into(),
-            vec![
-                report_with(
-                    vec![completion(0, 0, 1_000, 5_000), completion(2, 0, 2_000, 9_000)],
-                    9_000,
-                ),
-                report_with(vec![completion(1, 0, 4_000, 6_000)], 6_000),
-            ],
-            vec![2, 1],
-            vec![(0, 0), (1, 1), (2, 0)],
-        )
-    }
-
-    #[test]
-    fn makespan_is_latest_replica_clock() {
-        let r = two_replica_report();
-        assert_eq!(r.makespan_ps(), 9_000);
-        assert_eq!(r.total_completions(), 3);
-    }
-
-    #[test]
-    fn ttft_percentiles_merge_replicas() {
-        let r = two_replica_report();
-        // TTFTs: 1000, 2000, 4000 ps → p50 = 2000 ps.
-        assert!((r.ttft_percentiles().unwrap().p50_s - 2e-9).abs() < 1e-15);
-    }
-
-    #[test]
-    fn empty_completion_sets_render_dashes_not_nan() {
-        let r = ClusterReport::new(
-            "round-robin".into(),
-            vec![report_with(Vec::new(), 0), report_with(Vec::new(), 0)],
-            vec![0, 0],
-            Vec::new(),
-        );
-        assert_eq!(r.ttft_percentiles(), None);
-        assert_eq!(r.latency_percentiles(), None);
-        let tsv = r.to_tsv();
-        assert!(!tsv.contains("NaN"), "TSV leaked NaN: {tsv}");
-        assert!(tsv.lines().nth(1).unwrap().contains("-\t-\t-"), "{tsv}");
-        assert!(r.summary().contains("n/a"), "{}", r.summary());
-    }
-
-    #[test]
-    fn load_imbalance_of_uneven_split() {
-        let r = two_replica_report();
-        // routed = [2, 1]: max 2 / mean 1.5.
-        assert!((r.load_imbalance() - 2.0 / 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tsv_has_per_replica_and_cluster_rows() {
-        let tsv = two_replica_report().to_tsv();
-        let lines: Vec<&str> = tsv.lines().collect();
-        assert_eq!(lines.len(), 4, "{tsv}"); // header + 2 replicas + cluster
-        assert!(lines[0].starts_with("replica\t"));
-        assert!(lines[3].starts_with("cluster\t"));
-    }
-
-    #[test]
-    fn summary_names_the_policy() {
-        assert!(two_replica_report().summary().contains("round-robin"));
     }
 }

@@ -193,8 +193,8 @@ pub trait ControlPlane: std::fmt::Debug {
 }
 
 /// Today's behavior as a control plane: a fixed router for admission, a
-/// fixed pairer for KV handoffs, no reconfiguration — what
-/// `ClusterSimulator` and `DisaggSimulator` compose over the engine.
+/// fixed pairer for KV handoffs, no reconfiguration — what the cluster
+/// and disaggregated shapes run under.
 #[derive(Debug)]
 pub struct StaticControl {
     router: Box<dyn RoutingPolicy>,

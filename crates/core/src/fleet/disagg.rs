@@ -1,23 +1,27 @@
-//! Disaggregated-serving results: per-request lifecycle records with the
-//! TTFT split into prefill / transfer / decode components, transfer-time
-//! percentiles, and per-pool utilization.
+//! The disaggregated view of a fleet run: per-request lifecycle records
+//! with the TTFT split into prefill / transfer / decode components,
+//! transfer-time percentiles, and per-pool utilization.
+//!
+//! A disaggregated deployment is a static fleet whose prefill replicas
+//! sit at fleet indices `0..P` and decode replicas at `P..P+D`; this view
+//! re-maps those global indices back to per-pool indices.
 
-use llmss_core::{
-    percentile, percentiles_from_ps, FabricStats, PercentileSummary, ReportOutput, SimReport,
-    SloCompletion, SloSummary,
-};
+use serde::Value;
+
 use llmss_sched::TimePs;
 
-/// Internal per-request transfer record captured at prefill completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Transfer {
-    pub prefill_replica: usize,
-    pub decode_replica: usize,
-    pub prefill_done_ps: TimePs,
-    pub start_ps: TimePs,
-    pub done_ps: TimePs,
-    pub bytes: u64,
-}
+use crate::fabric::FabricStats;
+use crate::json::obj;
+use crate::{
+    percentiles_from_ps, PercentileSummary, ReportOutput, ReuseStats, SimReport, SloCompletion,
+    SloSummary,
+};
+
+use super::report::{
+    contention_json, fabric_links_json, fabric_suffix, merged_reuse, push_fabric_tsv,
+    shared_cache_suffix, FleetReport, ReplicaStats,
+};
+use super::route::PairingPolicyKind;
 
 /// One request's full disaggregated lifecycle: arrival → prefill-pool
 /// completion → KV transfer → decode-pool streaming.
@@ -135,33 +139,6 @@ impl std::fmt::Display for TtftSplit {
     }
 }
 
-/// Per-replica aggregate statistics for one pool member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Replica index within its pool.
-    pub replica: usize,
-    /// Requests routed (prefill pool) or paired (decode pool) here.
-    pub routed_requests: usize,
-    /// Requests it finished.
-    pub completions: usize,
-    /// Serving iterations it ran.
-    pub iterations: usize,
-    /// Simulated time spent executing iterations.
-    pub busy_ps: TimePs,
-    /// The replica's final clock.
-    pub final_clock_ps: TimePs,
-}
-
-impl PoolStats {
-    /// Fraction of the deployment makespan spent executing iterations.
-    pub fn utilization(&self, makespan_ps: TimePs) -> f64 {
-        if makespan_ps == 0 {
-            return 0.0;
-        }
-        self.busy_ps as f64 / makespan_ps as f64
-    }
-}
-
 /// The aggregated result of one disaggregated serving simulation.
 #[derive(Debug, Clone)]
 pub struct DisaggReport {
@@ -181,41 +158,56 @@ pub struct DisaggReport {
     pub fabric: Option<FabricStats>,
     routed_prefill: Vec<usize>,
     routed_decode: Vec<usize>,
-    /// Per-transfer achieved-over-nominal slowdown ratios (fair fabric
-    /// only).
-    contention_ratios: Vec<f64>,
+    contention: Option<(f64, f64, f64)>,
     makespan_ps: TimePs,
 }
 
 impl DisaggReport {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        routing: String,
-        pairing: String,
-        prefill_reports: Vec<SimReport>,
-        decode_reports: Vec<SimReport>,
-        completions: Vec<DisaggCompletion>,
-        fabric: Option<FabricStats>,
-        contention_ratios: Vec<f64>,
-        routed_prefill: Vec<usize>,
-        routed_decode: Vec<usize>,
-    ) -> Self {
-        let makespan_ps = prefill_reports
+    /// The disaggregated view of a static fleet run whose first `prefill`
+    /// replicas form the prefill pool and the rest the decode pool,
+    /// paired by `pairing`. Each lifecycle joins an end-to-end completion
+    /// with its KV transfer; requests still short of their decode
+    /// completion (a partially drained run) are left out.
+    pub fn from_fleet(report: FleetReport, prefill: usize, pairing: PairingPolicyKind) -> Self {
+        let transfers = &report.transfers;
+        let completions = report
+            .completions
             .iter()
-            .chain(&decode_reports)
-            .map(|r| r.sim_duration_ps)
-            .max()
-            .unwrap_or(0);
+            .filter_map(|c| {
+                let i = transfers.binary_search_by_key(&c.id, |&(id, _)| id).ok()?;
+                let t = transfers[i].1;
+                Some(DisaggCompletion {
+                    id: c.id,
+                    arrival_ps: c.arrival_ps,
+                    input_len: c.input_len,
+                    output_len: c.output_len,
+                    prefill_replica: t.from,
+                    decode_replica: t.to - prefill,
+                    prefill_done_ps: t.ready_ps,
+                    transfer_start_ps: t.start_ps,
+                    transfer_done_ps: t.done_ps,
+                    first_token_ps: c.first_token_ps,
+                    finish_ps: c.finish_ps,
+                    kv_bytes: t.bytes,
+                })
+            })
+            .collect();
+        let contention = report.contention();
+        let makespan_ps = report.makespan_ps();
+        let (prefill_pool, decode_pool) = report.replicas.split_at(prefill);
+        let routed_prefill = prefill_pool.iter().map(|r| r.routed).collect();
+        let routed_decode = decode_pool.iter().map(|r| r.paired).collect();
+        let mut reports = report.replicas.into_iter().map(|r| r.report);
         Self {
-            routing,
-            pairing,
-            prefill_reports,
-            decode_reports,
+            routing: report.control,
+            pairing: pairing.as_str().to_owned(),
+            prefill_reports: reports.by_ref().take(prefill).collect(),
+            decode_reports: reports.collect(),
             completions,
-            fabric,
+            fabric: report.fabric,
             routed_prefill,
             routed_decode,
-            contention_ratios,
+            contention,
             makespan_ps,
         }
     }
@@ -224,15 +216,7 @@ impl DisaggReport {
     /// of the achieved-over-nominal slowdown ratio (1.0 = uncontended).
     /// `None` without any delivered transfer.
     pub fn contention(&self) -> Option<(f64, f64, f64)> {
-        if self.contention_ratios.is_empty() {
-            return None;
-        }
-        let mut ratios = self.contention_ratios.clone();
-        Some((
-            percentile(&mut ratios, 0.50),
-            percentile(&mut ratios, 0.95),
-            percentile(&mut ratios, 0.99),
-        ))
+        self.contention
     }
 
     /// Deployment makespan: the latest replica clock in either pool.
@@ -321,23 +305,24 @@ impl DisaggReport {
     }
 
     /// Per-replica statistics for the prefill pool.
-    pub fn prefill_stats(&self) -> Vec<PoolStats> {
-        pool_stats(&self.prefill_reports, &self.routed_prefill)
+    pub fn prefill_stats(&self) -> Vec<ReplicaStats> {
+        ReplicaStats::collect(&self.prefill_reports, &self.routed_prefill)
     }
 
-    /// Per-replica statistics for the decode pool.
-    pub fn decode_stats(&self) -> Vec<PoolStats> {
-        pool_stats(&self.decode_reports, &self.routed_decode)
+    /// Per-replica statistics for the decode pool (credited with the KV
+    /// handoffs paired to each replica).
+    pub fn decode_stats(&self) -> Vec<ReplicaStats> {
+        ReplicaStats::collect(&self.decode_reports, &self.routed_decode)
     }
 
     /// Mean utilization of the prefill pool over the makespan.
     pub fn prefill_utilization(&self) -> f64 {
-        mean_utilization(&self.prefill_stats(), self.makespan_ps)
+        ReplicaStats::mean_utilization(&self.prefill_stats(), self.makespan_ps)
     }
 
     /// Mean utilization of the decode pool over the makespan.
     pub fn decode_utilization(&self) -> f64 {
-        mean_utilization(&self.decode_stats(), self.makespan_ps)
+        ReplicaStats::mean_utilization(&self.decode_stats(), self.makespan_ps)
     }
 
     /// One-paragraph human summary.
@@ -347,11 +332,11 @@ impl DisaggReport {
         let transfer = PercentileSummary::display_or_na(self.transfer_percentiles());
         let split = self.ttft_split().map_or_else(|| "n/a".to_owned(), |s| s.to_string());
         let reuse = self.aggregate_reuse();
-        let mut out = format!(
+        format!(
             "disagg {}P x {}D routing={} pairing={} requests={} makespan={:.2}s \
              gen_tput={:.1} tok/s kv_shipped={:.1} MiB ttft[{ttft}] ttft_split[{split}] \
              transfer[{transfer}] tpot[{tpot}] util[prefill={:.2} decode={:.2}] \
-             op_reuse={:.1}% iter_reuse={:.1}%",
+             op_reuse={:.1}% iter_reuse={:.1}%{}{}",
             self.prefill_reports.len(),
             self.decode_reports.len(),
             self.routing,
@@ -364,31 +349,15 @@ impl DisaggReport {
             self.decode_utilization(),
             reuse.hit_rate() * 100.0,
             reuse.iteration_hit_rate() * 100.0,
-        );
-        if reuse.shared_armed {
-            out.push_str(&format!(
-                " shared_hits={} local_iter_reuse={:.1}%",
-                reuse.shared_hits,
-                reuse.local_iteration_hit_rate() * 100.0,
-            ));
-        }
-        if let Some(fabric) = &self.fabric {
-            out.push_str(&format!(" fabric={}", fabric.label));
-            if let Some((p50, _, p99)) = self.contention() {
-                out.push_str(&format!(" contention[p50={p50:.2}x p99={p99:.2}x]"));
-            }
-        }
-        out
+            shared_cache_suffix(&reuse),
+            fabric_suffix(self.fabric.as_ref(), self.contention),
+        )
     }
 
     /// Deployment-wide reuse statistics: both pools' operator- and
     /// iteration-level counters merged.
-    pub fn aggregate_reuse(&self) -> llmss_core::ReuseStats {
-        let mut total = llmss_core::ReuseStats::default();
-        for r in self.prefill_reports.iter().chain(&self.decode_reports) {
-            total.merge(&r.reuse);
-        }
-        total
+    pub fn aggregate_reuse(&self) -> ReuseStats {
+        merged_reuse(self.prefill_reports.iter().chain(&self.decode_reports))
     }
 
     /// Machine-readable deployment summary as pretty-printed JSON:
@@ -400,11 +369,8 @@ impl DisaggReport {
     /// Virtual-time results only, so the artifact is byte-identical
     /// across runs of the same seed.
     pub fn summary_json(&self) -> String {
-        use llmss_core::json::obj;
-        use serde::Value;
-
         let makespan = self.makespan_ps;
-        let pool = |stats: Vec<PoolStats>| -> Value {
+        let pool = |stats: Vec<ReplicaStats>| -> Value {
             Value::Array(
                 stats
                     .iter()
@@ -429,39 +395,12 @@ impl DisaggReport {
             ]),
             None => Value::Null,
         };
-        let contention = match self.contention() {
-            Some((p50, p95, p99)) => obj(vec![
-                ("p50", Value::Float(p50)),
-                ("p95", Value::Float(p95)),
-                ("p99", Value::Float(p99)),
-            ]),
-            None => Value::Null,
-        };
         let fabric = match &self.fabric {
             None => Value::Null,
-            Some(f) => {
-                let links: Vec<Value> = f
-                    .links
-                    .iter()
-                    .map(|l| {
-                        // Same capacity integral as the fleet TSV (GB/s
-                        // = 1e-3 B/ps).
-                        let cap_bytes = l.bw_gbps / 1000.0 * makespan.max(1) as f64;
-                        let util =
-                            if cap_bytes > 0.0 { l.carried_bytes / cap_bytes } else { 0.0 };
-                        obj(vec![
-                            ("name", Value::Str(l.name.clone())),
-                            ("bw_gbps", Value::Float(l.bw_gbps)),
-                            ("carried_bytes", Value::Float(l.carried_bytes)),
-                            ("utilization", Value::Float(util)),
-                        ])
-                    })
-                    .collect();
-                obj(vec![
-                    ("label", Value::Str(f.label.clone())),
-                    ("links", Value::Array(links)),
-                ])
-            }
+            Some(f) => obj(vec![
+                ("label", Value::Str(f.label.clone())),
+                ("links", fabric_links_json(f, makespan)),
+            ]),
         };
         let v = obj(vec![
             ("shape", Value::Str("disagg".into())),
@@ -487,13 +426,13 @@ impl DisaggReport {
                 PercentileSummary::json_or_null(self.decode_component_percentiles()),
             ),
             ("ttft_split", split),
-            ("contention", contention),
+            ("contention", contention_json(self.contention)),
             ("reuse", self.aggregate_reuse().json_value()),
             ("prefill_pool", pool(self.prefill_stats())),
             ("decode_pool", pool(self.decode_stats())),
             ("fabric", fabric),
         ]);
-        llmss_core::json::pretty(&v) + "\n"
+        crate::json::pretty(&v) + "\n"
     }
 
     /// Per-replica TSV (the CLI's `{output}-disagg.tsv`): one row per
@@ -523,36 +462,13 @@ impl DisaggReport {
                 stats.iter().map(|s| s.completions).sum::<usize>(),
                 stats.iter().map(|s| s.iterations).sum::<usize>(),
                 stats.iter().map(|s| s.busy_ps).sum::<TimePs>() as f64 / 1e12,
-                mean_utilization(&stats, makespan),
+                ReplicaStats::mean_utilization(&stats, makespan),
             ));
         }
         // The fabric section exists only for fair-sharing runs; the
         // legacy FIFO wire emits exactly the pre-fabric TSV above.
         if let Some(fabric) = &self.fabric {
-            out.push_str(&format!(
-                "\nfabric\t{}\nlink\tbw_gbps\tcarried_mb\tutilization\n",
-                fabric.label
-            ));
-            for l in &fabric.links {
-                // Capacity integral over the run, in bytes (GB/s =
-                // 1e-3 B/ps).
-                let cap_bytes = l.bw_gbps / 1000.0 * makespan as f64;
-                let util = if cap_bytes > 0.0 { l.carried_bytes / cap_bytes } else { 0.0 };
-                out.push_str(&format!(
-                    "{}\t{:.1}\t{:.3}\t{:.4}\n",
-                    l.name,
-                    l.bw_gbps,
-                    l.carried_bytes / 1e6,
-                    util,
-                ));
-            }
-            out.push_str("contention_p50\tcontention_p95\tcontention_p99\n");
-            match self.contention() {
-                Some((p50, p95, p99)) => {
-                    out.push_str(&format!("{p50:.3}\t{p95:.3}\t{p99:.3}\n"));
-                }
-                None => out.push_str("-\t-\t-\n"),
-            }
+            push_fabric_tsv(&mut out, fabric, makespan, self.contention);
         }
         out
     }
@@ -591,145 +507,5 @@ impl ReportOutput for DisaggReport {
             ("-disagg-metrics.tsv", self.metrics_tsv()),
             ("-summary.json", self.summary_json()),
         ]
-    }
-}
-
-fn pool_stats(reports: &[SimReport], routed: &[usize]) -> Vec<PoolStats> {
-    reports
-        .iter()
-        .enumerate()
-        .map(|(i, r)| PoolStats {
-            replica: i,
-            routed_requests: routed.get(i).copied().unwrap_or(0),
-            completions: r.completions.len(),
-            iterations: r.iterations.len(),
-            busy_ps: r.iterations.iter().map(|it| it.latency_ps).sum(),
-            final_clock_ps: r.sim_duration_ps,
-        })
-        .collect()
-}
-
-fn mean_utilization(stats: &[PoolStats], makespan_ps: TimePs) -> f64 {
-    if stats.is_empty() {
-        return 0.0;
-    }
-    stats.iter().map(|s| s.utilization(makespan_ps)).sum::<f64>() / stats.len() as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use llmss_core::{ReuseStats, WallBreakdown};
-
-    fn completion(id: u64) -> DisaggCompletion {
-        DisaggCompletion {
-            id,
-            arrival_ps: 0,
-            input_len: 100,
-            output_len: 4,
-            prefill_replica: 0,
-            decode_replica: 0,
-            prefill_done_ps: 1_000,
-            transfer_start_ps: 1_200,
-            transfer_done_ps: 2_000,
-            first_token_ps: 2_500,
-            finish_ps: 5_500,
-            kv_bytes: 100 * 64,
-        }
-    }
-
-    fn empty_sim_report(duration: TimePs) -> SimReport {
-        SimReport {
-            iterations: Vec::new(),
-            completions: Vec::new(),
-            wall: WallBreakdown::default(),
-            reuse: ReuseStats::default(),
-            sim_duration_ps: duration,
-        }
-    }
-
-    fn report() -> DisaggReport {
-        DisaggReport::new(
-            "least-outstanding".into(),
-            "least-kv".into(),
-            vec![empty_sim_report(3_000)],
-            vec![empty_sim_report(5_500)],
-            vec![completion(0), completion(1)],
-            None,
-            Vec::new(),
-            vec![2],
-            vec![2],
-        )
-    }
-
-    #[test]
-    fn components_partition_ttft() {
-        let c = completion(0);
-        assert_eq!(
-            c.prefill_component_ps() + c.transfer_component_ps() + c.decode_component_ps(),
-            c.ttft_ps()
-        );
-        assert_eq!(c.ttft_ps(), 2_500);
-        assert_eq!(c.transfer_component_ps(), 1_000);
-        // TPOT: 3 gaps over 3_000 ps.
-        assert!((c.tpot_ps() - 1_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn split_means_sum_to_mean_ttft() {
-        let r = report();
-        let split = r.ttft_split().unwrap();
-        assert!((split.total_s() - 2_500e-12).abs() < 1e-18);
-        assert!((split.transfer_s - 1_000e-12).abs() < 1e-18);
-    }
-
-    #[test]
-    fn makespan_spans_both_pools() {
-        let r = report();
-        assert_eq!(r.makespan_ps(), 5_500);
-        assert_eq!(r.total_kv_bytes(), 2 * 100 * 64);
-    }
-
-    #[test]
-    fn tsvs_have_expected_shape_and_no_nan() {
-        let r = report();
-        let tsv = r.to_tsv();
-        // Header + (1P + totals) + (1D + totals).
-        assert_eq!(tsv.lines().count(), 5, "{tsv}");
-        assert!(tsv.lines().nth(1).unwrap().starts_with("prefill\t0"));
-        assert!(tsv.lines().nth(2).unwrap().starts_with("prefill\ttotal"));
-        assert!(tsv.lines().nth(3).unwrap().starts_with("decode\t0"));
-        assert!(tsv.lines().nth(4).unwrap().starts_with("decode\ttotal"));
-        let metrics = r.metrics_tsv();
-        assert_eq!(metrics.lines().count(), 7, "{metrics}");
-        assert!(!metrics.contains("NaN"));
-        for name in ["ttft_prefill", "ttft_transfer", "ttft_decode", "tpot"] {
-            assert!(metrics.contains(name), "missing {name} in {metrics}");
-        }
-    }
-
-    #[test]
-    fn empty_report_is_all_dashes() {
-        let r = DisaggReport::new(
-            "rr".into(),
-            "sticky".into(),
-            vec![empty_sim_report(0)],
-            vec![empty_sim_report(0)],
-            Vec::new(),
-            None,
-            Vec::new(),
-            vec![0],
-            vec![0],
-        );
-        assert_eq!(r.ttft_percentiles(), None);
-        assert_eq!(r.ttft_split(), None);
-        assert!(!r.metrics_tsv().contains("NaN"));
-        assert!(r.summary().contains("n/a"));
-    }
-
-    #[test]
-    fn summary_names_both_policies() {
-        let s = report().summary();
-        assert!(s.contains("least-outstanding") && s.contains("least-kv"), "{s}");
     }
 }

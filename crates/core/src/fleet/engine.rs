@@ -22,7 +22,7 @@
 //!   control plane sees a [`FleetStats`] view and may flex roles or
 //!   scale the fleet ([`FleetCommand`]), always under drain semantics.
 //!
-//! `ClusterSimulator` and `DisaggSimulator` are thin compositions over
+//! A routed cluster and a disaggregated deployment are configurations of
 //! this engine (a router is an admission-side control-plane decision;
 //! disaggregation is role-filtered admission plus KV-transfer links);
 //! flexing and autoscaling are just different control planes.
@@ -484,11 +484,6 @@ impl FleetEngine {
     /// Committed KV transfers by request id.
     pub fn transfers(&self) -> &BTreeMap<u64, FleetTransfer> {
         &self.transfers
-    }
-
-    /// KV bytes shipped per prompt token (0 for fleets without links).
-    pub fn kv_bytes_per_token(&self) -> u64 {
-        self.kv_bytes_per_token
     }
 
     /// Replicas currently part of the serving fleet (not retiring).
@@ -1663,16 +1658,15 @@ impl FleetEngine {
     }
 
     /// Finalizes into the engine-level report (a partially drained fleet
-    /// yields a partial report). Shape-specific drivers use
-    /// [`into_parts`](Self::into_parts) instead and assemble their own
-    /// reports.
+    /// yields a partial report). The cluster and disaggregated shapes
+    /// render it through [`ClusterReport`](super::ClusterReport) and
+    /// [`DisaggReport`](super::DisaggReport).
     pub fn into_report(self) -> FleetReport {
         FleetReport::from_parts(self.into_parts())
     }
 
     /// Dismantles the engine into the raw per-replica reports, transfer
-    /// records, and bookkeeping a shape-specific driver needs to build
-    /// its own report (`ClusterReport`, `DisaggReport`, ...).
+    /// records, and bookkeeping [`FleetReport::from_parts`] joins.
     pub fn into_parts(mut self) -> FleetParts {
         let clock = self.clock_ps();
         let resilience = self.chaos.take().map(|mut chaos| {

@@ -1,10 +1,9 @@
 //! The fleet interleaving core: a min-heap of replica ready-times with
 //! lazy invalidation.
 //!
-//! Moved here from `llmss-cluster` so every driver juggling N
-//! independently-clocked [`ServingSimulator`](crate::ServingSimulator)s —
-//! the cluster router, the disaggregated pools, the [`FleetEngine`]
-//! — shares one implementation instead of re-deriving min-over-replicas.
+//! The [`FleetEngine`] juggles N independently-clocked
+//! [`ServingSimulator`](crate::ServingSimulator)s through this one
+//! structure instead of re-deriving min-over-replicas per event.
 //!
 //! [`FleetEngine`]: crate::FleetEngine
 

@@ -1,11 +1,8 @@
 //! One fleet engine for every multi-replica serving shape.
 //!
-//! The repo used to run three near-duplicate virtual-time event loops —
-//! the single-replica step loop, the cluster's router interleave, and
-//! the disaggregated pool/transfer interleave — so every fleet-level
-//! feature (heterogeneous hardware, role flexing, autoscaling) would
-//! have had to be implemented three times. This module collapses them
-//! into one core:
+//! A routed cluster, a disaggregated prefill/decode deployment, and a
+//! `[fleet]` scenario under a flexing or autoscaling control plane are
+//! all configurations of one core:
 //!
 //! ```text
 //!             ┌──────────────────────────────────────────────┐
@@ -27,29 +24,32 @@
 //!   (KV handoff targets), and reconfiguration ([`FleetCommand`]).
 //!   Shipped planes: [`StaticControl`], [`FlexPools`],
 //!   [`AutoscaleControl`].
-//! * [`ReadyHeap`] — the shared lazy-invalidation min-heap of replica
-//!   ready-times (moved here from `llmss-cluster`).
-//! * [`RoutingPolicy`] / [`ReplicaSnapshot`] / [`ReplicaRole`] — the
-//!   router vocabulary (also moved from `llmss-cluster`; that crate
-//!   re-exports them for compatibility).
-//! * [`FleetReport`] — the engine-level report for reshaping fleets;
-//!   `ClusterSimulator` and `DisaggSimulator` instead rebuild their
-//!   legacy reports from [`FleetEngine::into_parts`].
+//! * [`ReadyHeap`] — the lazy-invalidation min-heap of replica
+//!   ready-times.
+//! * [`RoutingPolicy`] / [`ReplicaSnapshot`] / [`ReplicaRole`] /
+//!   [`PairingPolicyKind`] — the router and pairer vocabulary.
+//! * [`FleetReport`] — what every run finishes as. The cluster and
+//!   disaggregated shapes render it through their own views,
+//!   [`ClusterReport`] and [`DisaggReport`].
 
+mod cluster;
 mod control;
+mod disagg;
 mod engine;
 mod heap;
 mod report;
 mod route;
 
+pub use cluster::ClusterReport;
 pub use control::{
     AutoscaleConfig, AutoscaleControl, ControlPlane, FleetCommand, FleetStats, FlexPools,
     FlexPoolsConfig, ReplicaStatus, StaticControl,
 };
+pub use disagg::{DisaggCompletion, DisaggReport, TtftSplit};
 pub use engine::{FleetEngine, FleetParts, FleetTransfer, ReplicaSlot};
 pub use heap::ReadyHeap;
-pub use report::{FleetReplica, FleetReport};
+pub use report::{FleetReplica, FleetReport, ReplicaStats};
 pub use route::{
-    LeastKvLoad, LeastOutstanding, PowerOfTwoChoices, ReplicaRole, ReplicaSnapshot, RoundRobin,
-    RoutingPolicy, RoutingPolicyKind, Sticky,
+    LeastKvLoad, LeastOutstanding, PairingPolicyKind, PowerOfTwoChoices, ReplicaRole,
+    ReplicaSnapshot, RoundRobin, RoutingPolicy, RoutingPolicyKind, Sticky,
 };

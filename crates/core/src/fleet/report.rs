@@ -1,16 +1,20 @@
 //! The engine-level fleet report: per-replica outcomes, end-to-end
 //! completions (KV handoffs joined back to their original arrivals), and
-//! fleet-wide SLO metrics for control planes that reshape the fleet at
-//! runtime (flexing, autoscaling).
+//! fleet-wide SLO metrics.
 //!
-//! Shape-specific drivers (`ClusterSimulator`, `DisaggSimulator`) keep
-//! their own richer report types; [`FleetReport`] is the shape-agnostic
-//! view a `[fleet]` scenario produces.
+//! Every multi-replica run finishes as a [`FleetReport`]. A `[fleet]`
+//! scenario writes it as is; the cluster and disaggregated shapes render
+//! it through their own views ([`ClusterReport`](super::ClusterReport),
+//! [`DisaggReport`](super::DisaggReport)), which share the per-replica
+//! statistics and report sections defined here.
+
+use serde::Value;
 
 use llmss_sched::{Completion, TimePs};
 
 use crate::chaos::ResilienceStats;
-use crate::fabric::FabricStats;
+use crate::fabric::{FabricStats, LinkUsage};
+use crate::json::obj;
 use crate::{percentile, PercentileSummary, ReportOutput, ReuseStats, SimReport, SloSummary};
 
 use super::engine::{FleetParts, FleetTransfer};
@@ -31,6 +35,192 @@ pub struct FleetReplica {
     pub paired: usize,
     /// Whether the replica was retired (scaled down) at the end.
     pub retired: bool,
+}
+
+/// Per-replica aggregate statistics derived from one replica's
+/// [`SimReport`]: the row behind every per-replica table the fleet,
+/// cluster, and disaggregated reports write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplicaStats {
+    /// Replica index (within its pool, for the disaggregated view).
+    pub replica: usize,
+    /// Requests routed (or, on a decode pool, paired) to this replica.
+    pub routed_requests: usize,
+    /// Requests it finished.
+    pub completions: usize,
+    /// Serving iterations it ran.
+    pub iterations: usize,
+    /// Simulated time spent executing iterations.
+    pub busy_ps: TimePs,
+    /// Prompt tokens processed.
+    pub prompt_tokens: u64,
+    /// Tokens generated.
+    pub generated_tokens: u64,
+}
+
+impl ReplicaStats {
+    /// The statistics of replica `replica`, credited with `routed_requests`.
+    pub(crate) fn new(replica: usize, report: &SimReport, routed_requests: usize) -> Self {
+        Self {
+            replica,
+            routed_requests,
+            completions: report.completions.len(),
+            iterations: report.iterations.len(),
+            busy_ps: report.iterations.iter().map(|it| it.latency_ps).sum(),
+            prompt_tokens: report.total_prompt_tokens(),
+            generated_tokens: report.total_generated_tokens(),
+        }
+    }
+
+    /// One row per report, by index; `routed[i]` credits report `i`.
+    pub(crate) fn collect(reports: &[SimReport], routed: &[usize]) -> Vec<Self> {
+        reports
+            .iter()
+            .enumerate()
+            .map(|(i, r)| Self::new(i, r, routed.get(i).copied().unwrap_or(0)))
+            .collect()
+    }
+
+    /// Fraction of the makespan this replica spent executing iterations
+    /// (`0.0` for an empty makespan).
+    pub fn utilization(&self, makespan_ps: TimePs) -> f64 {
+        if makespan_ps == 0 {
+            return 0.0;
+        }
+        self.busy_ps as f64 / makespan_ps as f64
+    }
+
+    /// Mean utilization over a set of replicas (`0.0` when empty) — the
+    /// totals-row figure, which stays in `[0, 1]` where a sum would not.
+    pub(crate) fn mean_utilization(stats: &[Self], makespan_ps: TimePs) -> f64 {
+        if stats.is_empty() {
+            return 0.0;
+        }
+        stats.iter().map(|s| s.utilization(makespan_ps)).sum::<f64>() / stats.len() as f64
+    }
+}
+
+/// Every replica's operator- and iteration-level reuse counters merged,
+/// in replica order.
+pub(crate) fn merged_reuse<'a>(reports: impl IntoIterator<Item = &'a SimReport>) -> ReuseStats {
+    let mut total = ReuseStats::default();
+    for r in reports {
+        total.merge(&r.reuse);
+    }
+    total
+}
+
+/// The summary-line tail of a shared-cache run (empty otherwise).
+pub(crate) fn shared_cache_suffix(reuse: &ReuseStats) -> String {
+    if !reuse.shared_armed {
+        return String::new();
+    }
+    format!(
+        " shared_hits={} local_iter_reuse={:.1}%",
+        reuse.shared_hits,
+        reuse.local_iteration_hit_rate() * 100.0,
+    )
+}
+
+/// Contention percentiles over delivered transfers: the p50/p95/p99 of
+/// the achieved-over-nominal slowdown ratio (1.0 = uncontended). `None`
+/// without any delivered transfer carrying a nominal.
+pub(crate) fn contention_of(transfers: &[(u64, FleetTransfer)]) -> Option<(f64, f64, f64)> {
+    let mut ratios: Vec<f64> = transfers.iter().filter_map(|(_, t)| t.contention()).collect();
+    if ratios.is_empty() {
+        return None;
+    }
+    Some((
+        percentile(&mut ratios, 0.50),
+        percentile(&mut ratios, 0.95),
+        percentile(&mut ratios, 0.99),
+    ))
+}
+
+/// The summary-line tail of a fair-fabric run: its label and, once a
+/// transfer was delivered, the contention p50/p99 (empty without a
+/// fabric).
+pub(crate) fn fabric_suffix(
+    fabric: Option<&FabricStats>,
+    contention: Option<(f64, f64, f64)>,
+) -> String {
+    let Some(fabric) = fabric else {
+        return String::new();
+    };
+    let mut out = format!(" fabric={}", fabric.label);
+    if let Some((p50, _, p99)) = contention {
+        out.push_str(&format!(" contention[p50={p50:.2}x p99={p99:.2}x]"));
+    }
+    out
+}
+
+/// A link's carried bytes over its capacity integral across the run
+/// (GB/s = 1e-3 B/ps).
+fn link_utilization(link: &LinkUsage, makespan_ps: TimePs) -> f64 {
+    let cap_bytes = link.bw_gbps / 1000.0 * makespan_ps.max(1) as f64;
+    if cap_bytes > 0.0 {
+        link.carried_bytes / cap_bytes
+    } else {
+        0.0
+    }
+}
+
+/// The contention percentiles as a JSON object (`null` when undefined).
+pub(crate) fn contention_json(contention: Option<(f64, f64, f64)>) -> Value {
+    match contention {
+        Some((p50, p95, p99)) => obj(vec![
+            ("p50", Value::Float(p50)),
+            ("p95", Value::Float(p95)),
+            ("p99", Value::Float(p99)),
+        ]),
+        None => Value::Null,
+    }
+}
+
+/// The fabric's per-link usage as a JSON array.
+pub(crate) fn fabric_links_json(fabric: &FabricStats, makespan_ps: TimePs) -> Value {
+    Value::Array(
+        fabric
+            .links
+            .iter()
+            .map(|l| {
+                obj(vec![
+                    ("name", Value::Str(l.name.clone())),
+                    ("bw_gbps", Value::Float(l.bw_gbps)),
+                    ("carried_bytes", Value::Float(l.carried_bytes)),
+                    ("utilization", Value::Float(link_utilization(l, makespan_ps))),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// Appends the TSV fabric section of a fair-fabric run: per-link carried
+/// megabytes and utilization, then the contention percentiles.
+pub(crate) fn push_fabric_tsv(
+    out: &mut String,
+    fabric: &FabricStats,
+    makespan_ps: TimePs,
+    contention: Option<(f64, f64, f64)>,
+) {
+    out.push_str(&format!(
+        "\nfabric\t{}\nlink\tbw_gbps\tcarried_mb\tutilization\n",
+        fabric.label
+    ));
+    for l in &fabric.links {
+        out.push_str(&format!(
+            "{}\t{:.1}\t{:.3}\t{:.4}\n",
+            l.name,
+            l.bw_gbps,
+            l.carried_bytes / 1e6,
+            link_utilization(l, makespan_ps),
+        ));
+    }
+    out.push_str("contention_p50\tcontention_p95\tcontention_p99\n");
+    match contention {
+        Some((p50, p95, p99)) => out.push_str(&format!("{p50:.3}\t{p95:.3}\t{p99:.3}\n")),
+        None => out.push_str("-\t-\t-\n"),
+    }
 }
 
 /// The aggregated result of one fleet-engine run.
@@ -127,16 +317,7 @@ impl FleetReport {
     /// of the achieved-over-nominal slowdown ratio (1.0 = uncontended).
     /// `None` without any delivered transfer carrying a nominal.
     pub fn contention(&self) -> Option<(f64, f64, f64)> {
-        let mut ratios: Vec<f64> =
-            self.transfers.iter().filter_map(|(_, t)| t.contention()).collect();
-        if ratios.is_empty() {
-            return None;
-        }
-        Some((
-            percentile(&mut ratios, 0.50),
-            percentile(&mut ratios, 0.95),
-            percentile(&mut ratios, 0.99),
-        ))
+        contention_of(&self.transfers)
     }
 
     /// Fleet makespan: the latest replica clock.
@@ -211,11 +392,17 @@ impl FleetReport {
 
     /// Fleet-wide reuse statistics (all replicas merged).
     pub fn aggregate_reuse(&self) -> ReuseStats {
-        let mut total = ReuseStats::default();
-        for r in &self.replicas {
-            total.merge(&r.report.reuse);
-        }
-        total
+        merged_reuse(self.replicas.iter().map(|r| &r.report))
+    }
+
+    /// Per-replica statistics, by fleet index (credited with fresh
+    /// arrivals; KV handoffs are [`FleetReplica::paired`]).
+    pub fn per_replica(&self) -> Vec<ReplicaStats> {
+        self.replicas
+            .iter()
+            .enumerate()
+            .map(|(i, r)| ReplicaStats::new(i, &r.report, r.routed))
+            .collect()
     }
 
     /// One-paragraph human summary.
@@ -240,19 +427,8 @@ impl FleetReport {
             reuse.hit_rate() * 100.0,
             reuse.iteration_hit_rate() * 100.0,
         );
-        if reuse.shared_armed {
-            out.push_str(&format!(
-                " shared_hits={} local_iter_reuse={:.1}%",
-                reuse.shared_hits,
-                reuse.local_iteration_hit_rate() * 100.0,
-            ));
-        }
-        if let Some(fabric) = &self.fabric {
-            out.push_str(&format!(" fabric={}", fabric.label));
-            if let Some((p50, _, p99)) = self.contention() {
-                out.push_str(&format!(" contention[p50={p50:.2}x p99={p99:.2}x]"));
-            }
-        }
+        out.push_str(&shared_cache_suffix(&reuse));
+        out.push_str(&fabric_suffix(self.fabric.as_ref(), self.contention()));
         if let Some(res) = &self.resilience {
             out.push_str(&format!(
                 " chaos faults={} retried={} abandoned={} kv_lost={}B availability={:.2}%",
@@ -274,65 +450,33 @@ impl FleetReport {
     /// Virtual-time results only, so the artifact is byte-identical
     /// across runs of the same seed.
     pub fn summary_json(&self) -> String {
-        use serde::Value;
-
-        use crate::json::obj;
-
-        let makespan = self.makespan_ps.max(1);
+        let makespan = self.makespan_ps;
         let replicas: Vec<Value> = self
             .replicas
             .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let busy: TimePs = r.report.iterations.iter().map(|it| it.latency_ps).sum();
+            .zip(self.per_replica())
+            .map(|(r, s)| {
                 obj(vec![
-                    ("index", Value::Int(i as i128)),
+                    ("index", Value::Int(s.replica as i128)),
                     ("role", Value::Str(r.role.to_string())),
                     ("home_role", Value::Str(r.home_role.to_string())),
                     ("retired", Value::Bool(r.retired)),
                     ("routed", Value::Int(r.routed as i128)),
                     ("paired", Value::Int(r.paired as i128)),
-                    ("completed", Value::Int(r.report.completions.len() as i128)),
-                    ("iterations", Value::Int(r.report.iterations.len() as i128)),
-                    ("busy_s", Value::Float(busy as f64 / 1e12)),
-                    ("utilization", Value::Float(busy as f64 / makespan as f64)),
+                    ("completed", Value::Int(s.completions as i128)),
+                    ("iterations", Value::Int(s.iterations as i128)),
+                    ("busy_s", Value::Float(s.busy_ps as f64 / 1e12)),
+                    ("utilization", Value::Float(s.utilization(makespan))),
                 ])
             })
             .collect();
         let fabric = match &self.fabric {
             None => Value::Null,
-            Some(f) => {
-                let links: Vec<Value> = f
-                    .links
-                    .iter()
-                    .map(|l| {
-                        // Same capacity integral as `to_tsv` (GB/s =
-                        // 1e-3 B/ps).
-                        let cap_bytes = l.bw_gbps / 1000.0 * makespan as f64;
-                        let util =
-                            if cap_bytes > 0.0 { l.carried_bytes / cap_bytes } else { 0.0 };
-                        obj(vec![
-                            ("name", Value::Str(l.name.clone())),
-                            ("bw_gbps", Value::Float(l.bw_gbps)),
-                            ("carried_bytes", Value::Float(l.carried_bytes)),
-                            ("utilization", Value::Float(util)),
-                        ])
-                    })
-                    .collect();
-                let contention = match self.contention() {
-                    Some((p50, p95, p99)) => obj(vec![
-                        ("p50", Value::Float(p50)),
-                        ("p95", Value::Float(p95)),
-                        ("p99", Value::Float(p99)),
-                    ]),
-                    None => Value::Null,
-                };
-                obj(vec![
-                    ("label", Value::Str(f.label.clone())),
-                    ("links", Value::Array(links)),
-                    ("contention", contention),
-                ])
-            }
+            Some(f) => obj(vec![
+                ("label", Value::Str(f.label.clone())),
+                ("links", fabric_links_json(f, makespan)),
+                ("contention", contention_json(self.contention())),
+            ]),
         };
         let retired = self.replicas.iter().filter(|r| r.retired).count();
         let mut fields = vec![
@@ -398,8 +542,7 @@ impl FleetReport {
                 ]),
             ));
         }
-        let v = obj(fields);
-        crate::json::pretty(&v) + "\n"
+        crate::json::pretty(&obj(fields)) + "\n"
     }
 
     /// Per-replica TSV (the CLI's `{output}-fleet.tsv`): one row per
@@ -410,22 +553,23 @@ impl FleetReport {
              \titerations\tbusy_s\tutilization\tttft_p50\tttft_p95\tttft_p99\
              \tlat_p50\tlat_p95\tlat_p99\n",
         );
-        let makespan = self.makespan_ps.max(1);
-        for (i, r) in self.replicas.iter().enumerate() {
-            let busy: TimePs = r.report.iterations.iter().map(|it| it.latency_ps).sum();
+        let makespan = self.makespan_ps;
+        let stats = self.per_replica();
+        for (r, s) in self.replicas.iter().zip(&stats) {
             let ttft = PercentileSummary::tsv_fields_or_dashes(r.report.ttft_percentiles());
             let lat = PercentileSummary::tsv_fields_or_dashes(r.report.latency_percentiles());
             out.push_str(&format!(
-                "{i}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.4}\t{:.4}\t{ttft}\t{lat}\n",
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.4}\t{:.4}\t{ttft}\t{lat}\n",
+                s.replica,
                 r.role,
                 r.home_role,
                 r.retired,
                 r.routed,
                 r.paired,
-                r.report.completions.len(),
-                r.report.iterations.len(),
-                busy as f64 / 1e12,
-                busy as f64 / makespan as f64,
+                s.completions,
+                s.iterations,
+                s.busy_ps as f64 / 1e12,
+                s.utilization(makespan),
             ));
         }
         let slo = self.slo();
@@ -436,41 +580,13 @@ impl FleetReport {
             self.assignments.len(),
             self.transfers.len(),
             self.total_completions(),
-            self.replicas.iter().map(|r| r.report.iterations.len()).sum::<usize>(),
-            self.replicas
-                .iter()
-                .flat_map(|r| r.report.iterations.iter())
-                .map(|it| it.latency_ps)
-                .sum::<TimePs>() as f64
-                / 1e12,
+            stats.iter().map(|s| s.iterations).sum::<usize>(),
+            stats.iter().map(|s| s.busy_ps).sum::<TimePs>() as f64 / 1e12,
         ));
         // The fabric section exists only for fair-sharing runs; the
         // legacy FIFO wire emits exactly the pre-fabric TSV above.
         if let Some(fabric) = &self.fabric {
-            out.push_str(&format!(
-                "\nfabric\t{}\nlink\tbw_gbps\tcarried_mb\tutilization\n",
-                fabric.label
-            ));
-            for l in &fabric.links {
-                // Capacity integral over the run, in bytes (GB/s =
-                // 1e-3 B/ps).
-                let cap_bytes = l.bw_gbps / 1000.0 * makespan as f64;
-                let util = if cap_bytes > 0.0 { l.carried_bytes / cap_bytes } else { 0.0 };
-                out.push_str(&format!(
-                    "{}\t{:.1}\t{:.3}\t{:.4}\n",
-                    l.name,
-                    l.bw_gbps,
-                    l.carried_bytes / 1e6,
-                    util,
-                ));
-            }
-            out.push_str("contention_p50\tcontention_p95\tcontention_p99\n");
-            match self.contention() {
-                Some((p50, p95, p99)) => {
-                    out.push_str(&format!("{p50:.3}\t{p95:.3}\t{p99:.3}\n"));
-                }
-                None => out.push_str("-\t-\t-\n"),
-            }
+            push_fabric_tsv(&mut out, fabric, makespan, self.contention());
         }
         // The resilience section exists only for chaos runs; chaos-free
         // TSVs stay byte-identical to the pre-chaos engine.

@@ -1,8 +1,8 @@
 //! Replica roles, load snapshots, and pluggable routing policies.
 //!
-//! Moved here from `llmss-cluster` so the [`FleetEngine`] and its control
-//! planes can speak the same vocabulary the router does: the router runs
-//! at request-arrival time and sees only what a real front-end would —
+//! The [`FleetEngine`] and its control planes speak the router's
+//! vocabulary: the router runs at request-arrival time and sees only what
+//! a real front-end would —
 //! per-replica queue depth, KV-cache pressure, and completion counts
 //! ([`ReplicaSnapshot`]) — never the future of the trace or the internals
 //! of an iteration in flight.
@@ -18,7 +18,7 @@ use llmss_sched::{Request, SchedulerMode, TimePs};
 ///
 /// A classic cluster is all-[`Unified`](ReplicaRole::Unified); a
 /// disaggregated deployment splits the fleet into a prefill pool and a
-/// decode pool with a KV-cache handoff in between (`llmss-disagg`). With
+/// decode pool with a KV-cache handoff in between. With
 /// a flexing control plane ([`FlexPools`](crate::FlexPools)) a replica's
 /// role can change at runtime, after a drain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -225,6 +225,73 @@ impl std::str::FromStr for RoutingPolicyKind {
             other => Err(format!(
                 "unknown routing policy '{other}' (expected round-robin | \
                  least-outstanding | least-kv | power-of-two | sticky)"
+            )),
+        }
+    }
+}
+
+/// How a finished prefill picks its decode replica.
+///
+/// All three reuse the [`RoutingPolicy`] machinery over decode-pool
+/// snapshots; the decision runs at prefill-completion time, before the
+/// transfer starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PairingPolicyKind {
+    /// Ship to the decode replica with the fewest KV pages in use — the
+    /// memory-pressure signal that matters most on a pool whose whole job
+    /// is holding caches.
+    LeastKvLoad,
+    /// Ship to the decode replica with the fewest unfinished requests.
+    LeastOutstanding,
+    /// Session affinity: the request id picks the replica regardless of
+    /// load (KV locality for multi-turn reuse).
+    Sticky,
+}
+
+impl PairingPolicyKind {
+    /// Every built-in pairing policy (for sweeps and exhaustive tests).
+    pub const ALL: [PairingPolicyKind; 3] = [
+        PairingPolicyKind::LeastKvLoad,
+        PairingPolicyKind::LeastOutstanding,
+        PairingPolicyKind::Sticky,
+    ];
+
+    /// Instantiates the policy as a routing policy over decode replicas.
+    pub fn build(self) -> Box<dyn RoutingPolicy> {
+        match self {
+            PairingPolicyKind::LeastKvLoad => RoutingPolicyKind::LeastKvLoad.build(0),
+            PairingPolicyKind::LeastOutstanding => RoutingPolicyKind::LeastOutstanding.build(0),
+            PairingPolicyKind::Sticky => RoutingPolicyKind::Sticky.build(0),
+        }
+    }
+
+    /// The CLI spelling (`--pairing` flag values).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            PairingPolicyKind::LeastKvLoad => "least-kv",
+            PairingPolicyKind::LeastOutstanding => "least-outstanding",
+            PairingPolicyKind::Sticky => "sticky",
+        }
+    }
+}
+
+impl std::fmt::Display for PairingPolicyKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::str::FromStr for PairingPolicyKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "least-kv" | "kv" => Ok(PairingPolicyKind::LeastKvLoad),
+            "least-outstanding" | "lor" => Ok(PairingPolicyKind::LeastOutstanding),
+            "sticky" => Ok(PairingPolicyKind::Sticky),
+            other => Err(format!(
+                "unknown pairing policy '{other}' \
+                 (expected least-kv | least-outstanding | sticky)"
             )),
         }
     }

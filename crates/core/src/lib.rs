@@ -65,11 +65,12 @@ pub use fabric::{
     LinkUsage, NamedLink, RouteSpec,
 };
 pub use fleet::{
-    AutoscaleConfig, AutoscaleControl, ControlPlane, FleetCommand, FleetEngine, FleetParts,
-    FleetReplica, FleetReport, FleetStats, FleetTransfer, FlexPools, FlexPoolsConfig,
-    LeastKvLoad, LeastOutstanding, PowerOfTwoChoices, ReadyHeap, ReplicaRole, ReplicaSlot,
-    ReplicaSnapshot, ReplicaStatus, RoundRobin, RoutingPolicy, RoutingPolicyKind,
-    StaticControl, Sticky,
+    AutoscaleConfig, AutoscaleControl, ClusterReport, ControlPlane, DisaggCompletion,
+    DisaggReport, FleetCommand, FleetEngine, FleetParts, FleetReplica, FleetReport, FleetStats,
+    FleetTransfer, FlexPools, FlexPoolsConfig, LeastKvLoad, LeastOutstanding,
+    PairingPolicyKind, PowerOfTwoChoices, ReadyHeap, ReplicaRole, ReplicaSlot, ReplicaSnapshot,
+    ReplicaStats, ReplicaStatus, RoundRobin, RoutingPolicy, RoutingPolicyKind, StaticControl,
+    Sticky, TtftSplit,
 };
 pub use mapping::{map_op, DeviceKind, PimMode};
 pub use report::{

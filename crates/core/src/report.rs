@@ -97,7 +97,7 @@ pub struct ThroughputBin {
 /// sample set (a run with zero completions has no percentiles — callers
 /// skip the row or print placeholders instead of NaN); used for
 /// single-replica metrics via [`SimReport::ttft_percentiles`] and
-/// friends, and for cluster-level SLOs by `llmss-cluster`.
+/// friends, and for fleet-level SLOs by the fleet reports.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PercentileSummary {
     /// Median (50th percentile).
@@ -158,8 +158,8 @@ impl std::fmt::Display for PercentileSummary {
 
 /// A completion record that carries the standard serving-SLO signals.
 ///
-/// Implemented by single-replica [`Completion`]s here and by
-/// `llmss-disagg`'s lifecycle records, so [`SloSummary::collect`] can
+/// Implemented by single-replica [`Completion`]s here and by the
+/// disaggregated lifecycle records, so [`SloSummary::collect`] can
 /// derive one set of percentile metrics for every serving shape instead
 /// of each report crate re-plumbing `percentiles_from_ps` by hand.
 pub trait SloCompletion {
@@ -699,5 +699,220 @@ mod tests {
     #[should_panic(expected = "bin width")]
     fn zero_bin_rejected() {
         report().throughput_series(0.0);
+    }
+
+    // The cluster and disaggregated views of a fleet report.
+
+    use std::collections::BTreeMap;
+
+    use llmss_sched::Request;
+
+    use crate::{
+        ClusterReport, DisaggCompletion, DisaggReport, FleetParts, FleetReplica, FleetReport,
+        FleetTransfer, PairingPolicyKind, ReplicaRole,
+    };
+
+    fn completion(id: u64, arrival_ps: u64, first_token_ps: u64, finish_ps: u64) -> Completion {
+        Completion { id, arrival_ps, first_token_ps, finish_ps, input_len: 100, output_len: 4 }
+    }
+
+    /// A fleet replica that ran no iterations, finishing `completions`.
+    fn replica(
+        role: ReplicaRole,
+        completions: Vec<Completion>,
+        clock: TimePs,
+        routed: usize,
+    ) -> FleetReplica {
+        let report = SimReport {
+            iterations: Vec::new(),
+            completions,
+            wall: WallBreakdown::default(),
+            reuse: ReuseStats::default(),
+            sim_duration_ps: clock,
+        };
+        FleetReplica { report, role, home_role: role, routed, paired: routed, retired: false }
+    }
+
+    fn fleet(
+        control: &str,
+        replicas: Vec<FleetReplica>,
+        assignments: Vec<(u64, usize)>,
+        transfers: BTreeMap<u64, FleetTransfer>,
+    ) -> FleetReport {
+        let requests = transfers.keys().map(|&id| (id, Request::new(id, 100, 4, 0))).collect();
+        let (control, fabric, resilience) = (control.to_owned(), None, None);
+        FleetReport::from_parts(FleetParts {
+            control,
+            replicas,
+            assignments,
+            transfers,
+            requests,
+            fabric,
+            resilience,
+        })
+    }
+
+    fn two_replica_report() -> ClusterReport {
+        let r0 = vec![completion(0, 0, 1_000, 5_000), completion(2, 0, 2_000, 9_000)];
+        let replicas = vec![
+            replica(ReplicaRole::Unified, r0, 9_000, 2),
+            replica(ReplicaRole::Unified, vec![completion(1, 0, 4_000, 6_000)], 6_000, 1),
+        ];
+        fleet("round-robin", replicas, vec![(0, 0), (1, 1), (2, 0)], BTreeMap::new()).into()
+    }
+
+    #[test]
+    fn makespan_is_latest_replica_clock() {
+        let r = two_replica_report();
+        assert_eq!(r.makespan_ps(), 9_000);
+        assert_eq!(r.total_completions(), 3);
+    }
+
+    #[test]
+    fn ttft_percentiles_merge_replicas() {
+        let r = two_replica_report();
+        // TTFTs: 1000, 2000, 4000 ps → p50 = 2000 ps.
+        assert!((r.ttft_percentiles().unwrap().p50_s - 2e-9).abs() < 1e-15);
+    }
+
+    #[test]
+    fn empty_completion_sets_render_dashes_not_nan() {
+        let idle = || replica(ReplicaRole::Unified, Vec::new(), 0, 0);
+        let r: ClusterReport =
+            fleet("round-robin", vec![idle(), idle()], Vec::new(), BTreeMap::new()).into();
+        assert_eq!(r.ttft_percentiles(), None);
+        assert_eq!(r.latency_percentiles(), None);
+        let tsv = r.to_tsv();
+        assert!(!tsv.contains("NaN"), "TSV leaked NaN: {tsv}");
+        assert!(tsv.lines().nth(1).unwrap().contains("-\t-\t-"), "{tsv}");
+        assert!(r.summary().contains("n/a"), "{}", r.summary());
+    }
+
+    #[test]
+    fn load_imbalance_of_uneven_split() {
+        let r = two_replica_report();
+        // routed = [2, 1]: max 2 / mean 1.5.
+        assert!((r.load_imbalance() - 2.0 / 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tsv_has_per_replica_and_cluster_rows() {
+        let tsv = two_replica_report().to_tsv();
+        let lines: Vec<&str> = tsv.lines().collect();
+        assert_eq!(lines.len(), 4, "{tsv}"); // header + 2 replicas + cluster
+        assert!(lines[0].starts_with("replica\t"));
+        assert!(lines[3].starts_with("cluster\t"));
+    }
+
+    #[test]
+    fn summary_names_the_policy() {
+        assert!(two_replica_report().summary().contains("round-robin"));
+    }
+
+    /// Prefill done at 1.0 ns, KV on the wire 1.2–2.0 ns, first token at
+    /// 2.5 ns, finished at 5.5 ns.
+    fn lifecycle(id: u64) -> DisaggCompletion {
+        DisaggCompletion {
+            id,
+            arrival_ps: 0,
+            input_len: 100,
+            output_len: 4,
+            prefill_replica: 0,
+            decode_replica: 0,
+            prefill_done_ps: 1_000,
+            transfer_start_ps: 1_200,
+            transfer_done_ps: 2_000,
+            first_token_ps: 2_500,
+            finish_ps: 5_500,
+            kv_bytes: 100 * 64,
+        }
+    }
+
+    /// A 1P x 1D run of two requests, each following [`lifecycle`].
+    fn disagg_report() -> DisaggReport {
+        let handoff = FleetTransfer {
+            from: 0,
+            to: 1,
+            link: 0,
+            ready_ps: 1_000,
+            start_ps: 1_200,
+            done_ps: 2_000,
+            nominal_ps: 800,
+            bytes: 100 * 64,
+        };
+        let decoded = (0..2).map(|id| completion(id, 2_000, 2_500, 5_500)).collect();
+        let replicas = vec![
+            replica(ReplicaRole::Prefill, Vec::new(), 3_000, 2),
+            replica(ReplicaRole::Decode, decoded, 5_500, 2),
+        ];
+        let transfers = (0..2).map(|id| (id, handoff)).collect();
+        let report = fleet("least-outstanding", replicas, vec![(0, 0), (1, 0)], transfers);
+        DisaggReport::from_fleet(report, 1, PairingPolicyKind::LeastKvLoad)
+    }
+
+    #[test]
+    fn components_partition_ttft() {
+        let c = lifecycle(0);
+        assert_eq!(disagg_report().completions, [c, lifecycle(1)]);
+        assert_eq!(
+            c.prefill_component_ps() + c.transfer_component_ps() + c.decode_component_ps(),
+            c.ttft_ps()
+        );
+        assert_eq!(c.ttft_ps(), 2_500);
+        assert_eq!(c.transfer_component_ps(), 1_000);
+        // TPOT: 3 gaps over 3_000 ps.
+        assert!((c.tpot_ps() - 1_000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn split_means_sum_to_mean_ttft() {
+        let split = disagg_report().ttft_split().unwrap();
+        assert!((split.total_s() - 2_500e-12).abs() < 1e-18);
+        assert!((split.transfer_s - 1_000e-12).abs() < 1e-18);
+    }
+
+    #[test]
+    fn makespan_spans_both_pools() {
+        let r = disagg_report();
+        assert_eq!(r.makespan_ps(), 5_500);
+        assert_eq!(r.total_kv_bytes(), 2 * 100 * 64);
+    }
+
+    #[test]
+    fn tsvs_have_expected_shape_and_no_nan() {
+        let r = disagg_report();
+        let tsv = r.to_tsv();
+        // Header + (1P + totals) + (1D + totals).
+        assert_eq!(tsv.lines().count(), 5, "{tsv}");
+        assert!(tsv.lines().nth(1).unwrap().starts_with("prefill\t0"));
+        assert!(tsv.lines().nth(2).unwrap().starts_with("prefill\ttotal"));
+        assert!(tsv.lines().nth(3).unwrap().starts_with("decode\t0"));
+        assert!(tsv.lines().nth(4).unwrap().starts_with("decode\ttotal"));
+        let metrics = r.metrics_tsv();
+        assert_eq!(metrics.lines().count(), 7, "{metrics}");
+        assert!(!metrics.contains("NaN"));
+        for name in ["ttft_prefill", "ttft_transfer", "ttft_decode", "tpot"] {
+            assert!(metrics.contains(name), "missing {name} in {metrics}");
+        }
+    }
+
+    #[test]
+    fn empty_report_is_all_dashes() {
+        let replicas = vec![
+            replica(ReplicaRole::Prefill, Vec::new(), 0, 0),
+            replica(ReplicaRole::Decode, Vec::new(), 0, 0),
+        ];
+        let report = fleet("round-robin", replicas, Vec::new(), BTreeMap::new());
+        let r = DisaggReport::from_fleet(report, 1, PairingPolicyKind::Sticky);
+        assert_eq!(r.ttft_percentiles(), None);
+        assert_eq!(r.ttft_split(), None);
+        assert!(!r.metrics_tsv().contains("NaN"));
+        assert!(r.summary().contains("n/a"));
+    }
+
+    #[test]
+    fn summary_names_both_policies() {
+        let s = disagg_report().summary();
+        assert!(s.contains("least-outstanding") && s.contains("least-kv"), "{s}");
     }
 }

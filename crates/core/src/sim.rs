@@ -615,4 +615,351 @@ mod tests {
         assert_eq!(a.sim_duration_ps, b.sim_duration_ps);
         assert_eq!(a.iterations.len(), b.iterations.len());
     }
+
+    // Many replicas of this simulator: the cluster and disaggregated
+    // shapes as static fleets over the fleet engine.
+
+    use llmss_net::LinkSpec;
+    use llmss_sched::{bursty_trace, BurstyTraceSpec};
+
+    use crate::{
+        ClusterReport, DisaggReport, Fabric, FabricGraph, FleetEngine, PairingPolicyKind,
+        ReplicaRole, RoutingPolicyKind, StaticControl,
+    };
+
+    const LOR: RoutingPolicyKind = RoutingPolicyKind::LeastOutstanding;
+    const LEAST_KV: PairingPolicyKind = PairingPolicyKind::LeastKvLoad;
+
+    fn alpaca(n: usize, rate: f64) -> Vec<Request> {
+        TraceGenerator::new(Dataset::Alpaca, 13).rate_per_s(rate).generate(n)
+    }
+
+    fn static_fleet(
+        configs: Vec<SimConfig>,
+        fabric: Fabric,
+        routing: RoutingPolicyKind,
+        pairing: PairingPolicyKind,
+        trace: Vec<Request>,
+    ) -> FleetEngine {
+        let control = StaticControl::new(routing.build(5), pairing.build());
+        FleetEngine::with_fabric(configs, fabric, Box::new(control), trace).unwrap()
+    }
+
+    /// A cluster: `configs` replicas behind `routing`, no KV links.
+    fn cluster(
+        configs: Vec<SimConfig>,
+        routing: RoutingPolicyKind,
+        trace: Vec<Request>,
+    ) -> FleetEngine {
+        let linkless = Fabric::fifo(Vec::new());
+        static_fleet(configs, linkless, routing, LEAST_KV, trace)
+    }
+
+    fn fifo(gbps: f64) -> Fabric {
+        Fabric::fifo(vec![LinkSpec::new(gbps, LinkSpec::cxl().latency_ns)])
+    }
+
+    /// A `prefill`x`decode` deployment: prefill replicas at fleet indices
+    /// `0..P`, decode replicas at `P..P+D`.
+    fn disagg_over(
+        (prefill, decode): (usize, usize),
+        fabric: Fabric,
+        routing: RoutingPolicyKind,
+        pairing: PairingPolicyKind,
+        trace: Vec<Request>,
+    ) -> DisaggReport {
+        let mut configs = vec![config().prefill_only(); prefill];
+        configs.resize(prefill + decode, config().decode_only());
+        let fleet = static_fleet(configs, fabric, routing, pairing, trace);
+        DisaggReport::from_fleet(fleet.run(), prefill, pairing)
+    }
+
+    /// A deployment behind least-outstanding routing and least-KV pairing
+    /// over one FIFO KV link of `gbps`.
+    fn disagg(pools: (usize, usize), gbps: f64, trace: Vec<Request>) -> DisaggReport {
+        disagg_over(pools, fifo(gbps), LOR, LEAST_KV, trace)
+    }
+
+    fn bursts() -> Vec<Request> {
+        bursty_trace(&BurstyTraceSpec {
+            bursts: 2,
+            burst_size: 8,
+            ..BurstyTraceSpec::default()
+        })
+    }
+
+    #[test]
+    fn single_replica_cluster_matches_standalone_simulator() {
+        let t = alpaca(12, 40.0);
+        let standalone = ServingSimulator::new(config(), t.clone()).unwrap().run();
+        let cluster = ClusterReport::from(
+            cluster(vec![config()], RoutingPolicyKind::RoundRobin, t).run(),
+        );
+        assert_eq!(cluster.total_completions(), standalone.completions.len());
+        assert_eq!(cluster.makespan_ps(), standalone.sim_duration_ps);
+        // Same requests, same finish times: the router layer is
+        // transparent when there is nothing to balance.
+        let mut a: Vec<_> = standalone.completions.clone();
+        let mut b: Vec<_> = cluster.completions().cloned().collect();
+        a.sort_by_key(|c| c.id);
+        b.sort_by_key(|c| c.id);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_request_served_exactly_once_across_replicas() {
+        for kind in RoutingPolicyKind::ALL {
+            let report =
+                ClusterReport::from(cluster(vec![config(); 3], kind, alpaca(30, 100.0)).run());
+            let mut ids: Vec<u64> = report.completions().map(|c| c.id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..30).collect::<Vec<u64>>(), "policy {kind}");
+            assert_eq!(report.assignments.len(), 30);
+        }
+    }
+
+    #[test]
+    fn round_robin_spreads_requests_evenly() {
+        let fleet =
+            cluster(vec![config(); 4], RoutingPolicyKind::RoundRobin, alpaca(32, 100.0));
+        for stats in ClusterReport::from(fleet.run()).per_replica() {
+            assert_eq!(stats.routed_requests, 8);
+        }
+    }
+
+    #[test]
+    fn arrivals_route_before_later_replica_work() {
+        // A burst at t=0 followed by a straggler: the straggler must be
+        // routed when the fleet's virtual time reaches its arrival,
+        // seeing queue depths that reflect the burst's progress.
+        let mut t = alpaca(8, 1_000.0);
+        t.push(Request::new(8, 64, 4, 2_000_000_000)); // 2 ms
+        let mut sim = cluster(vec![config(); 2], LOR, t);
+        while sim.step() {}
+        assert_eq!(sim.assignments().len(), 9);
+    }
+
+    #[test]
+    fn heterogeneous_replicas_carry_distinct_configs() {
+        // Replica 0 batches freely; replica 1 is capped at one sequence.
+        // Both serve, and each iteration trace reflects its own config.
+        let configs = vec![config(), config().max_batch(1)];
+        let sim = cluster(configs, RoutingPolicyKind::RoundRobin, alpaca(20, 2_000.0));
+        assert!(sim.slots().iter().all(|s| s.role == ReplicaRole::Unified));
+        let report = ClusterReport::from(sim.run());
+        assert_eq!(report.total_completions(), 20);
+        let max_batch = |r: usize| {
+            report.replica_reports[r].iterations.iter().map(|it| it.batch_size).max().unwrap()
+        };
+        assert!(max_batch(0) > 1, "the roomy replica should batch under a burst");
+        assert_eq!(max_batch(1), 1, "the capped replica must never exceed its limit");
+    }
+
+    #[test]
+    fn decode_replicas_never_receive_fresh_arrivals() {
+        let configs = vec![config(), config().decode_only()];
+        let mut sim = cluster(configs, LOR, alpaca(10, 200.0));
+        assert_eq!(sim.slots()[1].role, ReplicaRole::Decode);
+        while sim.step() {}
+        assert!(
+            sim.assignments().iter().all(|&(_, replica)| replica == 0),
+            "the decode replica took a fresh arrival"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "need a KV-transfer link")]
+    fn prefill_only_replicas_rejected_without_handoff() {
+        // A linkless fleet would route arrivals to the prefill replica and
+        // report them "complete" with one token — refuse loudly instead.
+        let configs = vec![config().prefill_only(), config()];
+        let _ = cluster(configs, RoutingPolicyKind::RoundRobin, alpaca(4, 100.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoints but the fleet has")]
+    fn mismatched_config_count_panics() {
+        // A fabric routed for two endpoints cannot carry a third
+        // replica's handoffs.
+        let fabric = Fabric::fair("single", FabricGraph::single(2, LinkSpec::cxl()));
+        let configs =
+            vec![config().prefill_only(), config().decode_only(), config().decode_only()];
+        static_fleet(configs, fabric, LOR, LEAST_KV, Vec::new());
+    }
+
+    #[test]
+    fn replica_clocks_stay_interleaved() {
+        let mut sim =
+            cluster(vec![config(); 2], RoutingPolicyKind::RoundRobin, alpaca(16, 200.0));
+        let mut max_skew = 0i128;
+        while sim.step() {
+            let clocks: Vec<TimePs> = sim.sims().iter().map(|r| r.clock_ps()).collect();
+            // Busy replicas may drift apart by the length of the
+            // iterations in flight, but the min-heap keeps them from
+            // racing unboundedly ahead of one another.
+            if sim.sims().iter().all(|r| r.next_ready_ps().is_some()) {
+                let skew = clocks[0] as i128 - clocks[1] as i128;
+                max_skew = max_skew.max(skew.abs());
+            }
+        }
+        // Generous bound: a single gpt2 iteration is far below 50 ms.
+        assert!(max_skew < 50_000_000_000, "skew {max_skew} ps");
+    }
+
+    #[test]
+    fn every_request_prefills_transfers_and_decodes_once() {
+        let trace = bursts();
+        let report = disagg((2, 2), 128.0, trace.clone());
+        assert_eq!(report.total_completions(), trace.len());
+        let mut ids: Vec<u64> = report.completions.iter().map(|c| c.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), trace.len(), "duplicated or lost requests");
+        for c in &report.completions {
+            assert!(c.prefill_done_ps > c.arrival_ps, "request {}: acausal prefill", c.id);
+            assert!(c.transfer_start_ps >= c.prefill_done_ps);
+            assert!(c.transfer_done_ps > c.transfer_start_ps);
+            assert!(c.first_token_ps > c.transfer_done_ps, "decode before KV arrived");
+            assert!(c.finish_ps >= c.first_token_ps);
+            assert_eq!(c.output_len, trace.iter().find(|r| r.id == c.id).unwrap().output_len);
+        }
+    }
+
+    #[test]
+    fn transfer_bytes_follow_prompt_length() {
+        let per_token = ModelSpec::gpt2().kv_bytes_per_token();
+        for c in &disagg((1, 1), 128.0, bursts()).completions {
+            assert_eq!(c.kv_bytes, c.input_len as u64 * per_token);
+        }
+    }
+
+    #[test]
+    fn shared_link_serializes_transfers_fifo() {
+        // A starved link forces queueing: transfers must never overlap,
+        // and each starts no earlier than its prefill finished.
+        let report = disagg((2, 1), 0.5, bursts());
+        let mut transfers: Vec<_> = report
+            .completions
+            .iter()
+            .map(|c| (c.transfer_start_ps, c.transfer_done_ps))
+            .collect();
+        transfers.sort_unstable();
+        for pair in transfers.windows(2) {
+            assert!(pair[0].1 <= pair[1].0, "transfers overlap on the shared link");
+        }
+    }
+
+    #[test]
+    fn link_serves_transfers_in_kv_ready_order() {
+        // Two prefill replicas, mixed prompt sizes, a slow link: an
+        // early-*started* heavy prefill must not jump the queue ahead of
+        // a lighter prefill whose KV was *ready* first. Replaying the
+        // link FIFO in ready order must reproduce every start time
+        // exactly (no phantom queueing from event-discovery order).
+        let trace = bursty_trace(&BurstyTraceSpec {
+            bursts: 2,
+            burst_size: 10,
+            heavy_every: 2,
+            ..BurstyTraceSpec::default()
+        });
+        let report =
+            disagg_over((2, 2), fifo(2.0), RoutingPolicyKind::RoundRobin, LEAST_KV, trace);
+        let mut by_ready: Vec<_> = report.completions.iter().collect();
+        by_ready.sort_by_key(|c| (c.prefill_done_ps, c.id));
+        let mut link_free = 0;
+        for c in by_ready {
+            assert_eq!(
+                c.transfer_start_ps,
+                c.prefill_done_ps.max(link_free),
+                "request {}: transfer not served in KV-ready order",
+                c.id
+            );
+            link_free = c.transfer_done_ps;
+        }
+    }
+
+    #[test]
+    fn fair_single_fabric_serves_every_request_causally() {
+        // Same deployment, but the wire is a fair-sharing flow model:
+        // transfers enter the fabric the moment their KV is ready (no
+        // FIFO queueing) and deliveries stay causal.
+        let link = LinkSpec::new(2.0, LinkSpec::cxl().latency_ns);
+        let fabric = Fabric::fair("single", FabricGraph::single(4, link));
+        let report = disagg_over((2, 2), fabric, LOR, LEAST_KV, bursts());
+        assert_eq!(report.total_completions(), bursts().len());
+        for c in &report.completions {
+            assert_eq!(
+                c.transfer_start_ps, c.prefill_done_ps,
+                "request {}: a fair fabric admits flows at their ready time",
+                c.id
+            );
+            assert!(c.transfer_done_ps > c.transfer_start_ps);
+            assert!(c.first_token_ps > c.transfer_done_ps, "decode before KV arrived");
+        }
+    }
+
+    #[test]
+    fn deterministic_under_fixed_seed() {
+        let sig = |report: &DisaggReport| {
+            report
+                .completions
+                .iter()
+                .map(|c| (c.id, c.prefill_done_ps, c.transfer_done_ps, c.finish_ps))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            sig(&disagg((2, 2), 128.0, bursts())),
+            sig(&disagg((2, 2), 128.0, bursts()))
+        );
+    }
+
+    #[test]
+    fn sticky_pairing_follows_request_id() {
+        let sticky = PairingPolicyKind::Sticky;
+        for c in &disagg_over((1, 3), fifo(128.0), LOR, sticky, bursts()).completions {
+            assert_eq!(c.decode_replica as u64, c.id % 3);
+        }
+    }
+
+    #[test]
+    fn pairing_policies_are_selectable_and_complete() {
+        for pairing in PairingPolicyKind::ALL {
+            let report = disagg_over((1, 2), fifo(128.0), LOR, pairing, bursts());
+            assert_eq!(report.total_completions(), 16, "pairing {pairing}");
+            assert_eq!(report.pairing, pairing.as_str());
+        }
+    }
+
+    #[test]
+    fn decode_pool_overlaps_transfers_with_execution() {
+        // With a slow link and several requests, some decode iterations
+        // must run while later transfers are still in flight — the
+        // whole point of overlapping the handoff in virtual time.
+        let report = disagg((1, 1), 1.0, bursts());
+        let overlapped = report.decode_reports[0].iterations.iter().any(|it| {
+            report
+                .completions
+                .iter()
+                .any(|c| it.start_ps < c.transfer_done_ps && c.transfer_start_ps < it.start_ps)
+        });
+        assert!(overlapped, "no decode iteration overlapped an in-flight transfer");
+    }
+
+    #[test]
+    fn pairing_kind_round_trips_through_str() {
+        for kind in PairingPolicyKind::ALL {
+            let parsed: PairingPolicyKind = kind.as_str().parse().unwrap();
+            assert_eq!(parsed, kind);
+        }
+        assert!("nope".parse::<PairingPolicyKind>().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "same model")]
+    fn mismatched_models_rejected() {
+        // The KV bytes-per-token of the shipped caches must agree.
+        let gpt3 = SimConfig::new(ModelSpec::gpt3_7b()).npu_num(4).tensor_parallel();
+        let configs = vec![config().prefill_only(), gpt3.decode_only()];
+        static_fleet(configs, fifo(128.0), LOR, LEAST_KV, Vec::new());
+    }
 }

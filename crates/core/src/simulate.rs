@@ -11,10 +11,9 @@
 //! push_request*  →  (step | next_ready_ps | clock_ps)*  →  finalize
 //! ```
 //!
-//! `llmss-core`'s `ServingSimulator` implements it directly;
-//! `llmss-cluster` and `llmss-disagg` implement it for their fleet
-//! simulators; and the `llmss-scenario` crate's `AnySimulator` folds all
-//! three behind one value, which is what the `Scenario` API hands back.
+//! `ServingSimulator` and `FleetEngine` implement it directly, and the
+//! `llmss-scenario` crate's `AnySimulator` folds both behind one value,
+//! which is what the `Scenario` API hands back.
 
 use llmss_sched::{Request, TimePs};
 

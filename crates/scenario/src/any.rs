@@ -1,47 +1,52 @@
-//! The three serving shapes behind one value: [`AnySimulator`] and its
+//! Every serving shape behind one value: [`AnySimulator`] and its
 //! [`AnyReport`].
 //!
 //! `Scenario::build` returns an [`AnySimulator`]; callers drive it
 //! through the [`Simulate`] trait without caring whether the scenario
-//! described a single replica, a routed cluster, or a disaggregated
-//! deployment, and the resulting [`AnyReport`] writes the same artifact
-//! set the shape's native report writes.
+//! described a single replica, a routed cluster, a disaggregated
+//! deployment, or a `[fleet]` table, and the resulting [`AnyReport`]
+//! writes the same artifact set the shape's native report writes.
 
-use llmss_cluster::{ClusterReport, ClusterSimulator};
 use llmss_core::{
-    FleetEngine, FleetReport, ReportOutput, ReuseStats, ServingSimulator, SimEvent, SimReport,
-    Simulate, SloSummary, Telemetry,
+    ClusterReport, DisaggReport, FleetEngine, FleetReport, PairingPolicyKind, ReportOutput,
+    ReuseStats, ServingSimulator, SimEvent, SimReport, Simulate, SloSummary, Telemetry,
 };
-use llmss_disagg::{DisaggReport, DisaggSimulator};
 use llmss_sched::{Request, TimePs};
 
-/// A built scenario: one of the three serving shapes, driven uniformly
-/// through [`Simulate`].
+use crate::ServingShape;
+
+/// A built scenario: one serving replica, or the fleet engine behind
+/// every multi-replica shape, driven uniformly through [`Simulate`].
 #[derive(Debug)]
 // One AnySimulator exists per run; variant size spread is irrelevant at
-// that cardinality and boxing the fleets would tax every step call.
+// that cardinality and boxing the fleet engine would tax every step call.
 #[allow(clippy::large_enum_variant)]
 pub enum AnySimulator {
     /// One unified serving replica (boxed: a `ServingSimulator` is an
-    /// order of magnitude larger than the fleet handles).
+    /// order of magnitude larger than the fleet engine's handle).
     Single(Box<ServingSimulator>),
-    /// A multi-replica cluster behind a router.
-    Cluster(ClusterSimulator),
-    /// A disaggregated prefill/decode deployment.
-    Disagg(DisaggSimulator),
-    /// A `[fleet]` scenario: the fleet engine under an explicit control
-    /// plane (static / flex / autoscale), optionally heterogeneous.
-    Fleet(FleetEngine),
+    /// A routed cluster, a disaggregated deployment, or a `[fleet]`
+    /// scenario: the fleet engine, tagged with the shape whose report it
+    /// finishes as.
+    Fleet {
+        /// The engine stepping every replica.
+        engine: FleetEngine,
+        /// The scenario's shape: cluster and disagg runs render their
+        /// [`FleetReport`] through [`ClusterReport`] / [`DisaggReport`].
+        shape: ServingShape,
+        /// The decode-pairing policy the disaggregated report names.
+        pairing: PairingPolicyKind,
+    },
 }
 
 impl AnySimulator {
-    /// The shape's short name (`single` | `cluster` | `disagg`).
+    /// The shape's short name (`single` | `cluster` | `disagg` | `fleet`).
     pub fn shape(&self) -> &'static str {
         match self {
             AnySimulator::Single(_) => "single",
-            AnySimulator::Cluster(_) => "cluster",
-            AnySimulator::Disagg(_) => "disagg",
-            AnySimulator::Fleet(_) => "fleet",
+            AnySimulator::Fleet { shape: ServingShape::Cluster { .. }, .. } => "cluster",
+            AnySimulator::Fleet { shape: ServingShape::Disagg { .. }, .. } => "disagg",
+            AnySimulator::Fleet { .. } => "fleet",
         }
     }
 
@@ -51,9 +56,9 @@ impl AnySimulator {
     }
 
     /// Attaches a telemetry handle to whichever shape this is. The
-    /// multi-replica shapes fan it out per replica through their engine;
-    /// the single shape scopes it to replica 0 and announces that
-    /// replica so the timeline's live-replica series starts at one.
+    /// fleet engine fans it out per replica; the single shape scopes it
+    /// to replica 0 and announces that replica so the timeline's
+    /// live-replica series starts at one.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         match self {
             AnySimulator::Single(s) => {
@@ -65,9 +70,7 @@ impl AnySimulator {
                 });
                 s.set_telemetry(scoped);
             }
-            AnySimulator::Cluster(s) => s.set_telemetry(telemetry),
-            AnySimulator::Disagg(s) => s.set_telemetry(telemetry),
-            AnySimulator::Fleet(s) => s.set_telemetry(telemetry),
+            AnySimulator::Fleet { engine, .. } => engine.set_telemetry(telemetry),
         }
     }
 
@@ -75,11 +78,8 @@ impl AnySimulator {
     /// multi-replica shapes (byte-identical outcomes under any value;
     /// a single replica has nothing to shard, so `Single` ignores it).
     pub fn set_shards(&mut self, shards: usize) {
-        match self {
-            AnySimulator::Single(_) => {}
-            AnySimulator::Cluster(s) => s.set_shards(shards),
-            AnySimulator::Disagg(s) => s.set_shards(shards),
-            AnySimulator::Fleet(s) => s.set_shards(shards),
+        if let AnySimulator::Fleet { engine, .. } = self {
+            engine.set_shards(shards);
         }
     }
 
@@ -87,11 +87,8 @@ impl AnySimulator {
     /// shapes (a single replica has no peer to share with, so `Single`
     /// ignores it).
     pub fn enable_shared_cache(&mut self) {
-        match self {
-            AnySimulator::Single(_) => {}
-            AnySimulator::Cluster(s) => s.enable_shared_cache(),
-            AnySimulator::Disagg(s) => s.enable_shared_cache(),
-            AnySimulator::Fleet(s) => s.enable_shared_cache(),
+        if let AnySimulator::Fleet { engine, .. } = self {
+            engine.enable_shared_cache();
         }
     }
 }
@@ -102,54 +99,53 @@ impl Simulate for AnySimulator {
     fn push_request(&mut self, request: Request) {
         match self {
             AnySimulator::Single(s) => Simulate::push_request(&mut **s, request),
-            AnySimulator::Cluster(s) => Simulate::push_request(s, request),
-            AnySimulator::Disagg(s) => Simulate::push_request(s, request),
-            AnySimulator::Fleet(s) => Simulate::push_request(s, request),
+            AnySimulator::Fleet { engine, .. } => engine.push_request(request),
         }
     }
 
     fn next_ready_ps(&self) -> Option<TimePs> {
         match self {
             AnySimulator::Single(s) => Simulate::next_ready_ps(&**s),
-            AnySimulator::Cluster(s) => Simulate::next_ready_ps(s),
-            AnySimulator::Disagg(s) => Simulate::next_ready_ps(s),
-            AnySimulator::Fleet(s) => Simulate::next_ready_ps(s),
+            AnySimulator::Fleet { engine, .. } => engine.next_ready_ps(),
         }
     }
 
     fn clock_ps(&self) -> TimePs {
         match self {
             AnySimulator::Single(s) => Simulate::clock_ps(&**s),
-            AnySimulator::Cluster(s) => Simulate::clock_ps(s),
-            AnySimulator::Disagg(s) => Simulate::clock_ps(s),
-            AnySimulator::Fleet(s) => Simulate::clock_ps(s),
+            AnySimulator::Fleet { engine, .. } => engine.clock_ps(),
         }
     }
 
     fn completed_requests(&self) -> usize {
         match self {
             AnySimulator::Single(s) => Simulate::completed_requests(&**s),
-            AnySimulator::Cluster(s) => Simulate::completed_requests(s),
-            AnySimulator::Disagg(s) => Simulate::completed_requests(s),
-            AnySimulator::Fleet(s) => Simulate::completed_requests(s),
+            AnySimulator::Fleet { engine, .. } => engine.completed_requests(),
         }
     }
 
     fn step(&mut self) -> bool {
         match self {
             AnySimulator::Single(s) => Simulate::step(&mut **s),
-            AnySimulator::Cluster(s) => Simulate::step(s),
-            AnySimulator::Disagg(s) => Simulate::step(s),
-            AnySimulator::Fleet(s) => Simulate::step(s),
+            AnySimulator::Fleet { engine, .. } => engine.step(),
         }
     }
 
     fn finalize(self) -> AnyReport {
         match self {
             AnySimulator::Single(s) => AnyReport::Single(Simulate::finalize(*s)),
-            AnySimulator::Cluster(s) => AnyReport::Cluster(Simulate::finalize(s)),
-            AnySimulator::Disagg(s) => AnyReport::Disagg(Simulate::finalize(s)),
-            AnySimulator::Fleet(s) => AnyReport::Fleet(Simulate::finalize(s)),
+            AnySimulator::Fleet { engine, shape, pairing } => {
+                let report = engine.into_report();
+                match shape {
+                    ServingShape::Cluster { .. } => AnyReport::Cluster(report.into()),
+                    ServingShape::Disagg { prefill, .. } => {
+                        AnyReport::Disagg(DisaggReport::from_fleet(report, prefill, pairing))
+                    }
+                    ServingShape::Single | ServingShape::Fleet { .. } => {
+                        AnyReport::Fleet(report)
+                    }
+                }
+            }
         }
     }
 }
@@ -169,7 +165,7 @@ pub enum AnyReport {
 }
 
 impl AnyReport {
-    /// The shape's short name (`single` | `cluster` | `disagg`).
+    /// The shape's short name (`single` | `cluster` | `disagg` | `fleet`).
     pub fn shape(&self) -> &'static str {
         match self {
             AnyReport::Single(_) => "single",

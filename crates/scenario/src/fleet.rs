@@ -1,9 +1,9 @@
 //! The `[fleet]` scenario table: heterogeneous fleets and runtime
 //! control planes (role flexing, autoscaling) as declarative values.
 //!
-//! A scenario with a `[fleet]` table builds a
-//! [`FleetEngine`](llmss_core::FleetEngine) directly instead of the
-//! cluster/disagg wrappers:
+//! A scenario with a `[fleet]` table builds the same
+//! [`FleetEngine`](llmss_core::FleetEngine) a cluster or disaggregated
+//! scenario does, with its control plane and replica list spelled out:
 //!
 //! ```toml
 //! [fleet]
@@ -107,6 +107,15 @@ impl ReplicaOverride {
     /// An override that only sets the serving role.
     pub fn role(role: ReplicaRole) -> Self {
         Self { role, ..Self::default() }
+    }
+
+    /// Whether the entry overrides any serving-config field (not just
+    /// the role), so its slot needs a config of its own.
+    pub(crate) fn overrides_config(&self) -> bool {
+        self.npus.is_some()
+            || self.max_batch.is_some()
+            || self.batch_delay_ms.is_some()
+            || self.npu_mem_gib.is_some()
     }
 
     fn to_value(self) -> Value {

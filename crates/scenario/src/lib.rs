@@ -1,12 +1,11 @@
 //! One `Scenario` API: the unified workload/simulator/report surface.
 //!
-//! LLMServingSim grew three sibling front-ends — single-replica serving
-//! (`llmss-core`), routed clusters (`llmss-cluster`), and disaggregated
-//! prefill/decode deployments (`llmss-disagg`) — each with its own config
-//! struct, report type, and CLI plumbing, so every new serving technique
-//! paid an O(front-ends) integration tax. This crate collapses that into
-//! one composable experiment surface (the direction LLMServingSim 2.0's
-//! "unified simulator" takes):
+//! Single-replica serving, routed clusters, disaggregated prefill/decode
+//! deployments, and reshaping fleets are all configurations of
+//! `llmss-core`'s two simulators — the `ServingSimulator` and the
+//! `FleetEngine`. This crate is the one composable experiment surface
+//! over them (the direction LLMServingSim 2.0's "unified simulator"
+//! takes):
 //!
 //! * [`Scenario`] — a typed, chainable, *declarative* description of an
 //!   experiment: model, hardware, serving-technique knobs, fleet shape,
@@ -14,8 +13,8 @@
 //!   [`build`](Scenario::build) time with a typed [`ScenarioError`], and
 //!   the value round-trips losslessly to TOML and JSON scenario files
 //!   (unknown keys are schema drift and fail loudly).
-//! * [`AnySimulator`] / [`AnyReport`] — the three serving shapes behind
-//!   one value, driven through the
+//! * [`AnySimulator`] / [`AnyReport`] — every serving shape behind one
+//!   value, driven through the
 //!   [`Simulate`](llmss_core::Simulate) trait and written through the
 //!   [`ReportOutput`](llmss_core::ReportOutput) writer, so drivers are
 //!   written once.

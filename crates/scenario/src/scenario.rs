@@ -2,13 +2,11 @@
 //! serving experiment, validated at build time.
 
 // llmss-lint: allow(p001, file, reason = "emit paths assert invariants established by validate(); serializing a validated scenario is infallible")
-use llmss_cluster::{ClusterConfig, ClusterSimulator, RoutingPolicyKind};
 use llmss_core::{
     AutoscaleConfig, AutoscaleControl, ControlPlane, FleetEngine, FlexPools, FlexPoolsConfig,
-    KvBucket, KvManage, ParallelismKind, PimMode, ReplicaRole, ServingSimulator, SimConfig,
-    StaticControl,
+    KvBucket, KvManage, PairingPolicyKind, ParallelismKind, PimMode, ReplicaRole,
+    RoutingPolicyKind, ServingSimulator, SimConfig, StaticControl,
 };
-use llmss_disagg::{DisaggConfig, DisaggSimulator, PairingPolicyKind};
 use llmss_model::ModelSpec;
 use llmss_net::LinkSpec;
 use llmss_sched::{Request, SchedulingPolicy, TimePs, Workload, WorkloadSpec};
@@ -16,7 +14,7 @@ use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::{
     toml, AnyReport, AnySimulator, ChaosSpec, FabricSpec, FleetControlKind, FleetSpec,
-    ScenarioError, TelemetrySpec,
+    ReplicaOverride, ScenarioError, TelemetrySpec,
 };
 
 /// The serving shape a scenario describes, derived from its
@@ -76,7 +74,7 @@ impl std::fmt::Display for ServingShape {
 ///
 /// ```no_run
 /// use llmss_scenario::Scenario;
-/// use llmss_cluster::RoutingPolicyKind;
+/// use llmss_core::RoutingPolicyKind;
 /// use llmss_sched::{BurstyTraceSpec, WorkloadSpec};
 ///
 /// let report = Scenario::model("gpt2")
@@ -443,8 +441,7 @@ impl Scenario {
     /// Returns the first violated constraint as a typed
     /// [`ScenarioError`].
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        self.field_checks()?;
-        self.validated_config().map(|_| ())
+        self.replica_config().map(|_| ())
     }
 
     /// The pure cross-field checks (no filesystem, no simulators).
@@ -454,9 +451,6 @@ impl Scenario {
         };
         if ModelSpec::by_name(&self.model).is_none() {
             return Err(ScenarioError::UnknownModel { name: self.model.clone() });
-        }
-        if self.npus == 0 {
-            return invalid("npus", "a replica needs at least one NPU".into());
         }
         if self.replicas == 0 {
             return invalid("replicas", "the fleet needs at least one replica".into());
@@ -724,24 +718,32 @@ impl Scenario {
     /// config file cannot be read.
     pub fn replica_config(&self) -> Result<SimConfig, ScenarioError> {
         self.field_checks()?;
-        self.validated_config()
+        self.validated_config(&ReplicaOverride::default())
     }
 
-    /// Builds the `SimConfig` and runs the layout checks on it — the one
+    /// Builds the `SimConfig` — with one `[[fleet.replica]]` slot's
+    /// overrides applied — and runs the layout checks on it: the one
     /// construction path shared by `validate`, `replica_config`, and
-    /// `build`, so the hardware-config file is read exactly once per
-    /// entry point.
-    fn validated_config(&self) -> Result<SimConfig, ScenarioError> {
+    /// `build`, so the hardware-config file is read once per entry point
+    /// plus once per overriding slot.
+    fn validated_config(&self, over: &ReplicaOverride) -> Result<SimConfig, ScenarioError> {
         let model = ModelSpec::by_name(&self.model)
             .ok_or_else(|| ScenarioError::UnknownModel { name: self.model.clone() })?;
+        let npus = over.npus.unwrap_or(self.npus);
+        if npus == 0 {
+            return Err(ScenarioError::InvalidValue {
+                field: "npus".into(),
+                message: "a replica needs at least one NPU".into(),
+            });
+        }
         let mut cfg = SimConfig::new(model);
-        cfg.npu_num = self.npus;
-        cfg.max_batch = self.max_batch;
-        cfg.batch_delay_ms = self.batch_delay_ms;
+        cfg.npu_num = npus;
+        cfg.max_batch = over.max_batch.unwrap_or(self.max_batch);
+        cfg.batch_delay_ms = over.batch_delay_ms.unwrap_or(self.batch_delay_ms);
         cfg.scheduling = self.scheduling;
         cfg.parallel = self.parallel;
         cfg.npu_group = self.npu_group;
-        cfg.npu_mem_gib = self.npu_mem_gib;
+        cfg.npu_mem_gib = over.npu_mem_gib.or(self.npu_mem_gib);
         cfg.kv_manage = self.kv_manage;
         cfg.sub_batch = self.sub_batch;
         cfg.reuse = self.reuse;
@@ -750,9 +752,7 @@ impl Scenario {
         match self.pim {
             PimMode::None => {}
             PimMode::Local => cfg = cfg.pim_local(),
-            PimMode::Pool => {
-                cfg = cfg.pim_pool(self.pim_pool_size.unwrap_or(self.npus));
-            }
+            PimMode::Pool => cfg = cfg.pim_pool(self.pim_pool_size.unwrap_or(npus)),
         }
         if let Some(path) = &self.network {
             let json = std::fs::read_to_string(path).map_err(|e| ScenarioError::Io {
@@ -794,74 +794,54 @@ impl Scenario {
     /// unrealizable hardware configuration, or workload failure.
     pub fn build(&self) -> Result<AnySimulator, ScenarioError> {
         self.field_checks()?;
-        let cfg = self.validated_config()?;
+        let cfg = self.validated_config(&ReplicaOverride::default())?;
         let trace = self.trace()?;
-        Ok(match self.shape() {
-            ServingShape::Single => {
-                AnySimulator::Single(Box::new(ServingSimulator::new(cfg, trace)?))
-            }
-            ServingShape::Cluster { replicas } => {
-                let cluster =
-                    ClusterConfig::new(replicas).routing(self.routing).seed(self.seed);
-                AnySimulator::Cluster(ClusterSimulator::new(cfg, cluster, trace)?)
-            }
-            ServingShape::Disagg { prefill, decode } => {
-                let disagg = DisaggConfig::new(prefill, decode)
-                    .kv_link_gbps(self.kv_link_gbps)
-                    .routing(self.routing)
-                    .pairing(self.pairing)
-                    .seed(self.seed);
-                AnySimulator::Disagg(match &self.fabric {
-                    // No [fabric] table: the legacy dedicated FIFO wire,
-                    // byte-identical to pre-fabric reports.
-                    None => DisaggSimulator::new(cfg.clone(), cfg, disagg, trace)?,
-                    Some(fabric) => {
-                        let built = fabric.build(prefill + decode, self.kv_link_gbps)?;
-                        DisaggSimulator::with_fabric(cfg.clone(), cfg, disagg, built, trace)?
-                    }
-                })
-            }
-            ServingShape::Fleet { replicas, .. } => {
-                let fleet = self.fleet.as_ref().expect("the fleet shape has a spec");
-                AnySimulator::Fleet(self.build_fleet(fleet, replicas, trace)?)
-            }
-        })
+        let shape = self.shape();
+        if shape == ServingShape::Single {
+            return Ok(AnySimulator::Single(Box::new(ServingSimulator::new(cfg, trace)?)));
+        }
+        let engine = self.build_fleet(shape, cfg, trace)?;
+        Ok(AnySimulator::Fleet { engine, shape, pairing: self.pairing })
     }
 
-    /// Builds the fleet engine for a `[fleet]` scenario: one validated
-    /// `SimConfig` per replica (base scenario + that slot's overrides +
-    /// its role), the KV link when prefill roles exist, and the selected
-    /// control plane.
+    /// Builds the fleet engine behind every multi-replica shape. A
+    /// cluster is a static fleet of unified replicas and a disaggregated
+    /// deployment a static fleet of `P` prefill then `D` decode replicas;
+    /// a `[fleet]` table spells out its own roles, overrides, and control
+    /// plane. Every replica gets the validated `base` config in its role
+    /// (re-validated only for slots that override it), the KV link or
+    /// `[fabric]` carries handoffs when prefill roles exist, and chaos
+    /// and shards arm last.
     fn build_fleet(
         &self,
-        fleet: &FleetSpec,
-        replicas: usize,
+        shape: ServingShape,
+        base: SimConfig,
         trace: Vec<Request>,
     ) -> Result<FleetEngine, ScenarioError> {
+        let implied;
+        let fleet = match shape {
+            ServingShape::Fleet { .. } => {
+                self.fleet.as_ref().expect("the fleet shape has a spec")
+            }
+            ServingShape::Disagg { prefill, decode } => {
+                let mut roles = vec![ReplicaRole::Prefill; prefill];
+                roles.resize(prefill + decode, ReplicaRole::Decode);
+                implied = FleetSpec::with_roles(&roles);
+                &implied
+            }
+            ServingShape::Single | ServingShape::Cluster { .. } => {
+                implied = FleetSpec::default();
+                &implied
+            }
+        };
+        let replicas = fleet.size(self.replicas);
         let ms_to_ps = |ms: f64| (ms * 1e9).round() as TimePs;
         let mut configs = Vec::with_capacity(replicas);
         for i in 0..replicas {
-            let mut per_replica = self.clone();
-            per_replica.fleet = None;
-            // Chaos is fleet-level, not per-replica: the clone only
-            // exists to validate one slot's serving config.
-            per_replica.chaos = None;
-            if let Some(over) = fleet.replicas.get(i) {
-                if let Some(npus) = over.npus {
-                    per_replica.npus = npus;
-                }
-                if let Some(max_batch) = over.max_batch {
-                    per_replica.max_batch = max_batch;
-                }
-                if let Some(delay) = over.batch_delay_ms {
-                    per_replica.batch_delay_ms = delay;
-                }
-                if let Some(gib) = over.npu_mem_gib {
-                    per_replica.npu_mem_gib = Some(gib);
-                }
-            }
-            per_replica.field_checks()?;
-            let cfg = per_replica.validated_config()?;
+            let cfg = match fleet.replicas.get(i) {
+                Some(over) if over.overrides_config() => self.validated_config(over)?,
+                _ => base.clone(),
+            };
             configs.push(match fleet.role_of(i) {
                 ReplicaRole::Unified => cfg,
                 ReplicaRole::Prefill => cfg.prefill_only(),

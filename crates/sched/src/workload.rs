@@ -8,7 +8,7 @@
 //! * [`WorkloadSpec::Synthetic`] — the paper's ShareGPT/Alpaca-like
 //!   length models with seeded Poisson arrivals ([`TraceGenerator`]).
 //! * [`WorkloadSpec::Bursty`] — skewed, bursty routing-experiment traffic
-//!   ([`BurstyTraceSpec`], moved here from `llmss-cluster` so schedulers,
+//!   ([`BurstyTraceSpec`], kept here so schedulers,
 //!   clusters, and scenario files all share one generator), including the
 //!   prefill-/decode-heavy mixture knobs.
 //! * [`WorkloadSpec::TraceFile`] — the artifact's TSV trace format.

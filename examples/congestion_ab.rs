@@ -22,13 +22,12 @@
 //!
 //! Run with `cargo run --release --example congestion_ab`.
 
-use llmservingsim::core::{Fabric, FabricGraph, FabricTopology, SimConfig};
-use llmservingsim::disagg::{
-    DisaggCompletion, DisaggConfig, DisaggReport, DisaggSimulator, PairingPolicyKind,
+use llmservingsim::core::{
+    DisaggCompletion, DisaggReport, Fabric, FabricGraph, FabricTopology, FleetEngine,
+    PairingPolicyKind, RoutingPolicyKind, SimConfig, StaticControl,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
-use llmservingsim::prelude::RoutingPolicyKind;
 use llmservingsim::sched::Request;
 
 const HEAVY_PROMPT: usize = 1024;
@@ -50,14 +49,20 @@ fn trace() -> Vec<Request> {
     out
 }
 
+/// Runs the 2+2 deployment over `fabric`: prefill replicas at fleet
+/// indices 0-1, decode replicas at 2-3.
 fn run(label: &str, fabric: Fabric) -> DisaggReport {
     let config = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
-    let disagg = DisaggConfig::new(2, 2)
-        .routing(RoutingPolicyKind::Sticky)
-        .pairing(PairingPolicyKind::Sticky);
-    let report = DisaggSimulator::with_fabric(config.clone(), config, disagg, fabric, trace())
+    let mut configs = vec![config.clone().prefill_only(); 2];
+    configs.resize(4, config.decode_only());
+    let control = StaticControl::new(
+        RoutingPolicyKind::Sticky.build(0),
+        PairingPolicyKind::Sticky.build(),
+    );
+    let fleet = FleetEngine::with_fabric(configs, fabric, Box::new(control), trace())
         .expect("gpt2 fits a single Table-I NPU")
         .run();
+    let report = DisaggReport::from_fleet(fleet, 2, PairingPolicyKind::Sticky);
     assert_eq!(report.total_completions(), 32, "{label}: every request completes");
     report
 }

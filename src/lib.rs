@@ -13,9 +13,7 @@
 //! | [`pim`] | `llmss-pim` | bank-parallel PIM GEMV engine |
 //! | [`net`] | `llmss-net` | ASTRA-sim-analog DES system simulator |
 //! | [`sched`] | `llmss-sched` | request traces, Orca scheduling, paged KV cache |
-//! | [`core`] | `llmss-core` | engine stack, graph converter, serving simulator |
-//! | [`cluster`] | `llmss-cluster` | multi-replica fleet, routing policies, SLO metrics |
-//! | [`disagg`] | `llmss-disagg` | disaggregated prefill/decode pools with KV-transfer modeling |
+//! | [`core`] | `llmss-core` | engine stack, graph converter, serving simulator, fleet engine (routing, disaggregated pools, KV fabric, cluster/disagg/fleet reports) |
 //! | [`scenario`] | `llmss-scenario` | the unified `Scenario` API: declarative experiments, scenario files, sweeps |
 //! | [`baselines`] | `llmss-baselines` | mNPUsim/GeneSys/NeuPIMs-like sims + reference systems |
 //!
@@ -36,9 +34,7 @@
 #![warn(missing_docs)]
 
 pub use llmss_baselines as baselines;
-pub use llmss_cluster as cluster;
 pub use llmss_core as core;
-pub use llmss_disagg as disagg;
 pub use llmss_model as model;
 pub use llmss_net as net;
 pub use llmss_npu as npu;
@@ -48,18 +44,13 @@ pub use llmss_sched as sched;
 
 /// Convenient single-import surface for the common workflow.
 pub mod prelude {
-    pub use llmss_cluster::{
-        ClusterConfig, ClusterReport, ClusterSimulator, ReplicaRole, ReplicaSnapshot,
-        RoutingPolicy, RoutingPolicyKind,
-    };
     pub use llmss_core::{
-        map_op, DeviceKind, EngineStack, ExecutionEngine, GraphConverter, KvBucket, KvManage,
-        ParallelismKind, ParallelismSpec, PercentileSummary, PimMode, ReportOutput, ReuseCache,
-        ServingSimulator, SimConfig, SimReport, Simulate, SloSummary,
-    };
-    pub use llmss_disagg::{
-        DisaggCompletion, DisaggConfig, DisaggReport, DisaggSimulator, PairingPolicyKind,
-        TtftSplit,
+        map_op, ClusterReport, DeviceKind, DisaggCompletion, DisaggReport, EngineStack,
+        ExecutionEngine, FleetEngine, FleetReport, GraphConverter, KvBucket, KvManage,
+        PairingPolicyKind, ParallelismKind, ParallelismSpec, PercentileSummary, PimMode,
+        ReplicaRole, ReplicaSnapshot, ReportOutput, ReuseCache, RoutingPolicy,
+        RoutingPolicyKind, ServingSimulator, SimConfig, SimReport, Simulate, SloSummary,
+        StaticControl, TtftSplit,
     };
     pub use llmss_model::{
         IterationWorkload, ModelSpec, Op, OpDims, OpKind, Phase, Roofline, SeqSlot,

@@ -3,12 +3,41 @@
 
 use llmservingsim::prelude::*;
 
-fn replica_config() -> SimConfig {
-    SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel()
+fn sharegpt(n: usize) -> WorkloadSpec {
+    WorkloadSpec::Synthetic {
+        dataset: Dataset::ShareGpt,
+        requests: n,
+        rate_per_s: 60.0,
+        seed: 42,
+    }
 }
 
-fn sharegpt_trace(n: usize) -> Vec<Request> {
-    TraceGenerator::new(Dataset::ShareGpt, 42).rate_per_s(60.0).generate(n)
+/// `replicas` gpt2 replicas behind `kind` routing (seeded by `seed`).
+fn scenario(
+    replicas: usize,
+    kind: RoutingPolicyKind,
+    seed: u64,
+    work: WorkloadSpec,
+) -> Scenario {
+    Scenario::model("gpt2")
+        .npus(1)
+        .tensor_parallel()
+        .replicas(replicas)
+        .routing(kind)
+        .seed(seed)
+        .workload(work)
+}
+
+fn cluster(
+    replicas: usize,
+    kind: RoutingPolicyKind,
+    seed: u64,
+    work: WorkloadSpec,
+) -> ClusterReport {
+    match scenario(replicas, kind, seed, work).run().unwrap() {
+        AnyReport::Cluster(report) => report,
+        other => panic!("expected a cluster report, got {}", other.shape()),
+    }
 }
 
 /// `(makespan, assignments, sorted (id, first_token, finish) triples)`.
@@ -25,15 +54,9 @@ fn signature(report: &ClusterReport) -> ReportSignature {
 
 #[test]
 fn two_replicas_complete_200_sharegpt_requests_under_every_policy() {
-    let trace = sharegpt_trace(200);
+    let trace = sharegpt(200).materialize().unwrap();
     for kind in RoutingPolicyKind::ALL {
-        let report = ClusterSimulator::new(
-            replica_config(),
-            ClusterConfig::new(2).routing(kind).seed(42),
-            trace.clone(),
-        )
-        .unwrap()
-        .run();
+        let report = cluster(2, kind, 42, sharegpt(200));
         assert_eq!(report.total_completions(), 200, "policy {kind}");
         let mut ids: Vec<u64> = report.completions().map(|c| c.id).collect();
         ids.sort_unstable();
@@ -51,15 +74,7 @@ fn two_replicas_complete_200_sharegpt_requests_under_every_policy() {
 #[test]
 fn same_seed_and_policy_reproduce_identical_reports() {
     for kind in RoutingPolicyKind::ALL {
-        let run = || {
-            ClusterSimulator::new(
-                replica_config(),
-                ClusterConfig::new(3).routing(kind).seed(7),
-                sharegpt_trace(60),
-            )
-            .unwrap()
-            .run()
-        };
+        let run = || cluster(3, kind, 7, sharegpt(60));
         let a = run();
         let b = run();
         assert_eq!(signature(&a), signature(&b), "policy {kind} is nondeterministic");
@@ -70,19 +85,10 @@ fn same_seed_and_policy_reproduce_identical_reports() {
 fn different_policies_actually_route_differently() {
     // Sanity check that the policies are not all aliases of round-robin:
     // on a skewed trace at least one pair must disagree on assignments.
-    let trace = bursty_trace(&BurstyTraceSpec::default());
+    let bursty = WorkloadSpec::from(BurstyTraceSpec::default());
     let assignments: Vec<Vec<(u64, usize)>> = RoutingPolicyKind::ALL
         .iter()
-        .map(|&kind| {
-            ClusterSimulator::new(
-                replica_config(),
-                ClusterConfig::new(4).routing(kind).seed(11),
-                trace.clone(),
-            )
-            .unwrap()
-            .run()
-            .assignments
-        })
+        .map(|&kind| cluster(4, kind, 11, bursty.clone()).assignments)
         .collect();
     let distinct: std::collections::HashSet<_> = assignments.iter().collect();
     assert!(distinct.len() >= 3, "policies collapsed to {} behaviors", distinct.len());
@@ -94,15 +100,7 @@ fn power_of_two_beats_round_robin_p99_ttft_on_skewed_bursty_trace() {
     // funnels all heavy requests to replica 0 while power-of-two-choices
     // observes queue depths and spreads them.
     let trace = bursty_trace(&BurstyTraceSpec::default());
-    let run = |kind: RoutingPolicyKind| {
-        ClusterSimulator::new(
-            replica_config(),
-            ClusterConfig::new(4).routing(kind).seed(42),
-            trace.clone(),
-        )
-        .unwrap()
-        .run()
-    };
+    let run = |kind: RoutingPolicyKind| cluster(4, kind, 42, BurstyTraceSpec::default().into());
     let rr = run(RoutingPolicyKind::RoundRobin);
     let p2c = run(RoutingPolicyKind::PowerOfTwoChoices);
     assert_eq!(rr.total_completions(), trace.len());
@@ -126,18 +124,12 @@ fn power_of_two_beats_round_robin_p99_ttft_on_skewed_bursty_trace() {
 
 #[test]
 fn more_replicas_cut_tail_latency_on_the_same_trace() {
-    let trace = sharegpt_trace(80);
+    // One replica is the single shape: the same serving loop, unrouted.
     let run = |n: usize| {
-        ClusterSimulator::new(
-            replica_config(),
-            ClusterConfig::new(n).routing(RoutingPolicyKind::LeastOutstanding),
-            trace.clone(),
-        )
-        .unwrap()
-        .run()
+        scenario(n, RoutingPolicyKind::LeastOutstanding, 0, sharegpt(80)).run().unwrap().slo()
     };
-    let one = run(1).latency_percentiles().unwrap();
-    let four = run(4).latency_percentiles().unwrap();
+    let one = run(1).latency.unwrap();
+    let four = run(4).latency.unwrap();
     assert!(
         four.p99_s < one.p99_s,
         "scaling out should relieve queueing: 4-replica p99 {:.3}s vs {:.3}s",

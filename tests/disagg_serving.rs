@@ -4,40 +4,42 @@
 
 use llmservingsim::prelude::*;
 
-fn replica_config() -> SimConfig {
-    SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel()
+fn prefill_heavy() -> WorkloadSpec {
+    BurstyTraceSpec { bursts: 4, ..BurstyTraceSpec::prefill_heavy_mix(0.4, 42) }.into()
 }
 
-fn prefill_heavy_trace() -> Vec<Request> {
-    bursty_trace(&BurstyTraceSpec { bursts: 4, ..BurstyTraceSpec::prefill_heavy_mix(0.4, 42) })
+/// gpt2 replicas behind least-outstanding routing on the prefill-heavy
+/// trace.
+fn scenario(seed: u64) -> Scenario {
+    Scenario::model("gpt2")
+        .npus(1)
+        .tensor_parallel()
+        .routing(RoutingPolicyKind::LeastOutstanding)
+        .seed(seed)
+        .workload(prefill_heavy())
 }
 
-fn run_disagg(config: DisaggConfig, trace: Vec<Request>) -> DisaggReport {
-    DisaggSimulator::new(replica_config(), replica_config(), config, trace)
-        .expect("gpt2 fits a single Table-I NPU")
-        .run()
+fn run_disagg(scenario: Scenario) -> DisaggReport {
+    match scenario.run().expect("gpt2 fits a single Table-I NPU") {
+        AnyReport::Disagg(report) => report,
+        other => panic!("expected a disaggregated report, got {}", other.shape()),
+    }
 }
 
 #[test]
 fn disagg_beats_unified_p99_tpot_on_prefill_heavy_bursty_trace() {
-    let trace = prefill_heavy_trace();
+    let trace = prefill_heavy().materialize().unwrap();
 
     // Same engine count both ways: 2 unified replicas vs 1 prefill + 1
     // decode. An adequate decode pool never co-batches a 1024-token
     // prefill with running decoders, so its token cadence stays tight.
-    let unified = ClusterSimulator::new(
-        replica_config(),
-        ClusterConfig::new(2).routing(RoutingPolicyKind::LeastOutstanding).seed(7),
-        trace.clone(),
-    )
-    .unwrap()
-    .run();
-    let disagg = run_disagg(DisaggConfig::new(1, 1).kv_link_gbps(128.0).seed(7), trace.clone());
+    let unified = scenario(7).replicas(2).run().unwrap();
+    let disagg = run_disagg(scenario(7).disagg(1, 1).kv_link_gbps(128.0));
 
     assert_eq!(unified.total_completions(), trace.len());
     assert_eq!(disagg.total_completions(), trace.len());
 
-    let unified_tpot = unified.tpot_percentiles().unwrap();
+    let unified_tpot = unified.slo().tpot.unwrap();
     let disagg_tpot = disagg.tpot_percentiles().unwrap();
     assert!(
         disagg_tpot.p99_s < unified_tpot.p99_s,
@@ -61,9 +63,8 @@ fn disagg_beats_unified_p99_tpot_on_prefill_heavy_bursty_trace() {
 
 #[test]
 fn starved_kv_link_visibly_inflates_transfer_component_of_ttft() {
-    let trace = prefill_heavy_trace();
-    let fast = run_disagg(DisaggConfig::new(1, 1).kv_link_gbps(128.0).seed(7), trace.clone());
-    let starved = run_disagg(DisaggConfig::new(1, 1).kv_link_gbps(1.0).seed(7), trace);
+    let fast = run_disagg(scenario(7).disagg(1, 1).kv_link_gbps(128.0));
+    let starved = run_disagg(scenario(7).disagg(1, 1).kv_link_gbps(1.0));
 
     let fast_split = fast.ttft_split().unwrap();
     let starved_split = starved.ttft_split().unwrap();
@@ -100,19 +101,17 @@ fn disagg_runs_are_deterministic_under_a_fixed_seed() {
             .collect::<Vec<_>>()
     };
     for pairing in PairingPolicyKind::ALL {
-        let run = || {
-            run_disagg(DisaggConfig::new(2, 2).pairing(pairing).seed(11), prefill_heavy_trace())
-        };
+        let run = || run_disagg(scenario(11).disagg(2, 2).pairing(pairing));
         let a = run();
         let b = run();
         assert_eq!(signature(&a), signature(&b), "pairing {pairing} is nondeterministic");
-        assert_eq!(a.total_completions(), prefill_heavy_trace().len());
+        assert_eq!(a.total_completions(), prefill_heavy().materialize().unwrap().len());
     }
 }
 
 #[test]
 fn ttft_components_partition_ttft_for_every_request() {
-    let report = run_disagg(DisaggConfig::new(2, 2).seed(3), prefill_heavy_trace());
+    let report = run_disagg(scenario(3).disagg(2, 2));
     for c in &report.completions {
         assert_eq!(
             c.prefill_component_ps() + c.transfer_component_ps() + c.decode_component_ps(),

@@ -12,8 +12,11 @@
 
 use proptest::prelude::*;
 
-use llmservingsim::core::{FabricGraph, FlowDone, FlowModel, ReportOutput};
-use llmservingsim::disagg::{DisaggConfig, DisaggSimulator, PairingPolicyKind};
+use llmservingsim::core::{
+    DisaggReport, Fabric, FabricGraph, FleetEngine, FlowDone, FlowModel, PairingPolicyKind,
+    ReportOutput, RoutingPolicyKind, SimConfig, StaticControl,
+};
+use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
 use llmservingsim::scenario::Scenario;
 use llmservingsim::sched::Request;
@@ -200,20 +203,34 @@ fn fair_single_fabric_reports_link_usage() {
     assert!(content.contains("contention_p99"), "missing contention row:\n{content}");
 }
 
+/// A 1+1 disaggregated gpt2 deployment (sticky pairing) over `fabric`,
+/// serving two identical prompts that arrive together.
+fn tied_pair(fabric: Fabric) -> DisaggReport {
+    let config = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
+    let configs = vec![config.clone().prefill_only(), config.decode_only()];
+    let control = StaticControl::new(
+        RoutingPolicyKind::LeastOutstanding.build(0),
+        PairingPolicyKind::Sticky.build(),
+    );
+    let trace = vec![Request::new(1, 128, 4, 0), Request::new(2, 128, 4, 0)];
+    let fleet = FleetEngine::with_fabric(configs, fabric, Box::new(control), trace).unwrap();
+    DisaggReport::from_fleet(fleet.run(), 1, PairingPolicyKind::Sticky)
+}
+
+/// The slow wire that makes the tie's serialization visible.
+fn slow_link() -> LinkSpec {
+    LinkSpec::new(0.5, LinkSpec::cxl().latency_ns)
+}
+
 /// Transfers whose KV caches become ready at the same instant commit in
 /// request-id order: the tie-break contract on the engine's pending
 /// heap, observable as FIFO wire order.
 #[test]
 fn equal_ready_transfers_commit_in_request_id_order() {
-    let config = llmservingsim::core::SimConfig::new(llmservingsim::model::ModelSpec::gpt2())
-        .npu_num(1)
-        .tensor_parallel();
     // Two identical prompts arriving together batch into the same
     // prefill iteration, so both KV caches become ready at the same
     // instant; a slow link makes the serialization visible.
-    let trace = vec![Request::new(1, 128, 4, 0), Request::new(2, 128, 4, 0)];
-    let disagg = DisaggConfig::new(1, 1).kv_link_gbps(0.5).pairing(PairingPolicyKind::Sticky);
-    let report = DisaggSimulator::new(config.clone(), config, disagg, trace).unwrap().run();
+    let report = tied_pair(Fabric::fifo(vec![slow_link()]));
     let mut completions = report.completions.clone();
     completions.sort_by_key(|c| c.id);
     let [first, second] = completions.as_slice() else {
@@ -234,18 +251,7 @@ fn equal_ready_transfers_commit_in_request_id_order() {
 /// order decides admission, and both flows then share the wire.
 #[test]
 fn fair_fabric_resolves_ties_deterministically() {
-    let config = llmservingsim::core::SimConfig::new(llmservingsim::model::ModelSpec::gpt2())
-        .npu_num(1)
-        .tensor_parallel();
-    let disagg = DisaggConfig::new(1, 1).kv_link_gbps(0.5).pairing(PairingPolicyKind::Sticky);
-    let run = || {
-        let trace = vec![Request::new(1, 128, 4, 0), Request::new(2, 128, 4, 0)];
-        let graph = FabricGraph::single(2, disagg.kv_link);
-        let fabric = llmservingsim::core::Fabric::fair("single", graph);
-        DisaggSimulator::with_fabric(config.clone(), config.clone(), disagg, fabric, trace)
-            .unwrap()
-            .run()
-    };
+    let run = || tied_pair(Fabric::fair("single", FabricGraph::single(2, slow_link())));
     let first = run();
     let second = run();
     assert_eq!(first.completions, second.completions);

@@ -1,10 +1,10 @@
 //! The fleet-engine acceptance suite.
 //!
-//! * **Engine equivalence** — `ClusterSimulator` and `DisaggSimulator`
-//!   are now thin compositions over `llmss_core::FleetEngine`; the
-//!   golden files under `tests/golden/` were generated by the
-//!   pre-refactor bespoke event loops, so byte-identical artifacts prove
-//!   the refactor changed no simulated behavior.
+//! * **Engine equivalence** — every multi-replica shape is one
+//!   `llmss_core::FleetEngine` built by one scenario builder; the golden
+//!   files under `tests/golden/` were generated by the pre-refactor
+//!   bespoke event loops and report types, so byte-identical artifacts
+//!   prove the refactors changed no simulated behavior or report byte.
 //! * **Control planes** — flexing never strands a request mid-drain and
 //!   autoscaling respects its `min..max` bounds (property tests).
 //! * **Sweep runner** — parallel sweeps are byte-identical to serial
@@ -13,12 +13,12 @@
 use proptest::prelude::*;
 
 use llmservingsim::core::{
-    AutoscaleConfig, AutoscaleControl, FleetEngine, FlexPools, FlexPoolsConfig, ReplicaRole,
-    ReportOutput, RoutingPolicyKind, SimConfig, StaticControl,
+    AutoscaleConfig, AutoscaleControl, FleetEngine, FlexPools, FlexPoolsConfig,
+    PairingPolicyKind, ReplicaRole, ReportOutput, RoutingPolicyKind, SimConfig, StaticControl,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
-use llmservingsim::scenario::{FleetSpec, ReplicaOverride, Scenario, Sweep};
+use llmservingsim::scenario::{AnySimulator, FleetSpec, ReplicaOverride, Scenario, Sweep};
 use llmservingsim::sched::{bursty_trace, BurstyTraceSpec, Request};
 
 fn golden(name: &str) -> String {
@@ -39,10 +39,11 @@ fn scenario(name: &str) -> Scenario {
 fn scenario_corpus_reports_match_pre_refactor_goldens() {
     let corpus = [
         ("quickstart", vec!["-throughput.tsv"]),
-        ("cluster_small", vec!["-cluster.tsv"]),
+        ("cluster_small", vec!["-cluster.tsv", "-summary.json"]),
         ("cluster_routing", vec!["-cluster.tsv"]),
-        ("disagg_small", vec!["-disagg.tsv", "-disagg-metrics.tsv"]),
+        ("disagg_small", vec!["-disagg.tsv", "-disagg-metrics.tsv", "-summary.json"]),
         ("disagg_vs_unified", vec!["-disagg.tsv", "-disagg-metrics.tsv"]),
+        ("disagg_fabric", vec!["-disagg.tsv", "-summary.json"]),
     ];
     for (name, suffixes) in corpus {
         let report = scenario(name).run().unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -103,6 +104,12 @@ fn heterogeneous_autoscale_scenario_runs_and_round_trips() {
     let fleet = s.fleet.as_ref().expect("autoscale.toml declares [fleet]");
     assert_eq!(fleet.replicas.len(), 2, "a per-replica config list");
     assert_eq!(fleet.replicas[1].max_batch, Some(4), "heterogeneous overrides");
+    // A slot overriding only max_batch still gets a config of its own.
+    let mut batch_only = s.clone();
+    batch_only.fleet.as_mut().unwrap().replicas[1].npus = None;
+    let Ok(AnySimulator::Fleet { engine, .. }) = batch_only.build() else { panic!("a fleet") };
+    let batches: Vec<usize> = engine.slots().iter().map(|r| r.config.max_batch).collect();
+    assert_eq!(batches, [s.max_batch, 4]);
     // Lossless round trip through the canonical TOML form.
     let back = Scenario::from_toml(&s.to_toml()).unwrap();
     assert_eq!(back, s);
@@ -138,6 +145,10 @@ fn fleet_conflicts_are_typed_errors() {
     let mut s = base.clone();
     s.fleet.as_mut().unwrap().max_replicas = 1;
     assert!(matches!(s.validate(), Err(ScenarioError::InvalidValue { .. })));
+    // A slot's overrides are checked like the base config when it builds.
+    let mut s = base.clone();
+    s.fleet.as_mut().unwrap().replicas[0].npus = Some(0);
+    assert!(matches!(s.build(), Err(ScenarioError::InvalidValue { .. })));
     // Flex without prefill/decode roles is a conflict.
     let mut s = base;
     s.set("fleet.control", "flex").unwrap();
@@ -336,48 +347,83 @@ proptest! {
     }
 }
 
-/// A static fleet with explicit roles behaves like the disagg wrapper on
+/// A static fleet with explicit roles behaves like the disagg shape on
 /// the shared-surface metrics (same engine underneath, different report
-/// assembler).
+/// view).
 #[test]
 fn fleet_static_roles_match_disagg_wrapper() {
-    use llmservingsim::disagg::{DisaggConfig, DisaggSimulator, PairingPolicyKind};
-    let trace = bursty_trace(&BurstyTraceSpec {
-        bursts: 2,
-        burst_size: 8,
-        ..BurstyTraceSpec::default()
-    });
-    let disagg = DisaggSimulator::new(
-        gpt2_replica(),
-        gpt2_replica(),
-        DisaggConfig::new(2, 1)
-            .kv_link_gbps(32.0)
-            .routing(RoutingPolicyKind::LeastOutstanding)
-            .pairing(PairingPolicyKind::LeastKvLoad),
-        trace.clone(),
-    )
-    .unwrap()
-    .run();
-    let fleet = FleetEngine::new(
-        vec![
-            gpt2_replica().prefill_only(),
-            gpt2_replica().prefill_only(),
-            gpt2_replica().decode_only(),
-        ],
-        vec![LinkSpec::new(32.0, LinkSpec::cxl().latency_ns)],
-        Box::new(StaticControl::new(
-            RoutingPolicyKind::LeastOutstanding.build(0),
-            RoutingPolicyKind::LeastKvLoad.build(0),
-        )),
-        trace,
-    )
-    .unwrap()
-    .run();
+    let spec = BurstyTraceSpec { bursts: 2, burst_size: 8, ..BurstyTraceSpec::default() };
+    let trace = bursty_trace(&spec);
+    let disagg = Scenario::model("gpt2")
+        .npus(1)
+        .tensor_parallel()
+        .disagg(2, 1)
+        .kv_link_gbps(32.0)
+        .routing(RoutingPolicyKind::LeastOutstanding)
+        .pairing(PairingPolicyKind::LeastKvLoad)
+        .workload(spec)
+        .run()
+        .unwrap();
+    let disagg = disagg.as_disagg().expect("disagg scenarios produce disagg reports");
+    let mut configs = vec![gpt2_replica().prefill_only(); 2];
+    configs.push(gpt2_replica().decode_only());
+    let link = LinkSpec::new(32.0, LinkSpec::cxl().latency_ns);
+    let control = StaticControl::new(
+        RoutingPolicyKind::LeastOutstanding.build(0),
+        PairingPolicyKind::LeastKvLoad.build(),
+    );
+    let fleet = FleetEngine::new(configs, vec![link], Box::new(control), trace).unwrap().run();
     assert_eq!(fleet.total_completions(), disagg.total_completions());
     assert_eq!(fleet.makespan_ps(), disagg.makespan_ps());
     let (f, d) = (fleet.slo(), disagg.slo());
     assert_eq!(f.ttft, d.ttft);
     assert_eq!(f.latency, d.latency);
+}
+
+/// One builder behind every multi-replica shape: a static `[fleet]`
+/// table that spells out a cluster, or a disaggregated deployment whose
+/// handoffs cross a `[fabric]`, runs exactly like the shape it spells
+/// out.
+#[test]
+fn static_fleet_tables_reproduce_cluster_and_disagg_shapes() {
+    let cluster = scenario("cluster_small");
+    let mut fleet = cluster.clone();
+    fleet.set("fleet", "static").unwrap();
+    let (cluster, fleet) = (cluster.run().unwrap(), fleet.run().unwrap());
+    let (cluster, fleet) = (cluster.as_cluster().unwrap(), fleet.as_fleet().unwrap());
+    assert_eq!(cluster.assignments, fleet.assignments);
+    assert_eq!(cluster.replica_reports.len(), fleet.replicas.len());
+    for (c, f) in cluster.replica_reports.iter().zip(&fleet.replicas) {
+        assert_eq!(c.iterations, f.report.iterations);
+        assert_eq!(c.completions, f.report.completions);
+        assert_eq!(c.sim_duration_ps, f.report.sim_duration_ps);
+    }
+
+    let disagg = scenario("disagg_fabric");
+    let (prefill, decode) = disagg.disagg.expect("disagg_fabric.toml is a disagg scenario");
+    let mut roles = vec![ReplicaRole::Prefill; prefill];
+    roles.resize(prefill + decode, ReplicaRole::Decode);
+    let mut fleet = disagg.clone();
+    fleet.disagg = None;
+    fleet.fleet = Some(FleetSpec::with_roles(&roles));
+    let (disagg, fleet) = (disagg.run().unwrap(), fleet.run().unwrap());
+    let (disagg, fleet) = (disagg.as_disagg().unwrap(), fleet.as_fleet().unwrap());
+    assert!(fleet.fabric.is_some(), "the [fleet] run must cross the fair fabric");
+    assert_eq!(fleet.total_completions(), 48);
+    let disagg_lives =
+        disagg.completions.iter().map(|c| (c.id, c.arrival_ps, c.first_token_ps, c.finish_ps));
+    let fleet_lives =
+        fleet.completions.iter().map(|c| (c.id, c.arrival_ps, c.first_token_ps, c.finish_ps));
+    assert!(disagg_lives.eq(fleet_lives), "the two runs' request lifecycles diverge");
+    let handoffs = disagg.completions.iter().map(|c| {
+        let times = (c.prefill_done_ps, c.transfer_start_ps, c.transfer_done_ps);
+        (c.id, c.prefill_replica, prefill + c.decode_replica, times, c.kv_bytes)
+    });
+    let fleet_handoffs = fleet
+        .transfers
+        .iter()
+        .map(|&(id, t)| (id, t.from, t.to, (t.ready_ps, t.start_ps, t.done_ps), t.bytes));
+    assert!(handoffs.eq(fleet_handoffs), "the two runs' KV handoffs diverge");
 }
 
 /// The `[fleet]` builder surface: `FleetSpec::flex` + builder chaining

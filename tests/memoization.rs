@@ -5,13 +5,13 @@
 //! serving shapes (unified, cluster, disaggregated). Wall-clock is the
 //! only thing allowed to differ.
 
-use llmservingsim::cluster::{
-    bursty_trace, BurstyTraceSpec, ClusterConfig, ClusterSimulator, RoutingPolicyKind,
+use llmservingsim::core::{
+    ClusterReport, DisaggReport, FleetEngine, PairingPolicyKind, RoutingPolicyKind,
+    ServingSimulator, SimConfig, SimReport, StaticControl,
 };
-use llmservingsim::core::{ServingSimulator, SimConfig, SimReport};
-use llmservingsim::disagg::{DisaggConfig, DisaggSimulator};
 use llmservingsim::model::ModelSpec;
-use llmservingsim::sched::{Dataset, Request, TraceGenerator};
+use llmservingsim::net::LinkSpec;
+use llmservingsim::sched::{bursty_trace, BurstyTraceSpec, Dataset, Request, TraceGenerator};
 
 /// A mixed conversational trace whose request shapes overlap in KV range,
 /// so *exact* (bucket 1) signatures genuinely recur across requests —
@@ -66,13 +66,17 @@ fn unified_bucket1_memoization_is_bit_identical() {
 fn cluster_bucket1_memoization_is_bit_identical() {
     let trace = overlapping_trace(48);
     let cluster = |memo: bool| {
-        ClusterSimulator::new(
-            config(memo),
-            ClusterConfig::new(3).routing(RoutingPolicyKind::RoundRobin),
+        let control = StaticControl::new(
+            RoutingPolicyKind::RoundRobin.build(0),
+            PairingPolicyKind::LeastKvLoad.build(),
+        );
+        let fleet = FleetEngine::new(
+            vec![config(memo); 3],
+            Vec::new(),
+            Box::new(control),
             trace.clone(),
-        )
-        .unwrap()
-        .run()
+        );
+        ClusterReport::from(fleet.unwrap().run())
     };
     let memoized = cluster(true);
     let plain = cluster(false);
@@ -92,15 +96,21 @@ fn cluster_bucket1_memoization_is_bit_identical() {
 fn disagg_bucket1_memoization_is_bit_identical() {
     let trace = decode_heavy_trace();
     let disagg = |memo: bool| {
-        DisaggSimulator::new(config(memo), config(memo), DisaggConfig::new(2, 2), trace.clone())
-            .unwrap()
-            .run()
+        let mut configs = vec![config(memo).prefill_only(); 2];
+        configs.resize(4, config(memo).decode_only());
+        let control = StaticControl::new(
+            RoutingPolicyKind::LeastOutstanding.build(0),
+            PairingPolicyKind::LeastKvLoad.build(),
+        );
+        let fleet =
+            FleetEngine::new(configs, vec![LinkSpec::cxl()], Box::new(control), trace.clone());
+        DisaggReport::from_fleet(fleet.unwrap().run(), 2, PairingPolicyKind::LeastKvLoad)
     };
     let memoized = disagg(true);
     let plain = disagg(false);
 
     assert_eq!(memoized.makespan_ps(), plain.makespan_ps(), "disagg makespan");
-    let lifecycle = |r: &llmservingsim::disagg::DisaggReport| {
+    let lifecycle = |r: &DisaggReport| {
         r.completions
             .iter()
             .map(|c| {

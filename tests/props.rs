@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 
-use llmservingsim::core::{DeviceKind, EngineStack};
+use llmservingsim::core::{
+    DeviceKind, DisaggReport, EngineStack, FleetEngine, PairingPolicyKind, RoutingPolicyKind,
+    SimConfig, StaticControl,
+};
 use llmservingsim::model::{
     BatchSignature, IterationWorkload, ModelSpec, Op, OpDims, OpKind, Roofline, SeqSlot,
     SigLayout,
@@ -263,5 +266,105 @@ proptest! {
             BatchSignature::of(&slots, &layout),
             BatchSignature::of(&shifted, &layout)
         );
+    }
+}
+
+/// Disaggregated serving: arbitrary prompt/output shapes at arbitrary
+/// gaps.
+fn arb_disagg_trace() -> impl Strategy<Value = Vec<Request>> {
+    proptest::collection::vec((16usize..600, 1usize..12, 0u64..50), 1..24).prop_map(|shapes| {
+        let mut clock = 0;
+        shapes
+            .into_iter()
+            .enumerate()
+            .map(|(id, (input_len, output_len, gap_us))| {
+                clock += gap_us * 1_000_000;
+                Request::new(id as u64, input_len, output_len, clock)
+            })
+            .collect()
+    })
+}
+
+fn gpt2_replica() -> SimConfig {
+    SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel()
+}
+
+/// A static disaggregated fleet: one prefill replica per `prefill`
+/// config, then one decode replica per `decode` config, over one
+/// CXL-class KV link.
+fn disagg_fleet(
+    prefill: Vec<SimConfig>,
+    decode: Vec<SimConfig>,
+    routing: RoutingPolicyKind,
+    pairing: PairingPolicyKind,
+    trace: Vec<Request>,
+) -> FleetEngine {
+    let mut configs: Vec<SimConfig> =
+        prefill.into_iter().map(SimConfig::prefill_only).collect();
+    configs.extend(decode.into_iter().map(SimConfig::decode_only));
+    let control = StaticControl::new(routing.build(0), pairing.build());
+    FleetEngine::new(configs, vec![LinkSpec::cxl()], Box::new(control), trace)
+        .expect("gpt2 fits a single Table-I NPU")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Bytes shipped per request equal prompt_tokens × kv_bytes_per_token
+    /// exactly, for every pairing policy — the transfer model never
+    /// invents or loses cache bytes.
+    #[test]
+    fn kv_transfer_byte_accounting_conserves(
+        trace in arb_disagg_trace(),
+        pairing_idx in 0usize..PairingPolicyKind::ALL.len(),
+    ) {
+        let per_token = ModelSpec::gpt2().kv_bytes_per_token();
+        let expected_total: u64 =
+            trace.iter().map(|r| r.input_len as u64 * per_token).sum();
+        let pairing = PairingPolicyKind::ALL[pairing_idx];
+        let pools = vec![gpt2_replica(); 2];
+        let rr = RoutingPolicyKind::RoundRobin;
+        let fleet = disagg_fleet(pools.clone(), pools, rr, pairing, trace.clone());
+        let report = DisaggReport::from_fleet(fleet.run(), 2, pairing);
+        prop_assert_eq!(report.total_completions(), trace.len());
+        prop_assert_eq!(report.total_kv_bytes(), expected_total);
+        for c in &report.completions {
+            let original = trace.iter().find(|r| r.id == c.id).unwrap();
+            prop_assert_eq!(c.kv_bytes, original.input_len as u64 * per_token);
+            prop_assert_eq!(c.input_len, original.input_len);
+        }
+    }
+
+    /// A decode-pool KV cache never exceeds its capacity, even when the
+    /// pool is memory-starved and handoff admissions contend with cache
+    /// growth — checked after every virtual-time event.
+    #[test]
+    fn decode_pool_kv_never_exceeds_capacity(trace in arb_disagg_trace()) {
+        // Starve the decode pool: barely more memory than weights +
+        // reserve, so admissions and decode growth fight over pages.
+        let mut starved = gpt2_replica();
+        starved.npu_mem_gib = Some(1.45);
+        // Decode replicas sit at fleet indices 1 and 2.
+        let mut sim = disagg_fleet(
+            vec![gpt2_replica()],
+            vec![starved; 2],
+            RoutingPolicyKind::LeastOutstanding,
+            PairingPolicyKind::LeastKvLoad,
+            trace.clone(),
+        );
+        while sim.step() {
+            for replica in &sim.sims()[1..] {
+                let kv = replica.scheduler().kv();
+                prop_assert!(
+                    kv.used_pages() <= kv.config().total_pages(),
+                    "decode KV overcommitted: {} of {} pages",
+                    kv.used_pages(),
+                    kv.config().total_pages(),
+                );
+            }
+        }
+        let completed: usize =
+            sim.sims()[1..].iter().map(|r| r.scheduler().completions().len()).sum();
+        prop_assert_eq!(completed, trace.len(), "starved decode pool lost requests");
     }
 }

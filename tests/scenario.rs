@@ -1,13 +1,15 @@
 //! The `Scenario` API surface: serde round-trips, builder-chain
 //! properties, and bit-identical equivalence between scenario-driven and
-//! legacy-constructor runs across all three serving shapes.
+//! hand-composed (legacy library-level) runs across the serving shapes.
 
 use proptest::prelude::*;
 
-use llmservingsim::cluster::{ClusterConfig, ClusterSimulator, RoutingPolicyKind};
-use llmservingsim::core::{KvBucket, ReportOutput, ServingSimulator, SimConfig, Simulate};
-use llmservingsim::disagg::{DisaggConfig, DisaggSimulator, PairingPolicyKind};
+use llmservingsim::core::{
+    ClusterReport, DisaggReport, FleetEngine, KvBucket, PairingPolicyKind, ReportOutput,
+    RoutingPolicyKind, ServingSimulator, SimConfig, Simulate, StaticControl,
+};
 use llmservingsim::model::ModelSpec;
+use llmservingsim::net::LinkSpec;
 use llmservingsim::scenario::{Scenario, ScenarioError, Sweep};
 use llmservingsim::sched::{Dataset, TraceGenerator, WorkloadSpec};
 
@@ -58,10 +60,15 @@ fn scenario_matches_legacy_cluster_run_bit_identically() {
         .workload(synthetic(24, 100.0, 7));
     let via_scenario = scenario.run().unwrap();
 
+    // The legacy path: three hand-built replicas behind the router.
     let cfg = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
-    let cluster = ClusterConfig::new(3).routing(RoutingPolicyKind::PowerOfTwoChoices).seed(7);
+    let control = StaticControl::new(
+        RoutingPolicyKind::PowerOfTwoChoices.build(7),
+        PairingPolicyKind::LeastKvLoad.build(),
+    );
     let trace = TraceGenerator::new(Dataset::Alpaca, 7).rate_per_s(100.0).generate(24);
-    let legacy = ClusterSimulator::new(cfg, cluster, trace).unwrap().run();
+    let fleet = FleetEngine::new(vec![cfg; 3], Vec::new(), Box::new(control), trace).unwrap();
+    let legacy = ClusterReport::from(fleet.run());
 
     assert_eq!(deterministic_artifacts(&via_scenario), deterministic_artifacts(&legacy));
 }
@@ -78,14 +85,17 @@ fn scenario_matches_legacy_disagg_run_bit_identically() {
         .workload(synthetic(16, 200.0, 9));
     let via_scenario = scenario.run().unwrap();
 
+    // The legacy path: a hand-built prefill/decode pair over one KV link.
     let cfg = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
-    let disagg = DisaggConfig::new(1, 1)
-        .kv_link_gbps(32.0)
-        .routing(RoutingPolicyKind::RoundRobin)
-        .pairing(PairingPolicyKind::Sticky)
-        .seed(9);
+    let control = StaticControl::new(
+        RoutingPolicyKind::RoundRobin.build(9),
+        PairingPolicyKind::Sticky.build(),
+    );
+    let link = LinkSpec::new(32.0, LinkSpec::cxl().latency_ns);
     let trace = TraceGenerator::new(Dataset::Alpaca, 9).rate_per_s(200.0).generate(16);
-    let legacy = DisaggSimulator::new(cfg.clone(), cfg, disagg, trace).unwrap().run();
+    let configs = vec![cfg.clone().prefill_only(), cfg.decode_only()];
+    let fleet = FleetEngine::new(configs, vec![link], Box::new(control), trace).unwrap();
+    let legacy = DisaggReport::from_fleet(fleet.run(), 1, PairingPolicyKind::Sticky);
 
     assert_eq!(deterministic_artifacts(&via_scenario), deterministic_artifacts(&legacy));
 }
