@@ -9,10 +9,9 @@
 //!   a fresh arrival (the classic router decision);
 //! * **pairing** ([`pair`](ControlPlane::pair)): which decode-role
 //!   replica receives a finished prefill's KV cache;
-//! * **reconfiguration** ([`on_tick`](ControlPlane::on_tick) /
-//!   [`on_completion`](ControlPlane::on_completion)): zero or more
-//!   [`FleetCommand`]s — role switches and scale up/down — computed from
-//!   a [`FleetStats`] view of the whole fleet.
+//! * **reconfiguration** ([`on_tick`](ControlPlane::on_tick)): zero or
+//!   more [`FleetCommand`]s — role switches and scale up/down — computed
+//!   from a [`FleetStats`] view of the whole fleet at each control tick.
 //!
 //! "New serving technique" is now "new `ControlPlane` impl":
 //! [`StaticControl`] reproduces the classic router/pairing behavior,
@@ -145,6 +144,11 @@ pub enum FleetCommand {
 
 /// The policy brain of a [`FleetEngine`](crate::FleetEngine).
 ///
+/// A plane sees the fleet at three points only: each admission, each KV
+/// pairing, and each control tick. It has no per-iteration or
+/// per-completion hook, which is what lets the engine step replicas in
+/// bulk between those points.
+///
 /// Implementations must be deterministic functions of their construction
 /// parameters and the observed event sequence, so fleet runs reproduce
 /// exactly.
@@ -173,21 +177,9 @@ pub trait ControlPlane: std::fmt::Debug {
         None
     }
 
-    /// Whether the plane wants [`on_completion`](Self::on_completion)
-    /// callbacks (building a [`FleetStats`] per completion is not free,
-    /// so purely static planes opt out).
-    fn reactive(&self) -> bool {
-        false
-    }
-
     /// Periodic reconfiguration callback, fired every
     /// [`tick_ps`](Self::tick_ps) of virtual time.
     fn on_tick(&mut self, _stats: &FleetStats) -> Vec<FleetCommand> {
-        Vec::new()
-    }
-
-    /// Event callback: a replica finished one or more requests.
-    fn on_completion(&mut self, _stats: &FleetStats) -> Vec<FleetCommand> {
         Vec::new()
     }
 }
@@ -429,11 +421,6 @@ impl AutoscaleControl {
             "queue_low must be below queue_high (hysteresis)"
         );
         Self { router, config }
-    }
-
-    /// The configured bounds (for report banners and tests).
-    pub fn bounds(&self) -> (usize, usize) {
-        (self.config.min_replicas, self.config.max_replicas)
     }
 }
 

@@ -133,12 +133,16 @@ impl ReplicaSlot {
 }
 
 /// Live fault-injection state: the compiled schedule plus every counter
-/// the resilience report aggregates. Present only when
-/// [`FleetEngine::set_chaos`] installed a schedule — a chaos-free
-/// engine takes none of these paths, keeping its event order (and all
-/// goldens) byte-identical.
+/// the resilience report aggregates. Every engine carries one; until
+/// [`FleetEngine::set_chaos`] arms it, it holds no events and no
+/// replica is ever down, so a chaos-free engine keeps its event order
+/// (and all goldens) byte-identical.
 #[derive(Debug)]
 struct ChaosState {
+    /// Whether [`FleetEngine::set_chaos`] installed a schedule (even an
+    /// empty one): armed fleets report a resilience section, and may
+    /// run out of admission or pairing candidates.
+    armed: bool,
     /// Remaining fault transitions, earliest first.
     events: VecDeque<FaultEvent>,
     /// Retry policy for knocked-out requests.
@@ -171,8 +175,9 @@ struct ChaosState {
 }
 
 impl ChaosState {
-    fn new(schedule: ChaosSchedule, replicas: usize, links: usize) -> Self {
+    fn new(schedule: ChaosSchedule, armed: bool, replicas: usize, links: usize) -> Self {
         Self {
+            armed,
             events: schedule.compile(),
             retry: schedule.retry,
             down: vec![None; replicas],
@@ -188,6 +193,45 @@ impl ChaosState {
             downtime: vec![0; replicas],
             fault_windows: Vec::new(),
         }
+    }
+
+    /// Spends one retry attempt on request `id`, returning its number.
+    fn next_attempt(&mut self, id: u64) -> u32 {
+        let attempt = self.attempts.entry(id).or_insert(0);
+        *attempt += 1;
+        *attempt
+    }
+
+    /// The resilience report section at final clock `clock`, or `None`
+    /// when no schedule was ever armed. A fault window still open at
+    /// the end of the run counts as downtime up to the final clock.
+    fn into_stats(mut self, clock: TimePs) -> Option<ResilienceStats> {
+        if !self.armed {
+            return None;
+        }
+        for i in 0..self.down_since.len() {
+            if let Some(since) = self.down_since[i].take() {
+                self.downtime[i] += clock.max(since) - since;
+                self.fault_windows.push((since, clock.max(since)));
+            }
+        }
+        let mut lost_prefills: Vec<(u64, TimePs)> = self.lost_prefill.into_iter().collect();
+        lost_prefills.sort_unstable();
+        let mut original_arrivals: Vec<(u64, TimePs)> =
+            self.original_arrival.into_iter().collect();
+        original_arrivals.sort_unstable();
+        self.fault_windows.sort_unstable();
+        Some(ResilienceStats {
+            faults_injected: self.faults_injected,
+            requests_retried: self.retried,
+            requests_abandoned: self.abandoned.len(),
+            abandoned: self.abandoned,
+            kv_bytes_lost: self.kv_bytes_lost,
+            lost_prefills,
+            original_arrivals,
+            downtime: self.downtime,
+            fault_windows: self.fault_windows,
+        })
     }
 }
 
@@ -250,9 +294,9 @@ pub struct FleetEngine {
     /// the window collector skip the O(replicas) role scan and drain
     /// members straight off the heap.
     prefill_slots: usize,
-    /// Fault-injection state; `None` (the default) leaves every code
-    /// path byte-identical to a chaos-free engine.
-    chaos: Option<ChaosState>,
+    /// Fault-injection state; unarmed (the default) it leaves every
+    /// code path byte-identical to a chaos-free engine.
+    chaos: ChaosState,
     /// Sanitizer mirror of each replica's last observed virtual clock:
     /// a replica's clock must never run backwards across `step()`.
     #[cfg(feature = "sanitize")]
@@ -353,6 +397,8 @@ impl FleetEngine {
         };
         let tick_ps = control.tick_ps();
         assert!(tick_ps != Some(0), "a control tick period must be positive");
+        let chaos =
+            ChaosState::new(ChaosSchedule::new(), false, sims.len(), fabric.link_count());
         Ok(Self {
             heap: ReadyHeap::new(sims.len()),
             fabric,
@@ -372,7 +418,7 @@ impl FleetEngine {
             window: Vec::new(),
             dirty: Vec::new(),
             prefill_slots: slots.iter().filter(|s| s.role == ReplicaRole::Prefill).count(),
-            chaos: None,
+            chaos,
             #[cfg(feature = "sanitize")]
             sanitize_clocks: vec![0; sims.len()],
             #[cfg(feature = "sanitize")]
@@ -382,14 +428,15 @@ impl FleetEngine {
         })
     }
 
-    /// Installs a fault-injection schedule. Faults targeting replicas or
-    /// links the fleet never materializes are skipped silently at their
-    /// fire time. Calling this with an empty schedule still arms the
-    /// chaos paths (the report gains an all-zero resilience section);
-    /// not calling it keeps the engine byte-identical to a chaos-free
-    /// build.
+    /// Installs and arms a fault-injection schedule. Faults targeting
+    /// replicas or links the fleet never materializes are skipped
+    /// silently at their fire time. An armed fleet reports a resilience
+    /// section (all zeros for an empty schedule) and defers or abandons
+    /// work that finds no live replica, where an unarmed fleet treats
+    /// that as a bug. Not calling this keeps the engine byte-identical
+    /// to a chaos-free build.
     pub fn set_chaos(&mut self, schedule: ChaosSchedule) {
-        self.chaos = Some(ChaosState::new(schedule, self.sims.len(), self.fabric.link_count()));
+        self.chaos = ChaosState::new(schedule, true, self.sims.len(), self.fabric.link_count());
     }
 
     /// Sets the worker-thread budget for windowed stepping. Replicas
@@ -402,10 +449,10 @@ impl FleetEngine {
     /// (the default) keeps the per-event serial loop, preserving
     /// goldens bit for bit. Values of `0` are treated as `1`.
     ///
-    /// Sharding is rejected only dynamically: a step taken while
-    /// telemetry is attached or while the control plane is reactive
-    /// falls back to the serial loop (both consume the global event
-    /// interleaving, which windows do not preserve).
+    /// A step taken while telemetry is attached falls back to the serial
+    /// loop: the event trace records the global interleaving, which
+    /// windows do not preserve. (Scenarios reject the combination up
+    /// front.)
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }
@@ -431,12 +478,6 @@ impl FleetEngine {
         for (sim, slot) in self.sims.iter_mut().zip(&self.slots) {
             sim.attach_shared_reuse(shared.clone(), slot.config.fingerprint());
         }
-    }
-
-    /// Whether [`enable_shared_cache`](Self::enable_shared_cache) armed
-    /// the fleet-wide reuse tier.
-    pub fn shared_cache_enabled(&self) -> bool {
-        self.shared.is_some()
     }
 
     /// Attaches an event sink to the whole fleet: every replica gets a
@@ -471,11 +512,6 @@ impl FleetEngine {
         &self.slots
     }
 
-    /// The control plane's name.
-    pub fn control_name(&self) -> String {
-        self.control.name()
-    }
-
     /// `(request id, replica)` admissions made so far, in routing order.
     pub fn assignments(&self) -> &[(u64, usize)] {
         &self.assignments
@@ -498,11 +534,15 @@ impl FleetEngine {
         if self.fabric.has_links() {
             self.requests.insert(request.id, request);
         }
-        let pos = self
-            .arrivals
-            .iter()
-            .position(|r| (r.arrival_ps, r.id) > (request.arrival_ps, request.id))
-            .unwrap_or(self.arrivals.len());
+        self.enqueue_arrival(request);
+    }
+
+    /// Queues `request` at the front end, keeping the arrival stream
+    /// sorted by `(arrival time, id)`; equal keys queue after the ones
+    /// already present.
+    fn enqueue_arrival(&mut self, request: Request) {
+        let key = (request.arrival_ps, request.id);
+        let pos = self.arrivals.partition_point(|r| (r.arrival_ps, r.id) <= key);
         self.arrivals.insert(pos, request);
     }
 
@@ -518,9 +558,9 @@ impl FleetEngine {
         [replica_ready, arrival, transfer, fabric, fault].into_iter().flatten().min()
     }
 
-    /// The next pending fault transition, if a chaos schedule is armed.
+    /// The next pending fault transition, if any.
     fn next_fault_ps(&self) -> Option<TimePs> {
-        self.chaos.as_ref().and_then(|c| c.events.front().map(FaultEvent::t_ps))
+        self.chaos.events.front().map(FaultEvent::t_ps)
     }
 
     /// The fleet's virtual clock: the furthest replica clock.
@@ -560,7 +600,7 @@ impl FleetEngine {
                 } else {
                     (busy.saturating_sub(base_busy)) as f64 / window as f64
                 };
-                let fault = self.chaos.as_ref().and_then(|c| c.down[i]);
+                let fault = self.chaos.down[i];
                 ReplicaStatus {
                     snapshot: self.snapshot(i),
                     home_role: slot.home_role,
@@ -620,7 +660,7 @@ impl FleetEngine {
                         && self.slots[i].pending_role.is_none()
                         && self.sims[i].scheduler().outstanding() == 0
                         // A faulted replica cannot answer a backfill.
-                        && self.chaos.as_ref().is_none_or(|c| c.down[i].is_none())
+                        && self.chaos.down[i].is_none()
                 }) {
                     self.slots[idx].retiring = false;
                     self.slots[idx].active_from_ps = active_from;
@@ -649,11 +689,9 @@ impl FleetEngine {
                 self.heap.grow();
                 #[cfg(feature = "sanitize")]
                 self.sanitize_clocks.push(0);
-                if let Some(chaos) = self.chaos.as_mut() {
-                    chaos.down.push(None);
-                    chaos.down_since.push(None);
-                    chaos.downtime.push(0);
-                }
+                self.chaos.down.push(None);
+                self.chaos.down_since.push(None);
+                self.chaos.downtime.push(0);
                 self.telemetry.emit(|| SimEvent::ReplicaActivated {
                     t_ps: now,
                     replica: index,
@@ -777,7 +815,7 @@ impl FleetEngine {
             // transition commits after the fault applies.
             horizon = horizon.min(ft.saturating_sub(1));
         }
-        if self.chaos.is_some() && self.fabric.fully_partitioned() {
+        if self.chaos.armed && self.fabric.fully_partitioned() {
             // No link can carry KV right now. Park every due transfer at
             // the next fault transition (schedule validation guarantees a
             // partition recovers); link faults spend no retry budget.
@@ -811,13 +849,13 @@ impl FleetEngine {
                     slot.role == ReplicaRole::Decode
                         && slot.in_service()
                         && slot.active_from_ps <= ready_ps
-                        && self.chaos.as_ref().is_none_or(|c| c.down[i].is_none())
+                        && self.chaos.down[i].is_none()
                 })
                 .map(|i| self.snapshot(i))
                 .collect();
             if candidates.is_empty() {
                 assert!(
-                    self.chaos.is_some(),
+                    self.chaos.armed,
                     "no decode replica available for the KV handoff of request {id}"
                 );
                 // The head entry changed (re-parked or abandoned):
@@ -906,35 +944,22 @@ impl FleetEngine {
                 .expect("every in-flight flow has a committed transfer record");
             transfer.done_ps = done.done_ps;
             transfer.link = done.bottleneck;
-            let to = transfer.to;
-            let from = transfer.from;
+            let (to, from, bytes) = (transfer.to, transfer.from, transfer.bytes);
             self.telemetry.emit(|| SimEvent::TransferEnd {
                 t_ps: done.done_ps,
                 id: done.id,
                 from,
                 to,
             });
-            let dest_crashed = self
-                .chaos
-                .as_ref()
-                .is_some_and(|c| c.down[to] == Some(ReplicaFaultKind::Crash));
-            if dest_crashed {
+            if self.chaos.down[to] == Some(ReplicaFaultKind::Crash) {
                 // The wire finished, but the KV landed on a dead replica:
                 // lost on arrival. Unwind the prefill-side bookkeeping and
                 // send the request back through admission to re-prefill.
-                let tr = self.transfers.remove(&done.id).expect("just finalized above");
-                let removed = self.sims[from].retract_completions(&[done.id]);
-                self.handoffs_total -= removed;
-                if self.slots[from].role == ReplicaRole::Prefill {
-                    self.slots[from].handed_off =
-                        self.sims[from].scheduler().completions().len();
-                }
+                self.transfers.remove(&done.id);
+                self.unwind_handoffs(from, &[done.id]);
+                self.chaos.kv_bytes_lost += bytes;
+                self.chaos.lost_prefill.entry(done.id).or_insert(done.done_ps);
                 let request = self.requests[&done.id];
-                {
-                    let chaos = self.chaos.as_mut().expect("checked above");
-                    chaos.kv_bytes_lost += tr.bytes;
-                    chaos.lost_prefill.entry(done.id).or_insert(done.done_ps);
-                }
                 self.retry_request(
                     request,
                     done.done_ps,
@@ -958,16 +983,8 @@ impl FleetEngine {
     /// so a replica that recovers at `t` can absorb work displaced by a
     /// crash at `t`.
     fn apply_due_faults(&mut self, t: TimePs) {
-        loop {
-            let event = {
-                let chaos = self.chaos.as_mut().expect("apply_due_faults needs chaos armed");
-                if chaos.events.front().is_some_and(|e| e.t_ps() <= t) {
-                    chaos.events.pop_front()
-                } else {
-                    None
-                }
-            };
-            let Some(event) = event else { return };
+        while let Some(event) = self.chaos.events.front().copied().filter(|e| e.t_ps() <= t) {
+            self.chaos.events.pop_front();
             match event {
                 FaultEvent::ReplicaDown { replica, kind, .. } => {
                     self.fault_replica_down(replica, kind, t);
@@ -984,16 +1001,14 @@ impl FleetEngine {
     /// Strikes a replica. Targets the fleet never materialized (an
     /// autoscale index that never spawned) are skipped without counting.
     fn fault_replica_down(&mut self, replica: usize, kind: ReplicaFaultKind, t: TimePs) {
-        {
-            let chaos = self.chaos.as_mut().expect("chaos armed");
-            if replica >= self.sims.len() || chaos.down[replica].is_some() {
-                return;
-            }
-            chaos.faults_injected += 1;
-            chaos.down[replica] = Some(kind);
-            if kind != ReplicaFaultKind::Drain {
-                chaos.down_since[replica] = Some(t);
-            }
+        let chaos = &mut self.chaos;
+        if replica >= self.sims.len() || chaos.down[replica].is_some() {
+            return;
+        }
+        chaos.faults_injected += 1;
+        chaos.down[replica] = Some(kind);
+        if kind != ReplicaFaultKind::Drain {
+            chaos.down_since[replica] = Some(t);
         }
         self.telemetry.emit(|| SimEvent::ReplicaFault {
             t_ps: t,
@@ -1035,16 +1050,11 @@ impl FleetEngine {
         self.pending.extend(kept);
         if !lost_pending.is_empty() {
             let ids: Vec<u64> = lost_pending.iter().map(|&(_, id, _)| id).collect();
-            let removed = self.sims[replica].retract_completions(&ids);
-            self.handoffs_total -= removed;
-            self.slots[replica].handed_off = self.sims[replica].scheduler().completions().len();
-            for &(_, id, _) in &lost_pending {
+            self.unwind_handoffs(replica, &ids);
+            for id in ids {
                 let request = self.requests[&id];
-                {
-                    let chaos = self.chaos.as_mut().expect("chaos armed");
-                    chaos.kv_bytes_lost += request.input_len as u64 * per_token;
-                    chaos.lost_prefill.entry(id).or_insert(t);
-                }
+                self.chaos.kv_bytes_lost += request.input_len as u64 * per_token;
+                self.chaos.lost_prefill.entry(id).or_insert(t);
                 self.retry_request(request, t, "prefill KV lost to a crash");
             }
         }
@@ -1057,26 +1067,17 @@ impl FleetEngine {
                 // The decode side of a disagg pair: the shipped KV (and
                 // any decode progress) is gone. Unwind the prefill-side
                 // bookkeeping and re-prefill from the original request.
-                let removed = self.sims[tr.from].retract_completions(&[id]);
-                self.handoffs_total -= removed;
-                if self.slots[tr.from].role == ReplicaRole::Prefill {
-                    self.slots[tr.from].handed_off =
-                        self.sims[tr.from].scheduler().completions().len();
-                }
+                self.unwind_handoffs(tr.from, &[id]);
                 self.transfers.remove(&id);
+                self.chaos.kv_bytes_lost += tr.bytes + work.generated as u64 * per_token;
+                self.chaos.lost_prefill.entry(id).or_insert(t);
                 let request = self.requests[&id];
-                {
-                    let chaos = self.chaos.as_mut().expect("chaos armed");
-                    chaos.kv_bytes_lost += tr.bytes + work.generated as u64 * per_token;
-                    chaos.lost_prefill.entry(id).or_insert(t);
-                }
                 self.retry_request(request, t, "shipped KV lost with its decode replica");
             } else {
                 if work.prefill_done {
-                    let chaos = self.chaos.as_mut().expect("chaos armed");
-                    chaos.kv_bytes_lost +=
+                    self.chaos.kv_bytes_lost +=
                         (work.request.input_len + work.generated) as u64 * per_token;
-                    chaos.lost_prefill.entry(id).or_insert(t);
+                    self.chaos.lost_prefill.entry(id).or_insert(t);
                 }
                 self.retry_request(work.request, t, "in-flight work lost to a crash");
             }
@@ -1088,18 +1089,15 @@ impl FleetEngine {
     /// Clears a replica fault. Crash/hang recoveries close the downtime
     /// window and rejoin the replica's clock to fleet time.
     fn fault_replica_up(&mut self, replica: usize, t: TimePs) {
-        let kind = {
-            let chaos = self.chaos.as_mut().expect("chaos armed");
-            if replica >= self.sims.len() {
-                return;
-            }
-            let Some(kind) = chaos.down[replica].take() else { return };
-            if let Some(since) = chaos.down_since[replica].take() {
-                chaos.downtime[replica] += t - since;
-                chaos.fault_windows.push((since, t));
-            }
-            kind
-        };
+        let chaos = &mut self.chaos;
+        if replica >= self.sims.len() {
+            return;
+        }
+        let Some(kind) = chaos.down[replica].take() else { return };
+        if let Some(since) = chaos.down_since[replica].take() {
+            chaos.downtime[replica] += t - since;
+            chaos.fault_windows.push((since, t));
+        }
         self.telemetry.emit(|| SimEvent::ReplicaRecovered { t_ps: t, replica });
         if kind != ReplicaFaultKind::Drain {
             // The outage is wall time: the replica resumes at recovery,
@@ -1116,15 +1114,10 @@ impl FleetEngine {
             return;
         }
         self.deliver_fabric_events(t.max(self.fabric.now_ps()));
-        {
-            let restore = self.fabric.link_bw_gbps(link);
-            let chaos = self.chaos.as_mut().expect("chaos armed");
-            chaos.faults_injected += 1;
-            // Overlapping windows keep the original bandwidth.
-            if chaos.link_restore[link].is_none() {
-                chaos.link_restore[link] = Some(restore);
-            }
-        }
+        self.chaos.faults_injected += 1;
+        // Overlapping windows keep the original bandwidth.
+        let restore = self.fabric.link_bw_gbps(link);
+        self.chaos.link_restore[link].get_or_insert(restore);
         self.fabric.set_link_bw_gbps(link, degrade_to_gbps);
         self.telemetry.emit(|| SimEvent::LinkFault { t_ps: t, link, bw_gbps: degrade_to_gbps });
     }
@@ -1134,11 +1127,7 @@ impl FleetEngine {
         if link >= self.fabric.link_count() {
             return;
         }
-        let restore = {
-            let chaos = self.chaos.as_mut().expect("chaos armed");
-            chaos.link_restore[link].take()
-        };
-        let Some(bw) = restore else { return };
+        let Some(bw) = self.chaos.link_restore[link].take() else { return };
         self.deliver_fabric_events(t.max(self.fabric.now_ps()));
         self.fabric.set_link_bw_gbps(link, bw);
         self.telemetry.emit(|| SimEvent::LinkRecovered { t_ps: t, link });
@@ -1148,37 +1137,30 @@ impl FleetEngine {
     /// deterministic virtual-time backoff, or abandons it once its retry
     /// budget is spent.
     fn retry_request(&mut self, request: Request, now: TimePs, reason: &str) {
-        let id = request.id;
-        let (attempt, max_retries, backoff) = {
-            let chaos = self.chaos.as_mut().expect("chaos armed");
-            let entry = chaos.attempts.entry(id).or_insert(0);
-            *entry += 1;
-            (*entry, chaos.retry.max_retries, chaos.retry.backoff_for(*entry))
-        };
-        if attempt > max_retries {
-            self.abandon_request(id, now, reason);
+        let attempt = self.chaos.next_attempt(request.id);
+        if attempt > self.chaos.retry.max_retries {
+            self.abandon_request(request.id, now, reason);
             return;
         }
-        {
-            let original = self.requests.get(&id).map_or(request.arrival_ps, |r| r.arrival_ps);
-            let chaos = self.chaos.as_mut().expect("chaos armed");
-            chaos.retried += 1;
-            chaos.original_arrival.entry(id).or_insert(original);
-        }
-        let at = now.saturating_add(backoff);
+        let at = now.saturating_add(self.chaos.retry.backoff_for(attempt));
+        self.requeue(request, now, attempt, at);
+    }
+
+    /// Queues retry `attempt` of `request`, decided at `now`, to arrive
+    /// again at `at`. Report latencies keep spanning the whole retry
+    /// chain from the first admission.
+    fn requeue(&mut self, request: Request, now: TimePs, attempt: u32, at: TimePs) {
+        let id = request.id;
+        let original = self.requests.get(&id).map_or(request.arrival_ps, |r| r.arrival_ps);
+        self.chaos.retried += 1;
+        self.chaos.original_arrival.entry(id).or_insert(original);
         self.telemetry.emit(|| SimEvent::RequestRetried {
             t_ps: now,
             id,
             attempt,
             retry_at_ps: at,
         });
-        let retry = Request::new(id, request.input_len, request.output_len, at);
-        let pos = self
-            .arrivals
-            .iter()
-            .position(|r| (r.arrival_ps, r.id) > (at, id))
-            .unwrap_or(self.arrivals.len());
-        self.arrivals.insert(pos, retry);
+        self.enqueue_arrival(Request::new(id, request.input_len, request.output_len, at));
     }
 
     /// Gives up on a request, recording why.
@@ -1188,8 +1170,17 @@ impl FleetEngine {
             id,
             reason: reason.to_string(),
         });
-        let chaos = self.chaos.as_mut().expect("chaos armed");
-        chaos.abandoned.push((id, reason.to_string()));
+        self.chaos.abandoned.push((id, reason.to_string()));
+    }
+
+    /// Takes back prefill completions of replica `from` whose KV caches
+    /// will never ship, keeping the end-to-end completion count and the
+    /// replica's handoff cursor consistent.
+    fn unwind_handoffs(&mut self, from: usize, ids: &[u64]) {
+        self.handoffs_total -= self.sims[from].retract_completions(ids);
+        if self.slots[from].role == ReplicaRole::Prefill {
+            self.slots[from].handed_off = self.sims[from].scheduler().completions().len();
+        }
     }
 
     /// The earliest future instant at which serving capacity could
@@ -1215,38 +1206,12 @@ impl FleetEngine {
     /// No live replica accepts this arrival: push it to the next instant
     /// capacity could reappear, spending one retry, or abandon it.
     fn defer_or_abandon_admission(&mut self, request: Request) {
-        let id = request.id;
         let now = request.arrival_ps;
-        let (attempt, max_retries) = {
-            let chaos = self.chaos.as_mut().expect("chaos armed");
-            let entry = chaos.attempts.entry(id).or_insert(0);
-            *entry += 1;
-            (*entry, chaos.retry.max_retries)
-        };
-        let target = self.defer_target(now);
-        let Some(at) = target.filter(|_| attempt <= max_retries) else {
-            self.abandon_request(id, now, "no replica accepts arrivals");
-            return;
-        };
-        {
-            let original = self.requests.get(&id).map_or(now, |r| r.arrival_ps);
-            let chaos = self.chaos.as_mut().expect("chaos armed");
-            chaos.retried += 1;
-            chaos.original_arrival.entry(id).or_insert(original);
+        let attempt = self.chaos.next_attempt(request.id);
+        match self.defer_target(now).filter(|_| attempt <= self.chaos.retry.max_retries) {
+            Some(at) => self.requeue(request, now, attempt, at),
+            None => self.abandon_request(request.id, now, "no replica accepts arrivals"),
         }
-        self.telemetry.emit(|| SimEvent::RequestRetried {
-            t_ps: now,
-            id,
-            attempt,
-            retry_at_ps: at,
-        });
-        let retry = Request::new(id, request.input_len, request.output_len, at);
-        let pos = self
-            .arrivals
-            .iter()
-            .position(|r| (r.arrival_ps, r.id) > (at, id))
-            .unwrap_or(self.arrivals.len());
-        self.arrivals.insert(pos, retry);
     }
 
     /// No live decode replica can take this KV handoff: re-park it at
@@ -1254,24 +1219,12 @@ impl FleetEngine {
     /// abandon it (unwinding the prefill-side bookkeeping for KV that
     /// will never ship).
     fn defer_or_abandon_pairing(&mut self, ready_ps: TimePs, id: u64, from: usize) {
-        let (attempt, max_retries) = {
-            let chaos = self.chaos.as_mut().expect("chaos armed");
-            let entry = chaos.attempts.entry(id).or_insert(0);
-            *entry += 1;
-            (*entry, chaos.retry.max_retries)
-        };
+        let attempt = self.chaos.next_attempt(id);
         let target = self.defer_target(ready_ps);
-        let Some(at) = target.filter(|_| attempt <= max_retries) else {
-            let removed = self.sims[from].retract_completions(&[id]);
-            self.handoffs_total -= removed;
-            if self.slots[from].role == ReplicaRole::Prefill {
-                self.slots[from].handed_off = self.sims[from].scheduler().completions().len();
-            }
-            let bytes = self.requests[&id].input_len as u64 * self.kv_bytes_per_token;
-            {
-                let chaos = self.chaos.as_mut().expect("chaos armed");
-                chaos.kv_bytes_lost += bytes;
-            }
+        let Some(at) = target.filter(|_| attempt <= self.chaos.retry.max_retries) else {
+            self.unwind_handoffs(from, &[id]);
+            self.chaos.kv_bytes_lost +=
+                self.requests[&id].input_len as u64 * self.kv_bytes_per_token;
             self.abandon_request(
                 id,
                 ready_ps,
@@ -1279,10 +1232,7 @@ impl FleetEngine {
             );
             return;
         };
-        {
-            let chaos = self.chaos.as_mut().expect("chaos armed");
-            chaos.retried += 1;
-        }
+        self.chaos.retried += 1;
         self.telemetry.emit(|| SimEvent::RequestRetried {
             t_ps: ready_ps,
             id,
@@ -1295,19 +1245,18 @@ impl FleetEngine {
     /// Advances the fleet by one step. Returns `false` when everything
     /// has drained.
     ///
-    /// The default path is the per-event serial loop
-    /// (`step_serial`). With `shards > 1` or the
-    /// shared reuse cache armed — and neither telemetry nor a reactive
-    /// control plane consuming the global event interleaving — the
-    /// engine instead advances a whole *window*: every replica
-    /// iteration strictly before the next cross-replica interaction
-    /// point (arrival, control tick, fault, fabric event, pending
-    /// KV-transfer readiness, or a prefill replica's next completion)
-    /// runs in bulk, partitioned across worker threads when the budget
-    /// and the host allow. Replicas cannot interact inside a window,
-    /// so outcomes are byte-identical to the serial loop under any
-    /// shard count; anything at or past the barrier falls back to one
-    /// serial step.
+    /// The default path is the per-event serial loop (`step_serial`).
+    /// With `shards > 1` or the shared reuse cache armed, and no
+    /// telemetry consuming the global event interleaving, the engine
+    /// instead advances a whole *window*: every replica iteration
+    /// strictly before the next cross-replica interaction point
+    /// (arrival, control tick, fault, fabric event, pending KV-transfer
+    /// readiness, or a prefill replica's next completion) runs in bulk,
+    /// partitioned across worker threads when the budget and the host
+    /// allow. Control planes act only at those points, so replicas
+    /// cannot interact inside a window and outcomes are byte-identical
+    /// to the serial loop under any shard count; anything at or past
+    /// the barrier falls back to one serial step.
     pub fn step(&mut self) -> bool {
         // Fresh shared-cache entries publish at the top of every step —
         // a virtual-time-determined boundary, identical under any shard
@@ -1332,9 +1281,7 @@ impl FleetEngine {
 
     /// Whether stepping may take the windowed path right now.
     fn windowed_active(&self) -> bool {
-        (self.shards > 1 || self.shared.is_some())
-            && !self.control.reactive()
-            && !self.telemetry.is_on()
+        (self.shards > 1 || self.shared.is_some()) && !self.telemetry.is_on()
     }
 
     /// Computes the next interaction barrier and collects the replicas
@@ -1564,13 +1511,13 @@ impl FleetEngine {
                         slot.role.accepts_arrivals()
                             && slot.in_service()
                             && slot.active_from_ps <= request.arrival_ps
-                            && self.chaos.as_ref().is_none_or(|c| c.down[i].is_none())
+                            && self.chaos.down[i].is_none()
                     })
                     .map(|i| self.snapshot(i))
                     .collect();
                 if candidates.is_empty() {
                     assert!(
-                        self.chaos.is_some(),
+                        self.chaos.armed,
                         "no replica accepts arrivals for request {} — the control plane \
                          drained or retired every admission candidate",
                         request.id
@@ -1606,9 +1553,7 @@ impl FleetEngine {
                 if self.shared.is_some() {
                     self.dirty.push(idx);
                 }
-                let before = self.sims[idx].scheduler().completions().len();
                 self.sims[idx].step();
-                let after = self.sims[idx].scheduler().completions().len();
                 #[cfg(feature = "sanitize")]
                 {
                     let now = self.sims[idx].clock_ps();
@@ -1625,14 +1570,6 @@ impl FleetEngine {
                 }
                 self.try_apply_pending_role(idx);
                 self.refresh(idx);
-                if after > before && self.control.reactive() {
-                    let now = self.sims[idx].clock_ps();
-                    let stats = self.stats(now);
-                    let commands = self.control.on_completion(&stats);
-                    for command in commands {
-                        self.apply(command, now);
-                    }
-                }
                 true
             }
             (false, None) => {
@@ -1667,36 +1604,9 @@ impl FleetEngine {
 
     /// Dismantles the engine into the raw per-replica reports, transfer
     /// records, and bookkeeping [`FleetReport::from_parts`] joins.
-    pub fn into_parts(mut self) -> FleetParts {
+    pub fn into_parts(self) -> FleetParts {
         let clock = self.clock_ps();
-        let resilience = self.chaos.take().map(|mut chaos| {
-            // A fault window still open at the end of the run counts as
-            // downtime up to the final clock.
-            for i in 0..chaos.down_since.len() {
-                if let Some(since) = chaos.down_since[i].take() {
-                    chaos.downtime[i] += clock.max(since) - since;
-                    chaos.fault_windows.push((since, clock.max(since)));
-                }
-            }
-            let mut lost_prefills: Vec<(u64, TimePs)> =
-                chaos.lost_prefill.into_iter().collect();
-            lost_prefills.sort_unstable();
-            let mut original_arrivals: Vec<(u64, TimePs)> =
-                chaos.original_arrival.into_iter().collect();
-            original_arrivals.sort_unstable();
-            chaos.fault_windows.sort_unstable();
-            ResilienceStats {
-                faults_injected: chaos.faults_injected,
-                requests_retried: chaos.retried,
-                requests_abandoned: chaos.abandoned.len(),
-                abandoned: chaos.abandoned,
-                kv_bytes_lost: chaos.kv_bytes_lost,
-                lost_prefills,
-                original_arrivals,
-                downtime: chaos.downtime,
-                fault_windows: chaos.fault_windows,
-            }
-        });
+        let resilience = self.chaos.into_stats(clock);
         let control = self.control.name();
         let replicas = self
             .sims

@@ -123,14 +123,6 @@ impl ReplicaSnapshot {
             completed_requests: sched.completions().len(),
         }
     }
-
-    /// Fraction of KV pages in use (`0.0` when the cache has no pages).
-    pub fn kv_load(&self) -> f64 {
-        if self.kv_total_pages == 0 {
-            return 0.0;
-        }
-        self.kv_used_pages as f64 / self.kv_total_pages as f64
-    }
 }
 
 /// A pluggable request-routing policy.

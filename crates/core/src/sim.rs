@@ -337,16 +337,6 @@ impl ServingSimulator {
         self.into_report()
     }
 
-    /// Runs at most `max_iterations` and returns the (possibly partial)
-    /// report — useful for long traces in benchmarks.
-    pub fn run_bounded(mut self, max_iterations: u64) -> SimReport {
-        let mut n = 0;
-        while n < max_iterations && self.step() {
-            n += 1;
-        }
-        self.into_report()
-    }
-
     /// Injects one request online (the cluster router's entry point).
     ///
     /// The simulator does not have to be idle: the request queues at the
@@ -549,13 +539,6 @@ mod tests {
         .unwrap()
         .run();
         assert!(tp4.sim_duration_ps < tp1.sim_duration_ps);
-    }
-
-    #[test]
-    fn run_bounded_stops_early() {
-        let sim = ServingSimulator::new(config(), small_trace(32)).unwrap();
-        let report = sim.run_bounded(3);
-        assert_eq!(report.iterations.len(), 3);
     }
 
     #[test]

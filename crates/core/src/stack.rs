@@ -129,11 +129,6 @@ impl EngineStack {
     pub fn work_units(&self) -> u64 {
         self.npu.work_units() + self.pim.as_ref().map_or(0, |p| p.work_units())
     }
-
-    /// Clears the reuse cache (per-run isolation in benchmarks).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
 }
 
 #[cfg(test)]

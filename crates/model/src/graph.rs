@@ -204,14 +204,6 @@ impl IterationWorkload {
         pre + self.spec.n_layers as u64 * block + post
     }
 
-    /// Total bytes moved over the whole iteration.
-    pub fn total_bytes(&self) -> u64 {
-        let block: u64 = self.block_ops.iter().map(Op::bytes_total).sum();
-        let pre: u64 = self.pre_ops.iter().map(Op::bytes_total).sum();
-        let post: u64 = self.post_ops.iter().map(Op::bytes_total).sum();
-        pre + self.spec.n_layers as u64 * block + post
-    }
-
     /// KV-cache bytes appended by this iteration (new tokens, all layers).
     pub fn kv_append_bytes(&self) -> u64 {
         self.new_tokens_total() as u64 * self.spec.kv_bytes_per_token()

@@ -35,12 +35,6 @@ impl Roofline {
         Self::new(35.6, 936.0)
     }
 
-    /// The paper's NPU configuration as a roofline: a 128x128 systolic array
-    /// at 1 GHz (2 FLOPs/MAC => 32.8 TFLOPS) with 936 GB/s memory.
-    pub fn npu_128x128() -> Self {
-        Self::new(2.0 * 128.0 * 128.0 * 1.0e9 / 1e12, 936.0)
-    }
-
     /// Arithmetic intensity (FLOPs/byte) at which the roofline bends:
     /// below the knee an op is memory bound, above it compute bound.
     pub fn knee(&self) -> f64 {

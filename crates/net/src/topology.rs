@@ -198,15 +198,6 @@ impl Topology {
         self.classes.len()
     }
 
-    /// Class of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn class_of(&self, node: NodeId) -> NodeClass {
-        self.classes[node]
-    }
-
     /// All nodes of a given class.
     pub fn nodes_of_class(&self, class: NodeClass) -> Vec<NodeId> {
         (0..self.n_nodes()).filter(|&n| self.classes[n] == class).collect()
@@ -235,20 +226,9 @@ impl Topology {
         self.intra_link
     }
 
-    /// Link spec between pools / groups.
-    pub fn inter_link(&self) -> LinkSpec {
-        self.inter_link
-    }
-
     /// Link spec to the host.
     pub fn host_link(&self) -> LinkSpec {
         self.host_link
-    }
-
-    /// Replaces the host link (e.g. to study faster eviction paths).
-    pub fn with_host_link(mut self, link: LinkSpec) -> Self {
-        self.host_link = link;
-        self
     }
 }
 

@@ -73,11 +73,6 @@ impl NpuConfig {
         self.mem_bw_gbps * 1e9 / (self.freq_ghz * 1e9)
     }
 
-    /// Device memory capacity in bytes.
-    pub fn mem_capacity_bytes(&self) -> u64 {
-        (self.mem_capacity_gib * 1024.0 * 1024.0 * 1024.0) as u64
-    }
-
     /// Scratchpad capacity in bytes.
     pub fn sram_bytes(&self) -> usize {
         self.sram_kib * 1024

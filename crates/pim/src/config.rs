@@ -80,11 +80,6 @@ impl PimConfig {
         (self.macs_per_bank * self.total_banks()) as u64
     }
 
-    /// Memory capacity in bytes.
-    pub fn mem_capacity_bytes(&self) -> u64 {
-        (self.mem_capacity_gib * 1024.0 * 1024.0 * 1024.0) as u64
-    }
-
     /// Picoseconds per core cycle.
     pub fn ps_per_cycle(&self) -> f64 {
         1e3 / self.freq_ghz

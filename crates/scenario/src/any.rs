@@ -73,24 +73,6 @@ impl AnySimulator {
             AnySimulator::Fleet { engine, .. } => engine.set_telemetry(telemetry),
         }
     }
-
-    /// Sets the worker-thread budget for windowed fleet stepping on the
-    /// multi-replica shapes (byte-identical outcomes under any value;
-    /// a single replica has nothing to shard, so `Single` ignores it).
-    pub fn set_shards(&mut self, shards: usize) {
-        if let AnySimulator::Fleet { engine, .. } = self {
-            engine.set_shards(shards);
-        }
-    }
-
-    /// Arms the fleet-wide shared reuse cache on the multi-replica
-    /// shapes (a single replica has no peer to share with, so `Single`
-    /// ignores it).
-    pub fn enable_shared_cache(&mut self) {
-        if let AnySimulator::Fleet { engine, .. } = self {
-            engine.enable_shared_cache();
-        }
-    }
 }
 
 impl Simulate for AnySimulator {
@@ -228,14 +210,6 @@ impl AnyReport {
             AnyReport::Cluster(r) => r.aggregate_reuse(),
             AnyReport::Disagg(r) => r.aggregate_reuse(),
             AnyReport::Fleet(r) => r.aggregate_reuse(),
-        }
-    }
-
-    /// The single-replica report, if this run was one.
-    pub fn as_single(&self) -> Option<&SimReport> {
-        match self {
-            AnyReport::Single(r) => Some(r),
-            _ => None,
         }
     }
 

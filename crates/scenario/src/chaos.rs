@@ -37,10 +37,9 @@
 //! byte-for-byte.
 
 use llmss_core::{ChaosSchedule, LinkFault, ReplicaFault, ReplicaFaultKind, RetryPolicy};
-use llmss_sched::TimePs;
 use serde::Value;
 
-use crate::ScenarioError;
+use crate::{ms_to_ps, ScenarioError};
 
 /// One `[[chaos.replica_fault]]` entry: an explicit replica fault
 /// window in scenario (millisecond) units.
@@ -293,8 +292,8 @@ impl ChaosSpec {
             ("chaos.horizon_ms", self.horizon_ms),
             ("chaos.retry_backoff_ms", self.retry_backoff_ms),
         ] {
-            if !value.is_finite() || value <= 0.0 {
-                return invalid(field.into(), format!("must be positive, got {value}"));
+            if !value.is_finite() || ms_to_ps(value) == 0 {
+                return invalid(field.into(), format!("must be at least 1 ps, got {value} ms"));
             }
         }
         if !self.retry_backoff_mult.is_finite() || self.retry_backoff_mult < 1.0 {
@@ -533,11 +532,6 @@ impl ChaosSpec {
     }
 }
 
-/// Scenario milliseconds to engine picoseconds (the repo-wide idiom).
-fn ms_to_ps(ms: f64) -> TimePs {
-    (ms * 1e9).round() as TimePs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,6 +618,15 @@ mod tests {
 
         let negative_rate = ChaosSpec { crash_rate_per_s: -1.0, ..ChaosSpec::default() };
         assert!(negative_rate.validate().is_err());
+
+        // Positive, but below the engine's 1 ps resolution: the seeded
+        // schedule would recover each crash the instant it strikes.
+        let sub_ps_mttr =
+            ChaosSpec { crash_rate_per_s: 5.0, mttr_ms: 1e-10, ..ChaosSpec::default() };
+        assert!(matches!(
+            sub_ps_mttr.validate(),
+            Err(ScenarioError::InvalidValue { field, .. }) if field == "chaos.mttr_ms"
+        ));
     }
 
     #[test]

@@ -228,12 +228,6 @@ pub struct FleetSpec {
     /// Autoscale: warm-up delay before a new replica takes work, in
     /// milliseconds.
     pub warmup_ms: f64,
-    /// Worker-thread budget for windowed fleet stepping (1 = the
-    /// per-event serial loop; outcomes are byte-identical under any
-    /// value).
-    pub shards: usize,
-    /// Whether homogeneous replicas share one fleet-wide reuse cache.
-    pub shared_cache: bool,
 }
 
 impl Default for FleetSpec {
@@ -249,8 +243,6 @@ impl Default for FleetSpec {
             queue_high: 4.0,
             queue_low: 0.5,
             warmup_ms: 5.0,
-            shards: 1,
-            shared_cache: false,
         }
     }
 }
@@ -305,18 +297,14 @@ impl FleetSpec {
             "queue_high" => self.queue_high = parse(key, value)?,
             "queue_low" => self.queue_low = parse(key, value)?,
             "warmup_ms" => self.warmup_ms = parse(key, value)?,
-            "shards" => self.shards = parse(key, value)?,
-            "shared_cache" => self.shared_cache = parse(key, value)?,
             other => return Err(ScenarioError::UnknownKey { key: format!("fleet.{other}") }),
         }
         Ok(())
     }
 
-    /// Renders the table as a value tree in canonical key order. The
-    /// sharding knobs appear only when set off their defaults, so value
-    /// trees of pre-sharding scenarios keep their historical bytes.
+    /// Renders the table as a value tree in canonical key order.
     pub(crate) fn to_value(&self) -> Value {
-        let mut fields = vec![
+        Value::Object(vec![
             ("control".into(), Value::Str(self.control.as_str().into())),
             ("tick_ms".into(), Value::Float(self.tick_ms)),
             ("flex_idle_ticks".into(), Value::Int(self.flex_idle_ticks as i128)),
@@ -326,18 +314,11 @@ impl FleetSpec {
             ("queue_high".into(), Value::Float(self.queue_high)),
             ("queue_low".into(), Value::Float(self.queue_low)),
             ("warmup_ms".into(), Value::Float(self.warmup_ms)),
-        ];
-        if self.shards != 1 {
-            fields.push(("shards".into(), Value::Int(self.shards as i128)));
-        }
-        if self.shared_cache {
-            fields.push(("shared_cache".into(), Value::Bool(self.shared_cache)));
-        }
-        fields.push((
-            "replica".into(),
-            Value::Array(self.replicas.iter().map(|r| r.to_value()).collect()),
-        ));
-        Value::Object(fields)
+            (
+                "replica".into(),
+                Value::Array(self.replicas.iter().map(|r| r.to_value()).collect()),
+            ),
+        ])
     }
 
     /// Rebuilds the table from a value tree with typed errors.

@@ -62,3 +62,9 @@ pub use fleet::{FleetControlKind, FleetSpec, ReplicaOverride};
 pub use scenario::{Scenario, ServingShape};
 pub use sweep::{Sweep, SweepAxis, SweepPoint, SweepReport, SweepRow};
 pub use telemetry::TelemetrySpec;
+
+/// Scenario milliseconds to engine picoseconds, rounded to the nearest
+/// picosecond (so a positive duration below 0.5 ps becomes zero).
+pub(crate) fn ms_to_ps(ms: f64) -> llmss_sched::TimePs {
+    (ms * 1e9).round() as llmss_sched::TimePs
+}

@@ -9,13 +9,19 @@ use llmss_core::{
 };
 use llmss_model::ModelSpec;
 use llmss_net::LinkSpec;
-use llmss_sched::{Request, SchedulingPolicy, TimePs, Workload, WorkloadSpec};
+use llmss_sched::{Request, SchedulingPolicy, Workload, WorkloadSpec};
 use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::{
-    toml, AnyReport, AnySimulator, ChaosSpec, FabricSpec, FleetControlKind, FleetSpec,
-    ReplicaOverride, ScenarioError, TelemetrySpec,
+    ms_to_ps, toml, AnyReport, AnySimulator, ChaosSpec, FabricSpec, FleetControlKind,
+    FleetSpec, ReplicaOverride, ScenarioError, TelemetrySpec,
 };
+
+/// The fleet-scaling keys, which a `[fleet]` table or a `fleet.*`
+/// override may still spell. Those spellings set the top-level fields:
+/// they never create a `[fleet]` table (so they cannot switch a cluster
+/// to the fleet shape) and never serialize.
+const FLEET_SCALING_ALIASES: [&str; 2] = ["shards", "shared_cache"];
 
 /// The serving shape a scenario describes, derived from its
 /// `replicas`/`disagg` fields.
@@ -138,6 +144,15 @@ pub struct Scenario {
     pub kv_link_gbps: f64,
     /// Decode-replica pairing policy (disaggregated shape).
     pub pairing: PairingPolicyKind,
+    /// Worker-thread budget for windowed stepping on every multi-replica
+    /// shape (1 = the per-event serial loop). Outcomes are byte-identical
+    /// under any value; a single replica has nothing to shard.
+    pub shards: usize,
+    /// Whether the replicas of a multi-replica shape share one
+    /// fleet-wide reuse cache (only identically configured replicas
+    /// exchange entries). Timing is unchanged; a single replica has no
+    /// peer to share with.
+    pub shared_cache: bool,
     /// The `[fleet]` table: control plane and per-replica config list;
     /// `Some` selects the fleet shape.
     pub fleet: Option<FleetSpec>,
@@ -183,6 +198,8 @@ impl Default for Scenario {
             disagg: None,
             kv_link_gbps: 128.0,
             pairing: PairingPolicyKind::LeastKvLoad,
+            shards: 1,
+            shared_cache: false,
             fleet: None,
             fabric: None,
             telemetry: None,
@@ -195,8 +212,8 @@ impl Default for Scenario {
 impl Scenario {
     /// Every top-level scenario key, in canonical file order. `set`,
     /// the file codecs, and sweep axes all speak exactly this schema
-    /// (plus `workload.*` sub-keys).
-    pub const KEYS: [&'static str; 28] = [
+    /// (plus the tables' sub-keys, such as `workload.*`).
+    pub const KEYS: [&'static str; 30] = [
         "model",
         "npus",
         "max_batch",
@@ -220,6 +237,8 @@ impl Scenario {
         "kv_link_gbps",
         "pairing",
         "kv_bucket",
+        "shards",
+        "shared_cache",
         "fleet",
         "fabric",
         "telemetry",
@@ -484,6 +503,23 @@ impl Scenario {
         if let Some(telemetry) = &self.telemetry {
             telemetry.validate()?;
         }
+        if self.shards == 0 {
+            return invalid(
+                "shards",
+                "the shard count must be at least 1 (1 = the serial loop)".into(),
+            );
+        }
+        if (self.shards > 1 || self.shared_cache)
+            && self.telemetry.as_ref().is_some_and(TelemetrySpec::enabled)
+        {
+            return Err(ScenarioError::Conflict {
+                message: "shards > 1 or shared_cache and [telemetry] are mutually exclusive: \
+                          both step the fleet in windows, which do not preserve the global \
+                          event interleaving the trace records (trace with shards = 1 and \
+                          no shared_cache)"
+                    .into(),
+            });
+        }
         if let Some(chaos) = &self.chaos {
             chaos.validate()?;
             if chaos.enabled() && self.fleet.is_none() {
@@ -543,32 +579,10 @@ impl Scenario {
         if size == 0 {
             return invalid("fleet", "the fleet needs at least one replica".into());
         }
-        if !fleet.tick_ms.is_finite() || fleet.tick_ms <= 0.0 {
+        if !fleet.tick_ms.is_finite() || ms_to_ps(fleet.tick_ms) == 0 {
             return invalid(
                 "fleet.tick_ms",
-                format!("the control tick must be positive, got {}", fleet.tick_ms),
-            );
-        }
-        if fleet.shards == 0 {
-            return invalid(
-                "fleet.shards",
-                "the shard count must be at least 1 (1 = the serial loop)".into(),
-            );
-        }
-        if fleet.shards > 1 && self.telemetry.as_ref().is_some_and(TelemetrySpec::enabled) {
-            return conflict(
-                "fleet.shards > 1 and [telemetry] are mutually exclusive: the event \
-                 trace records the global interleaving, which windowed stepping does \
-                 not preserve (run with shards = 1 to trace)"
-                    .into(),
-            );
-        }
-        if fleet.shared_cache && self.telemetry.as_ref().is_some_and(TelemetrySpec::enabled) {
-            return conflict(
-                "fleet.shared_cache and [telemetry] are mutually exclusive: shared-\
-                 cache runs step through the windowed path, which does not preserve \
-                 the global event interleaving the trace records"
-                    .into(),
+                format!("the control tick must be at least 1 ps, got {} ms", fleet.tick_ms),
             );
         }
         let prefill = fleet.replicas.iter().filter(|r| r.role == ReplicaRole::Prefill).count();
@@ -810,8 +824,8 @@ impl Scenario {
     /// a `[fleet]` table spells out its own roles, overrides, and control
     /// plane. Every replica gets the validated `base` config in its role
     /// (re-validated only for slots that override it), the KV link or
-    /// `[fabric]` carries handoffs when prefill roles exist, and chaos
-    /// and shards arm last.
+    /// `[fabric]` carries handoffs when prefill roles exist, and chaos,
+    /// shards and the shared cache arm last.
     fn build_fleet(
         &self,
         shape: ServingShape,
@@ -835,7 +849,6 @@ impl Scenario {
             }
         };
         let replicas = fleet.size(self.replicas);
-        let ms_to_ps = |ms: f64| (ms * 1e9).round() as TimePs;
         let mut configs = Vec::with_capacity(replicas);
         for i in 0..replicas {
             let cfg = match fleet.replicas.get(i) {
@@ -903,8 +916,8 @@ impl Scenario {
             };
             engine.set_chaos(chaos.build(ceiling, link_count)?);
         }
-        engine.set_shards(fleet.shards);
-        if fleet.shared_cache {
+        engine.set_shards(self.shards);
+        if self.shared_cache {
             engine.enable_shared_cache();
         }
         Ok(engine)
@@ -952,6 +965,9 @@ impl Scenario {
             }
         }
         if let Some(subkey) = key.strip_prefix("fleet.") {
+            if FLEET_SCALING_ALIASES.contains(&subkey) {
+                return self.set(subkey, value);
+            }
             return self.fleet.get_or_insert_with(FleetSpec::default).set(subkey, value);
         }
         if let Some(subkey) = key.strip_prefix("fabric.") {
@@ -1082,6 +1098,8 @@ impl Scenario {
                         expected: e,
                     })?
             }
+            "shards" => self.shards = parse(key, value)?,
+            "shared_cache" => self.shared_cache = parse_bool(key, value)?,
             "fleet" => {
                 // `none` clears the table; a control kind is shorthand
                 // for a default-knobbed fleet of that control plane.
@@ -1216,6 +1234,16 @@ impl Scenario {
                 "fleet" => {
                     scenario.fleet = match value {
                         Value::Null => None,
+                        Value::Object(fields) => {
+                            let (aliases, table): (Vec<_>, Vec<_>) =
+                                fields.iter().cloned().partition(|(k, _)| {
+                                    FLEET_SCALING_ALIASES.contains(&k.as_str())
+                                });
+                            for (k, v) in &aliases {
+                                scenario.set(k, &scalar_to_string(k, v)?)?;
+                            }
+                            Some(FleetSpec::from_value(&Value::Object(table))?)
+                        }
                         other => Some(FleetSpec::from_value(other)?),
                     }
                 }
@@ -1302,7 +1330,7 @@ impl Scenario {
             Some(s) => Value::Str(s.clone()),
             None => Value::Null,
         };
-        Value::Object(vec![
+        let mut fields = vec![
             ("model".into(), Value::Str(self.model.clone())),
             ("npus".into(), Value::Int(self.npus as i128)),
             ("max_batch".into(), Value::Int(self.max_batch as i128)),
@@ -1382,6 +1410,16 @@ impl Scenario {
             ("kv_link_gbps".into(), Value::Float(self.kv_link_gbps)),
             ("pairing".into(), Value::Str(self.pairing.as_str().into())),
             ("kv_bucket".into(), kv_bucket_to_value(self.kv_bucket)),
+        ];
+        // The fleet-scaling keys serialize only off their defaults, so
+        // scenarios that never set them keep their bytes.
+        if self.shards != 1 {
+            fields.push(("shards".into(), Value::Int(self.shards as i128)));
+        }
+        if self.shared_cache {
+            fields.push(("shared_cache".into(), Value::Bool(true)));
+        }
+        fields.extend([
             (
                 "fleet".into(),
                 match &self.fleet {
@@ -1411,7 +1449,8 @@ impl Scenario {
                 },
             ),
             ("workload".into(), self.workload.to_value()),
-        ])
+        ]);
+        Value::Object(fields)
     }
 }
 
@@ -1631,6 +1670,27 @@ mod tests {
 
         assert!(matches!(s.set("not_a_key", "1"), Err(ScenarioError::UnknownKey { .. })));
         assert!(matches!(s.set("routing", "nope"), Err(ScenarioError::UnknownValue { .. })));
+    }
+
+    #[test]
+    fn keys_list_the_serialized_schema_in_order() {
+        let mut s = small()
+            .npu_mem_gib(48.0)
+            .pim_pool(2)
+            .network("hw.json")
+            .disagg(1, 1)
+            .fleet(FleetSpec::default())
+            .fabric(FabricSpec::named("star2"))
+            .telemetry(TelemetrySpec::auto())
+            .chaos(ChaosSpec::default());
+        s.shards = 2;
+        s.shared_cache = true;
+        let Value::Object(fields) = s.to_value() else { panic!("a scenario is a table") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, Scenario::KEYS);
+        for (key, value) in &fields {
+            assert!(!matches!(value, Value::Null), "{key} is unset");
+        }
     }
 
     #[test]

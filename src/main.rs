@@ -100,17 +100,19 @@ FLEET MODE (control planes over heterogeneous fleets; [fleet] table):
                         (none clears the table)
   --set fleet.KEY=V     policy knobs: tick_ms, min_replicas,
                         max_replicas, queue_high, queue_low, warmup_ms,
-                        flex_idle_ticks, min_prefill, shards,
-                        shared_cache
+                        flex_idle_ticks, min_prefill
   Per-replica config lists ([[fleet.replica]]: role, npus, max_batch,
   batch_delay_ms, npu_mem_gib) live in the scenario file; see
   examples/scenarios/autoscale.toml.
 
-FLEET SCALING (any multi-replica shape; outputs byte-identical):
-  --shards N            worker threads for windowed fleet stepping
-                        (1 = the per-event serial loop)           [1]
-  --shared-cache        homogeneous replicas share one fleet-wide
-                        reuse cache (N replicas, one cold miss)
+FLEET SCALING (any multi-replica shape; outputs byte-identical;
+               shards > 1 and shared_cache exclude telemetry):
+  --shards N            scenario key `shards`: worker threads for
+                        windowed fleet stepping (1 = the per-event
+                        serial loop)                              [1]
+  --shared-cache        scenario key `shared_cache`: homogeneous
+                        replicas share one fleet-wide reuse cache
+                        (N replicas, one cold miss)
 
 TELEMETRY ([telemetry] table; off by default, zero-cost when off):
   --set telemetry=auto         both exports at their derived paths
@@ -139,13 +141,39 @@ struct CliExtras {
     synthetic: Option<String>,
     n_requests: Option<String>,
     rate: Option<String>,
-    /// `--shards N`: worker-thread budget for windowed fleet stepping,
-    /// applied to whatever multi-replica shape the scenario builds.
-    shards: Option<usize>,
-    /// `--shared-cache`: one fleet-wide reuse cache across homogeneous
-    /// replicas.
-    shared_cache: bool,
 }
+
+/// Flags that set one scenario key to their operand.
+const KEY_FLAGS: [(&str, &str); 19] = [
+    ("--model", "model"),
+    ("--npu-num", "npus"),
+    ("--max-batch", "max_batch"),
+    ("--batch-delay", "batch_delay_ms"),
+    ("--scheduling", "scheduling"),
+    ("--parallel", "parallel"),
+    ("--npu-group", "npu_group"),
+    ("--npu-mem", "npu_mem_gib"),
+    ("--kv-manage", "kv_manage"),
+    ("--pim-type", "pim"),
+    ("--seed", "seed"),
+    ("--network", "network"),
+    ("--kv-bucket", "kv_bucket"),
+    ("--replicas", "replicas"),
+    ("--routing", "routing"),
+    ("--disagg", "disagg"),
+    ("--kv-link-gbps", "kv_link_gbps"),
+    ("--pairing", "pairing"),
+    ("--shards", "shards"),
+];
+
+/// Operand-free flags that set one scenario key to a fixed value.
+const SWITCH_FLAGS: [(&str, &str, &str); 5] = [
+    ("--sub-batch", "sub_batch", "true"),
+    ("--gen", "gen_only", "true"),
+    ("--no-reuse", "reuse", "false"),
+    ("--no-iter-memo", "iteration_memo", "false"),
+    ("--shared-cache", "shared_cache", "true"),
+];
 
 /// Applies one CLI surface — legacy flags, `run` overrides, `gen`
 /// overrides — onto a scenario. Every flag funnels into
@@ -163,126 +191,46 @@ fn apply_flags(scenario: &mut Scenario, args: &[String]) -> Result<CliExtras, St
             i += 1;
             args.get(i).cloned().ok_or_else(|| format!("{what} requires a value"))
         };
-        match arg {
-            "--set" => {
-                let pair = value("--set")?;
-                let (key, v) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("--set expects KEY=VALUE, got '{pair}'"))?;
-                set(scenario, key.trim(), v.trim())?;
-            }
-            "--model" => {
-                let v = value(arg)?;
-                set(scenario, "model", &v)?;
-            }
-            "--npu-num" => {
-                let v = value(arg)?;
-                set(scenario, "npus", &v)?;
-            }
-            "--max-batch" => {
-                let v = value(arg)?;
-                set(scenario, "max_batch", &v)?;
-            }
-            "--batch-delay" => {
-                let v = value(arg)?;
-                set(scenario, "batch_delay_ms", &v)?;
-            }
-            "--scheduling" => {
-                let v = value(arg)?;
-                set(scenario, "scheduling", &v)?;
-            }
-            "--parallel" => {
-                let v = value(arg)?;
-                set(scenario, "parallel", &v)?;
-            }
-            "--npu-group" => {
-                let v = value(arg)?;
-                set(scenario, "npu_group", &v)?;
-            }
-            "--npu-mem" => {
-                let v = value(arg)?;
-                set(scenario, "npu_mem_gib", &v)?;
-            }
-            "--kv-manage" => {
-                let v = value(arg)?;
-                set(scenario, "kv_manage", &v)?;
-            }
-            "--pim-type" => {
-                let v = value(arg)?;
-                set(scenario, "pim", &v)?;
-            }
-            "--sub-batch" => set(scenario, "sub_batch", "true")?,
-            "--dataset" => extras.dataset_path = Some(value(arg)?),
-            "--synthetic" => extras.synthetic = Some(value(arg)?),
-            "--n-requests" => extras.n_requests = Some(value(arg)?),
-            "--rate" => extras.rate = Some(value(arg)?),
-            "--seed" => {
-                let v = value(arg)?;
-                set(scenario, "seed", &v)?;
-            }
-            "--network" => {
-                let v = value(arg)?;
-                set(scenario, "network", &v)?;
-            }
-            "--output" => extras.output = Some(value(arg)?),
-            "--out" => extras.out = Some(value(arg)?),
-            "--gen" => set(scenario, "gen_only", "true")?,
-            "--fast-run" => {} // reuse is on by default; kept for artifact compat
-            "--no-reuse" => set(scenario, "reuse", "false")?,
-            "--kv-bucket" => {
-                let v = value(arg)?;
-                set(scenario, "kv_bucket", &v)?;
-            }
-            "--no-iter-memo" => set(scenario, "iteration_memo", "false")?,
-            "--trace" | "--timeline" => {
-                // The path operand is optional: a following flag (or
-                // end of args) means the derived default path.
-                let key = &arg[2..];
-                let path = match args.get(i + 1) {
-                    Some(next) if !next.starts_with('-') => {
-                        i += 1;
-                        next.clone()
-                    }
-                    _ => "auto".to_owned(),
-                };
-                set(scenario, &format!("telemetry.{key}"), &path)?;
-            }
-            "--replicas" => {
-                let v = value(arg)?;
-                set(scenario, "replicas", &v)?;
-            }
-            "--routing" => {
-                let v = value(arg)?;
-                set(scenario, "routing", &v)?;
-            }
-            "--disagg" => {
-                let v = value(arg)?;
-                set(scenario, "disagg", &v)?;
-            }
-            "--kv-link-gbps" => {
-                let v = value(arg)?;
-                set(scenario, "kv_link_gbps", &v)?;
-            }
-            "--pairing" => {
-                let v = value(arg)?;
-                set(scenario, "pairing", &v)?;
-            }
-            "--shards" => {
-                let v = value(arg)?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|e| format!("--shards expects a thread count, got '{v}': {e}"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1 (1 = the serial loop)".into());
+        if let Some((_, key)) = KEY_FLAGS.iter().find(|(flag, _)| *flag == arg) {
+            let v = value(arg)?;
+            set(scenario, key, &v)?;
+        } else if let Some((_, key, v)) = SWITCH_FLAGS.iter().find(|(flag, ..)| *flag == arg) {
+            set(scenario, key, v)?;
+        } else {
+            match arg {
+                "--set" => {
+                    let pair = value("--set")?;
+                    let (key, v) = pair
+                        .split_once('=')
+                        .ok_or_else(|| format!("--set expects KEY=VALUE, got '{pair}'"))?;
+                    set(scenario, key.trim(), v.trim())?;
                 }
-                extras.shards = Some(n);
+                "--dataset" => extras.dataset_path = Some(value(arg)?),
+                "--synthetic" => extras.synthetic = Some(value(arg)?),
+                "--n-requests" => extras.n_requests = Some(value(arg)?),
+                "--rate" => extras.rate = Some(value(arg)?),
+                "--output" => extras.output = Some(value(arg)?),
+                "--out" => extras.out = Some(value(arg)?),
+                "--fast-run" => {} // reuse is on by default; kept for artifact compat
+                "--trace" | "--timeline" => {
+                    // The path operand is optional: a following flag (or
+                    // end of args) means the derived default path.
+                    let key = &arg[2..];
+                    let path = match args.get(i + 1) {
+                        Some(next) if !next.starts_with('-') => {
+                            i += 1;
+                            next.clone()
+                        }
+                        _ => "auto".to_owned(),
+                    };
+                    set(scenario, &format!("telemetry.{key}"), &path)?;
+                }
+                "-h" | "--help" => {
+                    print!("{USAGE}");
+                    std::process::exit(0);
+                }
+                other => return Err(format!("unknown option: {other}")),
             }
-            "--shared-cache" => extras.shared_cache = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown option: {other}")),
         }
         i += 1;
     }
@@ -316,28 +264,13 @@ fn apply_flags(scenario: &mut Scenario, args: &[String]) -> Result<CliExtras, St
 /// Builds, runs, and writes one scenario (the `run` and legacy paths).
 /// With a `[telemetry]` table the run records lifecycle events into a
 /// memory sink and exports them after the report artifacts.
-fn run_scenario(scenario: &Scenario, output: &str, extras: &CliExtras) -> Result<(), String> {
+fn run_scenario(scenario: &Scenario, output: &str) -> Result<(), String> {
     println!("llmservingsim: {}", scenario.describe());
     let spec = scenario.telemetry.clone().filter(|t| t.enabled());
-    if spec.is_some() && (extras.shards.is_some_and(|n| n > 1) || extras.shared_cache) {
-        return Err("--shards/--shared-cache and telemetry are mutually exclusive: the \
-                    event trace records the global interleaving, which windowed \
-                    stepping does not preserve"
-            .into());
-    }
+    let mut sim = scenario.build().map_err(|e| e.to_string())?;
     let (report, events): (_, Vec<SimEvent>) = match &spec {
-        None => {
-            let mut sim = scenario.build().map_err(|e| e.to_string())?;
-            if let Some(shards) = extras.shards {
-                sim.set_shards(shards);
-            }
-            if extras.shared_cache {
-                sim.enable_shared_cache();
-            }
-            (sim.run(), Vec::new())
-        }
+        None => (sim.run(), Vec::new()),
         Some(_) => {
-            let mut sim = scenario.build().map_err(|e| e.to_string())?;
             let sink = Arc::new(Mutex::new(MemorySink::new()));
             sim.set_telemetry(Telemetry::new(sink.clone()));
             let report = sim.run();
@@ -382,7 +315,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .ok_or("run needs a scenario file: llmservingsim run <scenario.toml>")?;
     let mut scenario = Scenario::from_path(path).map_err(|e| e.to_string())?;
     let extras = apply_flags(&mut scenario, &args[1..])?;
-    run_scenario(&scenario, extras.output.as_deref().unwrap_or("output/llmservingsim"), &extras)
+    run_scenario(&scenario, extras.output.as_deref().unwrap_or("output/llmservingsim"))
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
@@ -464,7 +397,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 fn cmd_legacy(args: &[String]) -> Result<(), String> {
     let mut scenario = Scenario::default();
     let extras = apply_flags(&mut scenario, args)?;
-    run_scenario(&scenario, extras.output.as_deref().unwrap_or("output/llmservingsim"), &extras)
+    run_scenario(&scenario, extras.output.as_deref().unwrap_or("output/llmservingsim"))
 }
 
 fn run() -> Result<(), String> {

@@ -156,6 +156,26 @@ fn fleet_conflicts_are_typed_errors() {
     // Unknown fleet sub-keys are schema drift.
     let mut s = Scenario::default();
     assert!(matches!(s.set("fleet.max_replicsa", "4"), Err(ScenarioError::UnknownKey { .. })));
+    // Positive durations that round to 0 ps are invalid values, not
+    // panics inside a control plane or the chaos schedule.
+    let flex = Scenario::model("gpt2").npus(1).tensor_parallel().fleet(FleetSpec::flex(1, 1));
+    for valid in [scenario("autoscale"), flex] {
+        let mut s = valid.clone();
+        s.set("fleet.tick_ms", "1e-10").unwrap();
+        let err = s.build().unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::InvalidValue { field, .. } if field == "fleet.tick_ms"),
+            "{err}"
+        );
+        let mut s = valid;
+        s.set("chaos.crash_rate_per_s", "5.0").unwrap();
+        s.set("chaos.mttr_ms", "1e-10").unwrap();
+        let err = s.build().unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::InvalidValue { field, .. } if field == "chaos.mttr_ms"),
+            "{err}"
+        );
+    }
 }
 
 fn gpt2_replica() -> SimConfig {

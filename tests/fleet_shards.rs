@@ -22,7 +22,9 @@ use llmservingsim::core::{
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
-use llmservingsim::scenario::{AnyReport, Scenario, ScenarioError, TelemetrySpec};
+use llmservingsim::scenario::{
+    AnyReport, Scenario, ScenarioError, ServingShape, TelemetrySpec,
+};
 use llmservingsim::sched::{bursty_trace, BurstyTraceSpec, Request};
 
 fn golden(name: &str) -> String {
@@ -30,21 +32,28 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
+fn scenario_path(name: &str) -> String {
+    format!("{}/examples/scenarios/{name}.toml", env!("CARGO_MANIFEST_DIR"))
+}
+
 fn scenario(name: &str) -> Scenario {
-    let path = format!("{}/examples/scenarios/{name}.toml", env!("CARGO_MANIFEST_DIR"));
+    let path = scenario_path(name);
     Scenario::from_path(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// Builds and runs a checked-in scenario with the given fleet-scaling
-/// knobs applied post-build (the `--shards` / `--shared-cache` path).
+/// Runs a checked-in scenario with the fleet-scaling keys set (what
+/// `--shards` / `--shared-cache` do).
 fn report_for(name: &str, shards: usize, shared: bool) -> AnyReport {
-    let mut sim = scenario(name).build().unwrap_or_else(|e| panic!("{name}: {e}"));
-    sim.set_shards(shards);
-    if shared {
-        sim.enable_shared_cache();
-    }
-    sim.run()
+    let mut s = scenario(name);
+    s.set("shards", &shards.to_string()).unwrap();
+    s.set("shared_cache", &shared.to_string()).unwrap();
+    s.run().unwrap_or_else(|e| panic!("{name}: {e}"))
 }
+
+/// The two spellings of the fleet-scaling keys: the top-level keys and
+/// the `fleet.*` input alias.
+const SPELLINGS: [(&str, &str); 2] =
+    [("shards", "shared_cache"), ("fleet.shards", "fleet.shared_cache")];
 
 fn artifact<'a>(artifacts: &'a [(&'static str, String)], suffix: &str) -> &'a str {
     artifacts
@@ -102,7 +111,7 @@ fn shared_cache_preserves_timing_and_splits_hit_accounting() {
 
     let base = serial.reuse();
     let tiered = shared.reuse();
-    assert!(tiered.shared_armed, "enable_shared_cache must arm the stats");
+    assert!(tiered.shared_armed, "shared_cache must arm the stats");
     assert!(!base.shared_armed, "un-shared runs must not report the shared tier");
     assert!(tiered.shared_hits > 0, "homogeneous replicas must share outcomes");
     // Every shared hit is a converted local miss; nothing else moves.
@@ -293,43 +302,79 @@ proptest! {
     }
 }
 
-/// `fleet.shards` / `fleet.shared_cache` round-trip through the
-/// canonical TOML form, and scenarios that never set them serialize
-/// byte-identically to the pre-sharding schema.
+/// `shards` / `shared_cache` (or their `fleet.*` spelling) round-trip
+/// through the canonical TOML form on a `[fleet]` scenario and on a
+/// cluster, which stays a cluster; scenarios that never set them
+/// serialize byte-identically to the pre-sharding schema.
 #[test]
 fn fleet_scaling_keys_round_trip_and_stay_absent_by_default() {
-    let mut s = scenario("autoscale");
-    s.set("fleet.shards", "4").unwrap();
-    s.set("fleet.shared_cache", "true").unwrap();
-    let back = Scenario::from_toml(&s.to_toml()).unwrap();
-    assert_eq!(back, s, "lossless round trip");
-    let fleet = back.fleet.as_ref().unwrap();
-    assert_eq!(fleet.shards, 4);
-    assert!(fleet.shared_cache);
-
-    let plain = scenario("autoscale").to_toml();
-    assert!(!plain.contains("shards"), "default shards must not serialize");
-    assert!(!plain.contains("shared_cache"), "default shared_cache must not serialize");
+    for name in ["autoscale", "cluster_small"] {
+        for (shards, shared_cache) in SPELLINGS {
+            let mut s = scenario(name);
+            s.set(shards, "4").unwrap();
+            s.set(shared_cache, "true").unwrap();
+            let back = Scenario::from_toml(&s.to_toml()).unwrap();
+            assert_eq!(back, s, "{name}/{shards}: lossless round trip");
+            assert_eq!(back.shards, 4);
+            assert!(back.shared_cache);
+            assert_eq!(back.shape(), scenario(name).shape(), "{name}/{shards} changed shape");
+        }
+        let plain = scenario(name).to_toml();
+        assert!(!plain.contains("shards"), "{name}: default shards must not serialize");
+        assert!(
+            !plain.contains("shared_cache"),
+            "{name}: default shared_cache must not serialize"
+        );
+    }
+    assert_eq!(scenario("cluster_small").shape(), ServingShape::Cluster { replicas: 3 });
 }
 
-/// Validation: zero shards is invalid, and the fleet-scaling knobs
-/// conflict with telemetry (windowed stepping preserves no global
-/// event interleaving for a tracer to observe).
+/// Validation, under either spelling and on any shape: zero shards is
+/// invalid, and the fleet-scaling keys conflict with telemetry
+/// (windowed stepping preserves no global event interleaving for a
+/// tracer to observe).
 #[test]
 fn fleet_scaling_validation() {
-    let mut s = scenario("autoscale");
-    s.set("fleet.shards", "0").unwrap();
-    assert!(matches!(s.validate(), Err(ScenarioError::InvalidValue { .. })));
-
     let telemetry = TelemetrySpec { trace: Some("auto".into()), ..TelemetrySpec::default() };
+    for name in ["autoscale", "cluster_small"] {
+        for (shards, shared_cache) in SPELLINGS {
+            let mut s = scenario(name);
+            s.set(shards, "0").unwrap();
+            assert!(matches!(s.validate(), Err(ScenarioError::InvalidValue { .. })));
 
-    let mut s = scenario("autoscale");
-    s.set("fleet.shards", "4").unwrap();
-    s.telemetry = Some(telemetry.clone());
-    assert!(matches!(s.validate(), Err(ScenarioError::Conflict { .. })));
+            let mut s = scenario(name);
+            s.set(shards, "4").unwrap();
+            s.telemetry = Some(telemetry.clone());
+            assert!(matches!(s.validate(), Err(ScenarioError::Conflict { .. })));
 
-    let mut s = scenario("autoscale");
-    s.set("fleet.shared_cache", "true").unwrap();
-    s.telemetry = Some(telemetry);
-    assert!(matches!(s.validate(), Err(ScenarioError::Conflict { .. })));
+            let mut s = scenario(name);
+            s.set(shared_cache, "true").unwrap();
+            s.telemetry = Some(telemetry.clone());
+            assert!(matches!(s.validate(), Err(ScenarioError::Conflict { .. })));
+        }
+    }
+}
+
+/// A `[fleet]` table that spells `shards` and `shared_cache` inside it
+/// (as older scenario files do) describes the same run as the top-level
+/// keys, and writes the same artifacts.
+#[test]
+fn fleet_table_spelling_of_the_scaling_keys_matches_the_top_level_keys() {
+    let text = std::fs::read_to_string(scenario_path("cluster_small")).unwrap();
+    let (head, workload) = text.split_once("[workload]").unwrap();
+    let in_table = format!(
+        "{head}[fleet]\ncontrol = \"static\"\nshards = 2\nshared_cache = true\n\n\
+         [workload]{workload}"
+    );
+    let top_level = format!(
+        "shards = 2\nshared_cache = true\n{head}[fleet]\ncontrol = \"static\"\n\n\
+         [workload]{workload}"
+    );
+    let in_table = Scenario::from_toml(&in_table).unwrap();
+    let top_level = Scenario::from_toml(&top_level).unwrap();
+    assert_eq!(in_table, top_level);
+    assert_eq!((in_table.shards, in_table.shared_cache), (2, true));
+    let report = in_table.run().unwrap();
+    assert!(report.reuse().shared_armed, "the table spelling must arm the shared cache");
+    assert_eq!(report.artifacts(), top_level.run().unwrap().artifacts());
 }

@@ -186,11 +186,47 @@ fn run_overrides_win_over_file_fields() {
 
 #[test]
 fn conflicting_flags_exit_with_a_typed_message_not_a_panic() {
-    let out = bin().args(["--disagg", "2x2", "--replicas", "4"]).output().unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("mutually exclusive"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    let (cluster, single) =
+        (scenario_path("cluster_small.toml"), scenario_path("quickstart.toml"));
+    for args in [
+        &["--disagg", "2x2", "--replicas", "4"][..],
+        &["run", &cluster, "--shards", "4", "--trace"],
+        &["run", &single, "--shared-cache", "--trace"],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("mutually exclusive"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// `shards` is a scenario key like any other: it leaves a cluster a
+/// cluster, and the sharded run reproduces the cluster goldens.
+#[test]
+fn shards_key_keeps_the_cluster_shape_and_its_goldens() {
+    let dir = tempdir("shards-key");
+    let prefix = dir.join("s").to_string_lossy().into_owned();
+    let out = run_ok(&[
+        "run",
+        &scenario_path("cluster_small.toml"),
+        "--set",
+        "shards=4",
+        "--output",
+        &prefix,
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("shape=cluster x3"), "{stdout}");
+    for suffix in ["-cluster.tsv", "-summary.json"] {
+        let written = std::fs::read(format!("{prefix}{suffix}")).unwrap();
+        let golden = std::fs::read(format!(
+            "{}/tests/golden/cluster_small{suffix}",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .unwrap();
+        assert!(written == golden, "cluster_small{suffix} drifted under shards=4");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
