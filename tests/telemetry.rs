@@ -92,6 +92,35 @@ fn attaching_telemetry_leaves_report_artifacts_byte_identical() {
     }
 }
 
+fn golden(name: &str) -> String {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The exports of two checked-in scenarios are pinned byte for byte:
+/// `disagg_fabric` draws request slices, iteration slices, flow arrows,
+/// link counters and track metadata; `chaos` adds the instant events
+/// (control commands, a replica fault, its recovery and retries).
+#[test]
+fn trace_exports_match_the_goldens() {
+    for (name, timeline) in [("disagg_fabric", true), ("chaos", false)] {
+        let path = format!("{}/examples/scenarios/{name}.toml", env!("CARGO_MANIFEST_DIR"));
+        let scenario = Scenario::from_path(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let (events, _) = traced_run(&scenario);
+        assert!(
+            chrome_trace(&events) == golden(&format!("{name}-trace.json")),
+            "{name}-trace.json drifted from the golden"
+        );
+        if timeline {
+            assert_eq!(
+                timeline_tsv(&events, &TimelineConfig::default()),
+                golden(&format!("{name}-timeline.tsv")),
+                "{name}-timeline.tsv drifted from the golden"
+            );
+        }
+    }
+}
+
 /// Checks that every completed request in `events` has a complete
 /// lifecycle — balanced prefill-start/end pairs and exactly one
 /// completion — and, where the shape routes through a front-end (the
