@@ -199,7 +199,7 @@ impl ClusterReport {
             ("reuse", self.aggregate_reuse().json_value()),
             ("replicas", Value::Array(replicas)),
         ]);
-        crate::json::pretty(&v) + "\n"
+        serde_json::value_to_string_pretty(&v) + "\n"
     }
 
     /// Per-replica TSV (the CLI's `{output}-cluster.tsv`): one row per

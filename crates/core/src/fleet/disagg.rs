@@ -432,7 +432,7 @@ impl DisaggReport {
             ("decode_pool", pool(self.decode_stats())),
             ("fabric", fabric),
         ]);
-        crate::json::pretty(&v) + "\n"
+        serde_json::value_to_string_pretty(&v) + "\n"
     }
 
     /// Per-replica TSV (the CLI's `{output}-disagg.tsv`): one row per

@@ -542,7 +542,7 @@ impl FleetReport {
                 ]),
             ));
         }
-        crate::json::pretty(&obj(fields)) + "\n"
+        serde_json::value_to_string_pretty(&obj(fields)) + "\n"
     }
 
     /// Per-replica TSV (the CLI's `{output}-fleet.tsv`): one row per

@@ -1,11 +1,11 @@
 //! Helpers for hand-assembled JSON [`Value`] trees.
 //!
 //! The vendored `serde_json` renders and parses through typed
-//! `Serialize`/`Deserialize` impls; reports and trace exporters instead
-//! build [`Value`] trees directly (their shapes are data-driven — maps
-//! of replica sections, event arrays). These helpers bridge the gap:
-//! [`pretty`] renders a tree, [`parse`] reads one back, and [`obj`]
-//! keeps construction sites readable.
+//! `Serialize`/`Deserialize` impls; reports instead build [`Value`]
+//! trees directly (their shapes are data-driven — maps of replica
+//! sections, optional blocks) and render them with
+//! `serde_json::value_to_string_pretty`. [`obj`] keeps construction
+//! sites readable and [`parse`] reads a tree back.
 
 use serde::Value;
 
@@ -14,36 +14,13 @@ pub fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-/// A [`Value`] carried through the typed `serde_json` entry points
-/// unchanged (the vendored `Value` itself implements neither trait).
-struct Raw(Value);
-
-impl serde::Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
-impl serde::Deserialize for Raw {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Raw(v.clone()))
-    }
-}
-
-/// Pretty-prints a value tree as JSON (2-space indent, deterministic:
-/// objects keep insertion order and floats render shortest-round-trip).
-pub fn pretty(value: &Value) -> String {
-    // llmss-lint: allow(p001, reason = "rendering a value tree to a String cannot fail")
-    serde_json::to_string_pretty(&Raw(value.clone())).expect("value trees always render")
-}
-
 /// Parses JSON text into a value tree.
 ///
 /// # Errors
 ///
 /// Returns the parser's message on malformed input.
 pub fn parse(text: &str) -> Result<Value, String> {
-    serde_json::from_str::<Raw>(text).map(|r| r.0).map_err(|e| e.to_string())
+    serde_json::parse_value(text).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -57,7 +34,7 @@ mod tests {
             ("b", Value::Array(vec![Value::Float(0.5), Value::Str("x".into())])),
             ("c", Value::Null),
         ]);
-        let text = pretty(&v);
+        let text = serde_json::value_to_string_pretty(&v);
         assert_eq!(parse(&text).unwrap(), v);
     }
 

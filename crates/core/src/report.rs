@@ -493,7 +493,7 @@ impl SimReport {
             ("slo", self.slo().json_value()),
             ("reuse", self.reuse.json_value()),
         ]);
-        crate::json::pretty(&v) + "\n"
+        serde_json::value_to_string_pretty(&v) + "\n"
     }
 
     /// One-paragraph human summary (the artifact's standard output).

@@ -243,7 +243,7 @@ impl ServingSimulator {
 
     /// Emits the iteration's telemetry: phase opens for slots seen for
     /// the first time, the iteration record itself (with its batch
-    /// signature and memo outcome), and prefill closes. A no-op branch
+    /// composition and memo outcome), and prefill closes. A no-op branch
     /// when no sink is attached.
     fn emit_iteration(
         &mut self,
@@ -290,12 +290,6 @@ impl ServingSimulator {
             kv_used_pages: kv.used_pages(),
             kv_total_pages: kv.config().total_pages(),
             memo_hit,
-            signature: format!(
-                "{}p+{}d/{}t",
-                prefill_slots,
-                batch.batch_size() - prefill_slots,
-                batch.prompt_tokens() + batch.generated_tokens(),
-            ),
         });
         for slot in &batch.slots {
             if slot.kv_past == 0 {

@@ -9,7 +9,8 @@
 //!   re-share point.
 //! * **pid `r + 1` — `replica r`**: thread 0 is the iteration row
 //!   (one complete-event per scheduler iteration, named by its batch
-//!   signature, memo hits/misses in the args); thread `id + 1` carries
+//!   signature `{prefill}p+{decode}d/{tokens}t`, with queue depth, KV
+//!   pages and the memo outcome in the args); thread `id + 1` carries
 //!   request `id`'s lifecycle as nested duration slices
 //!   (`queued`/`prefill`/`decode` inside the request span). A request
 //!   handed off between replicas gets a prefill-side span and a
@@ -17,27 +18,61 @@
 //!   transfer.
 //!
 //! The exporter is a pure function of the event list, so a fixed seed
-//! produces byte-identical JSON.
+//! produces byte-identical JSON. Entries stay typed until they are
+//! sorted, then stream through one pretty-JSON writer into the output.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 
 use llmss_sched::TimePs;
 use serde::Value;
+use serde_json::PrettyWriter;
 
 use crate::json;
 
 use super::SimEvent;
 
-/// One assembled trace event plus its deterministic sort key.
-struct Entry {
+/// One trace event, kept typed until it is written, plus its
+/// deterministic sort key `(ts, pid, tid, longest first, rank)`.
+struct Entry<'a> {
     ts_ps: TimePs,
     pid: i128,
     tid: i128,
-    /// Longer slices first at equal `ts` so parents open before their
-    /// children when viewers replay the array in order.
-    neg_dur_ps: i128,
+    /// A slice's duration (zero for every other kind). Longer slices
+    /// sort first at equal `ts` so parents open before their children
+    /// when viewers replay the array in order.
+    dur_ps: TimePs,
     rank: u8,
-    value: Value,
+    kind: Kind<'a>,
+}
+
+/// What an [`Entry`] draws.
+enum Kind<'a> {
+    /// A complete event (`ph: "X"`) spanning `ts .. ts + dur`.
+    Slice(Slice<'a>),
+    /// A link's utilization sample on the fabric's counter track.
+    Counter { link: &'a str, util: f64 },
+    /// A thread-scoped instant.
+    Instant(String),
+    /// The KV flow arrow leaving the prefill-side span.
+    FlowStart { id: u64, bytes: u64 },
+    /// The KV flow arrow entering the decode-side span.
+    FlowFinish { id: u64 },
+}
+
+/// A slice's name and args, written when its entry is.
+enum Slice<'a> {
+    /// A scheduler iteration, named by its batch signature
+    /// (`2p+14d/96t`) and annotated from its event.
+    Iteration(&'a SimEvent),
+    /// A request span, `req {id}` plus the serving leg (`""`,
+    /// `" (prefill)"`, `" (decode)"`), with the request's lengths when
+    /// its arrival was captured.
+    Request { id: u64, leg: &'static str, lens: Option<(usize, usize)> },
+    /// A lifecycle phase inside a request span.
+    Phase(&'static str),
+    /// A KV flow crossing the fabric.
+    Flow { id: u64, bytes: u64 },
 }
 
 /// Everything captured about one request's lifecycle.
@@ -57,56 +92,49 @@ struct Life {
     flow: (Option<(TimePs, u64)>, Option<TimePs>),
 }
 
-fn us(t: TimePs) -> Value {
-    Value::Float(t as f64 / 1e6)
-}
-
-fn dur(from: TimePs, to: TimePs) -> Value {
-    us(to.saturating_sub(from))
+/// Picoseconds as the trace's microsecond timestamps.
+fn us(t: TimePs) -> f64 {
+    t as f64 / 1e6
 }
 
 fn slice(
-    name: String,
+    slice: Slice<'_>,
     pid: usize,
     tid: i128,
     start: TimePs,
     end: TimePs,
-    args: Vec<(&str, Value)>,
     rank: u8,
-) -> Entry {
-    let mut fields = vec![
-        ("name", Value::Str(name)),
-        ("ph", Value::Str("X".into())),
-        ("pid", Value::Int(pid as i128)),
-        ("tid", Value::Int(tid)),
-        ("ts", us(start)),
-        ("dur", dur(start, end)),
-    ];
-    if !args.is_empty() {
-        fields.push(("args", json::obj(args)));
-    }
+) -> Entry<'_> {
     Entry {
         ts_ps: start,
         pid: pid as i128,
         tid,
-        neg_dur_ps: -(end.saturating_sub(start) as i128),
+        dur_ps: end.saturating_sub(start),
         rank,
-        value: json::obj(fields),
+        kind: Kind::Slice(slice),
     }
+}
+
+fn instant<'a>(t_ps: TimePs, pid: i128, name: String) -> Entry<'a> {
+    Entry { ts_ps: t_ps, pid, tid: 0, dur_ps: 0, rank: 4, kind: Kind::Instant(name) }
+}
+
+fn counter(t_ps: TimePs, link: &str, util: f64, rank: u8) -> Entry<'_> {
+    Entry { ts_ps: t_ps, pid: 0, tid: 0, dur_ps: 0, rank, kind: Kind::Counter { link, util } }
 }
 
 /// Renders the captured events as a Chrome Trace Event Format JSON
 /// document (the `traceEvents` object form).
 pub fn chrome_trace(events: &[SimEvent]) -> String {
     let mut lives: BTreeMap<u64, Life> = BTreeMap::new();
-    let mut entries: Vec<Entry> = Vec::new();
-    // Display names, collected as tracks appear: pid -> process name,
-    // (pid, tid) -> thread name.
-    let mut processes: BTreeMap<i128, String> = BTreeMap::new();
-    let mut threads: BTreeMap<(i128, i128), String> = BTreeMap::new();
-    // Per-link counter bookkeeping: name -> last interval end.
-    let mut link_open: BTreeMap<String, TimePs> = BTreeMap::new();
-    let mut link_order: Vec<String> = Vec::new();
+    let mut entries: Vec<Entry<'_>> = Vec::new();
+    // Tracks, collected as they appear; their display names follow
+    // from the ids (see `write_metadata`).
+    let mut processes: BTreeSet<i128> = BTreeSet::new();
+    let mut threads: BTreeSet<(i128, i128)> = BTreeSet::new();
+    // Per-link counter bookkeeping, in first-seen order: name and last
+    // interval end.
+    let mut links: Vec<(&str, TimePs)> = Vec::new();
 
     for e in events {
         match e {
@@ -153,133 +181,73 @@ pub fn chrome_trace(events: &[SimEvent]) -> String {
             SimEvent::FlowEnd { t_ps, id } => {
                 lives.entry(*id).or_default().flow.1 = Some(*t_ps);
             }
-            SimEvent::Iteration {
-                replica,
-                index,
-                start_ps,
-                end_ps,
-                batch_size,
-                prefill_slots,
-                prompt_tokens,
-                gen_tokens,
-                queue_depth,
-                kv_used_pages,
-                kv_total_pages,
-                memo_hit,
-                signature,
-            } => {
+            SimEvent::Iteration { replica, start_ps, end_ps, .. } => {
                 let pid = replica + 1;
-                processes.entry(pid as i128).or_insert_with(|| format!("replica {replica}"));
-                threads.entry((pid as i128, 0)).or_insert_with(|| "iterations".into());
-                entries.push(slice(
-                    signature.clone(),
-                    pid,
-                    0,
-                    *start_ps,
-                    *end_ps,
-                    vec![
-                        ("index", Value::Int(*index as i128)),
-                        ("batch_size", Value::Int(*batch_size as i128)),
-                        ("prefill_slots", Value::Int(*prefill_slots as i128)),
-                        ("prompt_tokens", Value::Int(*prompt_tokens as i128)),
-                        ("gen_tokens", Value::Int(*gen_tokens as i128)),
-                        ("queue_depth", Value::Int(*queue_depth as i128)),
-                        ("kv_used_pages", Value::Int(*kv_used_pages as i128)),
-                        ("kv_total_pages", Value::Int(*kv_total_pages as i128)),
-                        ("memo_hit", Value::Bool(*memo_hit)),
-                    ],
-                    0,
-                ));
+                processes.insert(pid as i128);
+                threads.insert((pid as i128, 0));
+                entries.push(slice(Slice::Iteration(e), pid, 0, *start_ps, *end_ps, 0));
             }
             SimEvent::LinkShare { from_ps, to_ps, link, bw_gbps, bytes } => {
-                processes.entry(0).or_insert_with(|| "fabric".into());
-                if !link_order.contains(link) {
-                    link_order.push(link.clone());
+                processes.insert(0);
+                match links.iter_mut().find(|(name, _)| name == link) {
+                    Some((_, end)) => *end = *to_ps,
+                    None => links.push((link, *to_ps)),
                 }
-                link_open.insert(link.clone(), *to_ps);
                 let window = to_ps.saturating_sub(*from_ps);
                 let cap_bytes = bw_gbps / 1000.0 * window as f64;
                 let util = if cap_bytes > 0.0 { bytes / cap_bytes } else { 0.0 };
-                entries.push(Entry {
-                    ts_ps: *from_ps,
-                    pid: 0,
-                    tid: 0,
-                    neg_dur_ps: 0,
-                    rank: 0,
-                    value: json::obj(vec![
-                        ("name", Value::Str(format!("util {link}"))),
-                        ("ph", Value::Str("C".into())),
-                        ("pid", Value::Int(0)),
-                        ("ts", us(*from_ps)),
-                        ("args", json::obj(vec![("util", Value::Float(util))])),
-                    ]),
-                });
+                entries.push(counter(*from_ps, link, util, 0));
             }
             SimEvent::Command { t_ps, command } => {
-                entries.push(instant(*t_ps, 0, 0, format!("cmd {command}")));
-                processes.entry(0).or_insert_with(|| "fabric".into());
+                entries.push(instant(*t_ps, 0, format!("cmd {command}")));
+                processes.insert(0);
             }
             SimEvent::RoleApplied { t_ps, replica, role } => {
-                let pid = replica + 1;
-                processes.entry(pid as i128).or_insert_with(|| format!("replica {replica}"));
-                entries.push(instant(*t_ps, pid as i128, 0, format!("role={role}")));
+                let pid = *replica as i128 + 1;
+                processes.insert(pid);
+                entries.push(instant(*t_ps, pid, format!("role={role}")));
             }
             SimEvent::ReplicaRetired { t_ps, replica } => {
-                let pid = replica + 1;
-                processes.entry(pid as i128).or_insert_with(|| format!("replica {replica}"));
-                entries.push(instant(*t_ps, pid as i128, 0, "retired".into()));
+                let pid = *replica as i128 + 1;
+                processes.insert(pid);
+                entries.push(instant(*t_ps, pid, "retired".into()));
             }
             SimEvent::ReplicaActivated { replica, .. } => {
-                let pid = replica + 1;
-                processes.entry(pid as i128).or_insert_with(|| format!("replica {replica}"));
+                processes.insert(*replica as i128 + 1);
             }
             SimEvent::ReplicaFault { t_ps, replica, kind } => {
-                let pid = replica + 1;
-                processes.entry(pid as i128).or_insert_with(|| format!("replica {replica}"));
-                entries.push(instant(*t_ps, pid as i128, 0, format!("fault={kind}")));
+                let pid = *replica as i128 + 1;
+                processes.insert(pid);
+                entries.push(instant(*t_ps, pid, format!("fault={kind}")));
             }
             SimEvent::ReplicaRecovered { t_ps, replica } => {
-                let pid = replica + 1;
-                processes.entry(pid as i128).or_insert_with(|| format!("replica {replica}"));
-                entries.push(instant(*t_ps, pid as i128, 0, "recovered".into()));
+                let pid = *replica as i128 + 1;
+                processes.insert(pid);
+                entries.push(instant(*t_ps, pid, "recovered".into()));
             }
             SimEvent::LinkFault { t_ps, link, bw_gbps } => {
-                processes.entry(0).or_insert_with(|| "fabric".into());
-                entries.push(instant(*t_ps, 0, 0, format!("link{link} fault bw={bw_gbps}")));
+                processes.insert(0);
+                entries.push(instant(*t_ps, 0, format!("link{link} fault bw={bw_gbps}")));
             }
             SimEvent::LinkRecovered { t_ps, link } => {
-                processes.entry(0).or_insert_with(|| "fabric".into());
-                entries.push(instant(*t_ps, 0, 0, format!("link{link} recovered")));
+                processes.insert(0);
+                entries.push(instant(*t_ps, 0, format!("link{link} recovered")));
             }
             SimEvent::RequestRetried { t_ps, id, attempt, .. } => {
-                entries.push(instant(*t_ps, 0, 0, format!("retry req {id} #{attempt}")));
-                processes.entry(0).or_insert_with(|| "fabric".into());
+                entries.push(instant(*t_ps, 0, format!("retry req {id} #{attempt}")));
+                processes.insert(0);
             }
             SimEvent::RequestAbandoned { t_ps, id, reason } => {
-                entries.push(instant(*t_ps, 0, 0, format!("abandon req {id}: {reason}")));
-                processes.entry(0).or_insert_with(|| "fabric".into());
+                entries.push(instant(*t_ps, 0, format!("abandon req {id}: {reason}")));
+                processes.insert(0);
             }
             SimEvent::Tick { .. } => {}
         }
     }
 
     // Close every link counter track at its last interval end.
-    for link in &link_order {
-        let end = link_open[link];
-        entries.push(Entry {
-            ts_ps: end,
-            pid: 0,
-            tid: 0,
-            neg_dur_ps: 0,
-            rank: 1,
-            value: json::obj(vec![
-                ("name", Value::Str(format!("util {link}"))),
-                ("ph", Value::Str("C".into())),
-                ("pid", Value::Int(0)),
-                ("ts", us(end)),
-                ("args", json::obj(vec![("util", Value::Float(0.0))])),
-            ]),
-        });
+    for &(link, end) in &links {
+        entries.push(counter(end, link, 0.0, 1));
     }
 
     for (&id, life) in &lives {
@@ -288,58 +256,165 @@ pub fn chrome_trace(events: &[SimEvent]) -> String {
 
     // Metadata first, then the event stream ordered by (ts, track,
     // longest-slice-first) — which also makes ts monotonic per track.
-    entries.sort_by(|a, b| {
-        (a.ts_ps, a.pid, a.tid, a.neg_dur_ps, a.rank).cmp(&(
-            b.ts_ps,
-            b.pid,
-            b.tid,
-            b.neg_dur_ps,
-            b.rank,
-        ))
-    });
-    let mut out: Vec<Value> = Vec::new();
-    for (&pid, name) in &processes {
-        out.push(json::obj(vec![
-            ("name", Value::Str("process_name".into())),
-            ("ph", Value::Str("M".into())),
-            ("pid", Value::Int(pid)),
-            ("args", json::obj(vec![("name", Value::Str(name.clone()))])),
-        ]));
-        out.push(json::obj(vec![
-            ("name", Value::Str("process_sort_index".into())),
-            ("ph", Value::Str("M".into())),
-            ("pid", Value::Int(pid)),
-            ("args", json::obj(vec![("sort_index", Value::Int(pid))])),
-        ]));
+    entries.sort_by_key(|e| (e.ts_ps, e.pid, e.tid, Reverse(e.dur_ps), e.rank));
+    let mut out = String::new();
+    let mut w = PrettyWriter::new(&mut out);
+    w.begin_object().key("traceEvents").begin_array();
+    write_metadata(&mut w, &processes, &threads);
+    for entry in &entries {
+        write_entry(&mut w, entry);
     }
-    for (&(pid, tid), name) in &threads {
-        out.push(json::obj(vec![
-            ("name", Value::Str("thread_name".into())),
-            ("ph", Value::Str("M".into())),
-            ("pid", Value::Int(pid)),
-            ("tid", Value::Int(tid)),
-            ("args", json::obj(vec![("name", Value::Str(name.clone()))])),
-        ]));
-    }
-    out.extend(entries.into_iter().map(|e| e.value));
-    json::pretty(&json::obj(vec![("traceEvents", Value::Array(out))]))
+    w.end_array().end_object();
+    out
 }
 
-fn instant(t_ps: TimePs, pid: i128, tid: i128, name: String) -> Entry {
-    Entry {
-        ts_ps: t_ps,
-        pid,
-        tid,
-        neg_dur_ps: 0,
-        rank: 4,
-        value: json::obj(vec![
-            ("name", Value::Str(name)),
-            ("ph", Value::Str("i".into())),
-            ("pid", Value::Int(pid)),
-            ("tid", Value::Int(tid)),
-            ("ts", us(t_ps)),
-            ("s", Value::Str("t".into())),
-        ]),
+/// Writes the track names: `fabric` (pid 0) and `replica r` (pid
+/// `r + 1`) with their sort indices, then each thread's name — a
+/// replica's `iterations` row (tid 0), a request's `req {id}` row, or
+/// a fabric flow's `flow {id}` row (tid `id + 1`).
+fn write_metadata(
+    w: &mut PrettyWriter<'_>,
+    processes: &BTreeSet<i128>,
+    threads: &BTreeSet<(i128, i128)>,
+) {
+    for &pid in processes {
+        w.begin_object();
+        w.key("name").str("process_name");
+        w.key("ph").str("M");
+        w.key("pid").int(pid);
+        w.key("args").begin_object().key("name");
+        match pid {
+            0 => w.str("fabric"),
+            _ => w.str_fmt(format_args!("replica {}", pid - 1)),
+        };
+        w.end_object().end_object();
+        w.begin_object();
+        w.key("name").str("process_sort_index");
+        w.key("ph").str("M");
+        w.key("pid").int(pid);
+        w.key("args").begin_object().key("sort_index").int(pid).end_object();
+        w.end_object();
+    }
+    for &(pid, tid) in threads {
+        w.begin_object();
+        w.key("name").str("thread_name");
+        w.key("ph").str("M");
+        w.key("pid").int(pid);
+        w.key("tid").int(tid);
+        w.key("args").begin_object().key("name");
+        match (pid, tid) {
+            (0, _) => w.str_fmt(format_args!("flow {}", tid - 1)),
+            (_, 0) => w.str("iterations"),
+            _ => w.str_fmt(format_args!("req {}", tid - 1)),
+        };
+        w.end_object().end_object();
+    }
+}
+
+fn write_entry(w: &mut PrettyWriter<'_>, e: &Entry<'_>) {
+    w.begin_object().key("name");
+    match &e.kind {
+        Kind::Slice(slice) => write_slice(w, e, slice),
+        Kind::Counter { link, util } => {
+            w.str_fmt(format_args!("util {link}"));
+            w.key("ph").str("C");
+            w.key("pid").int(e.pid);
+            w.key("ts").float(us(e.ts_ps));
+            w.key("args").begin_object().key("util").float(*util).end_object();
+        }
+        Kind::Instant(name) => {
+            w.str(name);
+            w.key("ph").str("i");
+            w.key("pid").int(e.pid);
+            w.key("tid").int(e.tid);
+            w.key("ts").float(us(e.ts_ps));
+            w.key("s").str("t");
+        }
+        Kind::FlowStart { id, bytes } => {
+            write_arrow(w, e, "s", *id);
+            w.key("args").begin_object().key("bytes").int(i128::from(*bytes)).end_object();
+        }
+        Kind::FlowFinish { id } => write_arrow(w, e, "f", *id),
+    }
+    w.end_object();
+}
+
+/// A flow arrow's fields after its `name` key, up to its args; the
+/// finish binds to its enclosing slice (`bp: "e"`).
+fn write_arrow(w: &mut PrettyWriter<'_>, e: &Entry<'_>, ph: &str, id: u64) {
+    w.str("kv");
+    w.key("cat").str("kv");
+    w.key("ph").str(ph);
+    if ph == "f" {
+        w.key("bp").str("e");
+    }
+    w.key("id").int(i128::from(id));
+    w.key("pid").int(e.pid);
+    w.key("tid").int(e.tid);
+    w.key("ts").float(us(e.ts_ps));
+}
+
+/// A slice's fields after its `name` key: its name, timing and args.
+fn write_slice(w: &mut PrettyWriter<'_>, e: &Entry<'_>, slice: &Slice<'_>) {
+    let timing = |w: &mut PrettyWriter<'_>| {
+        w.key("ph").str("X");
+        w.key("pid").int(e.pid);
+        w.key("tid").int(e.tid);
+        w.key("ts").float(us(e.ts_ps));
+        w.key("dur").float(us(e.dur_ps));
+    };
+    match *slice {
+        Slice::Iteration(&SimEvent::Iteration {
+            index,
+            batch_size,
+            prefill_slots,
+            prompt_tokens,
+            gen_tokens,
+            queue_depth,
+            kv_used_pages,
+            kv_total_pages,
+            memo_hit,
+            ..
+        }) => {
+            w.str_fmt(format_args!(
+                "{prefill_slots}p+{}d/{}t",
+                batch_size.saturating_sub(prefill_slots),
+                prompt_tokens + gen_tokens
+            ));
+            timing(w);
+            w.key("args").begin_object();
+            w.key("index").int(i128::from(index));
+            w.key("batch_size").int(batch_size as i128);
+            w.key("prefill_slots").int(prefill_slots as i128);
+            w.key("prompt_tokens").int(prompt_tokens as i128);
+            w.key("gen_tokens").int(gen_tokens as i128);
+            w.key("queue_depth").int(queue_depth as i128);
+            w.key("kv_used_pages").int(kv_used_pages as i128);
+            w.key("kv_total_pages").int(kv_total_pages as i128);
+            w.key("memo_hit").bool(memo_hit);
+            w.end_object();
+        }
+        // Iteration slices are only built from iteration events.
+        Slice::Iteration(_) => {}
+        Slice::Request { id, leg, lens } => {
+            w.str_fmt(format_args!("req {id}{leg}"));
+            timing(w);
+            if let Some((input, output)) = lens {
+                w.key("args").begin_object();
+                w.key("input_len").int(input as i128);
+                w.key("output_len").int(output as i128);
+                w.end_object();
+            }
+        }
+        Slice::Phase(name) => {
+            w.str(name);
+            timing(w);
+        }
+        Slice::Flow { id, bytes } => {
+            w.str_fmt(format_args!("flow {id}"));
+            timing(w);
+            w.key("args").begin_object().key("bytes").int(i128::from(bytes)).end_object();
+        }
     }
 }
 
@@ -349,26 +424,19 @@ fn instant(t_ps: TimePs, pid: i128, tid: i128, name: String) -> Entry {
 fn render_life(
     id: u64,
     life: &Life,
-    entries: &mut Vec<Entry>,
-    processes: &mut BTreeMap<i128, String>,
-    threads: &mut BTreeMap<(i128, i128), String>,
+    entries: &mut Vec<Entry<'_>>,
+    processes: &mut BTreeSet<i128>,
+    threads: &mut BTreeSet<(i128, i128)>,
 ) {
     let tid = id as i128 + 1;
-    let mut track = |replica: usize, processes: &mut BTreeMap<i128, String>| {
-        let pid = replica as i128 + 1;
-        processes.entry(pid).or_insert_with(|| format!("replica {replica}"));
-        threads.entry((pid, tid)).or_insert_with(|| format!("req {id}"));
-        pid as usize - 1
+    let mut track = |replica: usize, processes: &mut BTreeSet<i128>| {
+        let pid = replica + 1;
+        processes.insert(pid as i128);
+        threads.insert((pid as i128, tid));
+        pid
     };
-    let args = |life: &Life| -> Vec<(&str, Value)> {
-        match life.arrival {
-            Some((_, input, output)) => vec![
-                ("input_len", Value::Int(input as i128)),
-                ("output_len", Value::Int(output as i128)),
-            ],
-            None => Vec::new(),
-        }
-    };
+    let lens = life.arrival.map(|(_, input, output)| (input, output));
+    let request = |leg| Slice::Request { id, leg, lens };
     let handoff = life.queued.is_some() || life.transfer_start.is_some();
     if !handoff {
         // Unified lifecycle: one span on one replica.
@@ -379,18 +447,18 @@ fn render_life(
             .or(life.prefill_start.map(|(t, _)| t))
             .or(life.arrival.map(|(t, ..)| t))
             .unwrap_or(finish);
-        let r = track(replica, processes);
-        entries.push(slice(format!("req {id}"), r + 1, tid, open, finish, args(life), 1));
+        let pid = track(replica, processes);
+        entries.push(slice(request(""), pid, tid, open, finish, 1));
         if let Some((ps, _)) = life.prefill_start {
             if ps > open {
-                entries.push(slice("queued".into(), r + 1, tid, open, ps, Vec::new(), 2));
+                entries.push(slice(Slice::Phase("queued"), pid, tid, open, ps, 2));
             }
             if let Some(pe) = life.prefill_end {
-                entries.push(slice("prefill".into(), r + 1, tid, ps, pe, Vec::new(), 2));
+                entries.push(slice(Slice::Phase("prefill"), pid, tid, ps, pe, 2));
             }
         }
         if let Some((ds, _)) = life.decode_start {
-            entries.push(slice("decode".into(), r + 1, tid, ds, finish, Vec::new(), 2));
+            entries.push(slice(Slice::Phase("decode"), pid, tid, ds, finish, 2));
         }
         return;
     }
@@ -410,22 +478,14 @@ fn render_life(
         .or(life.prefill_start.map(|(t, _)| t))
         .or(life.arrival.map(|(t, ..)| t));
     if let (Some(open), Some(close)) = (open, prefill_close) {
-        let r = track(from, processes);
-        entries.push(slice(
-            format!("req {id} (prefill)"),
-            r + 1,
-            tid,
-            open,
-            close,
-            args(life),
-            1,
-        ));
+        let pid = track(from, processes);
+        entries.push(slice(request(" (prefill)"), pid, tid, open, close, 1));
         if let Some((ps, _)) = life.prefill_start {
             if ps > open {
-                entries.push(slice("queued".into(), r + 1, tid, open, ps, Vec::new(), 2));
+                entries.push(slice(Slice::Phase("queued"), pid, tid, open, ps, 2));
             }
             if let Some(pe) = life.prefill_end {
-                entries.push(slice("prefill".into(), r + 1, tid, ps, pe, Vec::new(), 2));
+                entries.push(slice(Slice::Phase("prefill"), pid, tid, ps, pe, 2));
             }
         }
     }
@@ -437,75 +497,33 @@ fn render_life(
     let decode_finish =
         life.completions.iter().find(|&&(t, r)| !(r == from && Some(t) == queued_t)).copied();
     if let Some((finish, _)) = decode_finish {
-        let r = track(to, processes);
-        entries.push(slice(
-            format!("req {id} (decode)"),
-            r + 1,
-            tid,
-            arrive,
-            finish,
-            args(life),
-            1,
-        ));
+        let pid = track(to, processes);
+        entries.push(slice(request(" (decode)"), pid, tid, arrive, finish, 1));
         if let Some((ds, _)) = life.decode_start {
-            entries.push(slice("decode".into(), r + 1, tid, ds, finish, Vec::new(), 2));
+            entries.push(slice(Slice::Phase("decode"), pid, tid, ds, finish, 2));
         }
     }
     // Flow arrow: out of the prefill-side span at the KV-ready
     // instant, into the decode-side span at delivery.
     if let Some(close) = prefill_close {
         let bytes = life.transfer_start.map(|(.., b)| b).unwrap_or(0);
-        let fp = from as i128 + 1;
-        let tp = to as i128 + 1;
-        entries.push(Entry {
-            ts_ps: close,
-            pid: fp,
+        let arrow = |ts_ps, replica: usize, kind| Entry {
+            ts_ps,
+            pid: replica as i128 + 1,
             tid,
-            neg_dur_ps: 0,
+            dur_ps: 0,
             rank: 3,
-            value: json::obj(vec![
-                ("name", Value::Str("kv".into())),
-                ("cat", Value::Str("kv".into())),
-                ("ph", Value::Str("s".into())),
-                ("id", Value::Int(id as i128)),
-                ("pid", Value::Int(fp)),
-                ("tid", Value::Int(tid)),
-                ("ts", us(close)),
-                ("args", json::obj(vec![("bytes", Value::Int(bytes as i128))])),
-            ]),
-        });
-        entries.push(Entry {
-            ts_ps: arrive,
-            pid: tp,
-            tid,
-            neg_dur_ps: 0,
-            rank: 3,
-            value: json::obj(vec![
-                ("name", Value::Str("kv".into())),
-                ("cat", Value::Str("kv".into())),
-                ("ph", Value::Str("f".into())),
-                ("bp", Value::Str("e".into())),
-                ("id", Value::Int(id as i128)),
-                ("pid", Value::Int(tp)),
-                ("tid", Value::Int(tid)),
-                ("ts", us(arrive)),
-            ]),
-        });
+            kind,
+        };
+        entries.push(arrow(close, from, Kind::FlowStart { id, bytes }));
+        entries.push(arrow(arrive, to, Kind::FlowFinish { id }));
     }
     // The fabric-side flow slice (only present when the fabric emitted
     // flow events for this id).
     if let (Some((fs, bytes)), Some(fe)) = life.flow {
-        processes.entry(0).or_insert_with(|| "fabric".into());
-        threads.entry((0, tid)).or_insert_with(|| format!("flow {id}"));
-        entries.push(slice(
-            format!("flow {id}"),
-            0,
-            tid,
-            fs,
-            fe,
-            vec![("bytes", Value::Int(bytes as i128))],
-            1,
-        ));
+        processes.insert(0);
+        threads.insert((0, tid));
+        entries.push(slice(Slice::Flow { id, bytes }, 0, tid, fs, fe, 1));
     }
 }
 
@@ -621,7 +639,6 @@ mod tests {
                 kv_used_pages: 1,
                 kv_total_pages: 8,
                 memo_hit: false,
-                signature: "1p+0d/8t".into(),
             },
             SimEvent::PrefillEnd { t_ps: 50, id: 1, replica: 0 },
             SimEvent::Completed {

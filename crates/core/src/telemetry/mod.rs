@@ -57,7 +57,7 @@ pub enum SimEvent {
         replica: usize,
     },
     /// One scheduler iteration executed on a replica: batch formation
-    /// (signature, memo outcome) plus the engine's answer.
+    /// (composition, memo outcome) plus the engine's answer.
     Iteration {
         /// The replica that ran the iteration.
         replica: usize,
@@ -83,8 +83,6 @@ pub enum SimEvent {
         kv_total_pages: usize,
         /// Whether the iteration memo answered (skipping the DES).
         memo_hit: bool,
-        /// Compact batch signature, e.g. `2p+14d/96t`.
-        signature: String,
     },
     /// A request's prefill phase started on a replica.
     PrefillStart {
@@ -372,9 +370,10 @@ impl SimEvent {
 /// every replica of a fleet; the engine hands each replica a
 /// [`Telemetry`] handle cloned from the same sink. The `Send` bound
 /// keeps [`ServingSimulator`](crate::ServingSimulator) shippable
-/// across shard worker threads (traced runs stay serial — the fleet
-/// engine rejects `shards > 1` with telemetry on — but the type must
-/// not anchor the whole simulator to one thread).
+/// across shard worker threads (traced runs stay serial — a scenario
+/// rejects `shards > 1` with telemetry on, and the fleet engine steps
+/// serially whenever a sink is attached — but the type must not anchor
+/// the whole simulator to one thread).
 pub trait TraceSink: std::fmt::Debug + Send {
     /// Receives one event.
     fn record(&mut self, event: SimEvent);
@@ -453,10 +452,11 @@ impl Telemetry {
     #[inline]
     pub fn emit(&self, event: impl FnOnce() -> SimEvent) {
         if let Some(sink) = &self.sink {
-            // Traced runs are single-threaded (the engine forbids
-            // shards > 1 with telemetry), so a poisoned lock can only
-            // mean a panic already in flight — keep recording rather
-            // than compounding it with a second panic.
+            // Traced runs are single-threaded (the fleet engine takes
+            // its serial loop whenever a sink is attached), so a
+            // poisoned lock can only mean a panic already in flight —
+            // keep recording rather than compounding it with a second
+            // panic.
             let mut guard = match sink.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),

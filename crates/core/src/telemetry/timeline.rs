@@ -330,7 +330,6 @@ mod tests {
                 kv_used_pages: 4,
                 kv_total_pages: 8,
                 memo_hit: true,
-                signature: "sig".into(),
             },
             SimEvent::Completed {
                 t_ps: 150,
