@@ -236,4 +236,19 @@ mod tests {
         assert_eq!(with.sim_latency_ps, without.sim_latency_ps);
         assert!(without.wall.engine >= with.wall.engine);
     }
+
+    #[test]
+    fn single_iteration_harness_never_folds_blocks() {
+        // The simulation-time figures time one unfolded iteration. A
+        // no-reuse run never folds, so equal op and event counts show
+        // the reuse run did not fold either.
+        for (tp, pp) in [(1, 1), (4, 1), (2, 2)] {
+            let spec = llmss_model::ModelSpec::gpt2();
+            let with = run_single_iteration(&spec, tp, pp, 4, 64, true);
+            let without = run_single_iteration(&spec, tp, pp, 4, 64, false);
+            assert_eq!(with.graph_ops, without.graph_ops, "tp{tp} pp{pp}");
+            assert_eq!(with.events, without.events, "tp{tp} pp{pp}");
+            assert_eq!(with.sim_latency_ps, without.sim_latency_ps, "tp{tp} pp{pp}");
+        }
+    }
 }

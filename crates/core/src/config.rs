@@ -158,21 +158,51 @@ impl From<usize> for KvBucket {
     }
 }
 
+/// The longest batching delay a configuration accepts, in milliseconds:
+/// one hour of simulated time. Real batching windows are a few
+/// milliseconds; the cap keeps `arrival + delay` far inside [`TimePs`].
+const MAX_BATCH_DELAY_MS: f64 = 3_600_000.0;
+
+/// The largest per-NPU memory a configuration accepts, in GiB: 1 PiB,
+/// far above any device, so that the byte count of a whole replica
+/// stays inside `u64`.
+const MAX_NPU_MEM_GIB: f64 = 1_048_576.0;
+
 /// Errors raised when a configuration cannot be realized.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
+    /// The [`SimConfig`] field at fault, when one value alone is.
+    field: Option<&'static str>,
     message: String,
 }
 
 impl ConfigError {
     fn new(message: impl Into<String>) -> Self {
-        Self { message: message.into() }
+        Self { field: None, message: message.into() }
+    }
+
+    fn invalid(field: &'static str, message: String) -> Self {
+        Self { field: Some(field), message }
+    }
+
+    /// The [`SimConfig`] field whose value alone is out of range, if the
+    /// error is about one field.
+    pub fn field(&self) -> Option<&'static str> {
+        self.field
+    }
+
+    /// What is wrong, without the field name.
+    pub fn message(&self) -> &str {
+        &self.message
     }
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid simulation config: {}", self.message)
+        match self.field {
+            Some(field) => write!(f, "invalid simulation config: {field}: {}", self.message),
+            None => write!(f, "invalid simulation config: {}", self.message),
+        }
     }
 }
 
@@ -411,6 +441,32 @@ impl SimConfig {
     pub fn decode_only(mut self) -> Self {
         self.mode = SchedulerMode::DecodeOnly;
         self
+    }
+
+    /// Checks the values that arrive as floats: the batching delay must
+    /// lie in 0..=3,600,000 ms (one hour) and a per-NPU memory override
+    /// in (0, 1,048,576] GiB (1 PiB). NaN and infinities fail.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] naming the field.
+    pub fn check_values(&self) -> Result<(), ConfigError> {
+        let delay = self.batch_delay_ms;
+        if !(0.0..=MAX_BATCH_DELAY_MS).contains(&delay) {
+            return Err(ConfigError::invalid(
+                "batch_delay_ms",
+                format!("must be a finite delay in 0..={MAX_BATCH_DELAY_MS} ms, got {delay}"),
+            ));
+        }
+        if let Some(gib) = self.npu_mem_gib {
+            if !(gib > 0.0 && gib <= MAX_NPU_MEM_GIB) {
+                return Err(ConfigError::invalid(
+                    "npu_mem_gib",
+                    format!("must be a finite size in (0, {MAX_NPU_MEM_GIB}] GiB, got {gib}"),
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Per-NPU memory in bytes (override or hardware config).

@@ -17,14 +17,30 @@
 //!   (paper Figure 5b).
 //! * **KV paging** materializes the scheduler's eviction/reload decisions
 //!   as host memory-transfer operators gating the iteration.
+//!
+//! A *folded* conversion ([`GraphConverter::convert_folded_into`]) emits
+//! only the first [`FOLD_KEEP`] decoder blocks of each pipeline stage and
+//! records where they sit ([`BlockRun`]). Every block of a stage is the
+//! same template with the same operator signatures, so the network DES
+//! can prove that the left-out blocks repeat the last emitted one and
+//! extrapolate them exactly ([`GraphSimulator::simulate_folded`]).
+//!
+//! [`GraphSimulator::simulate_folded`]: llmss_net::GraphSimulator::simulate_folded
 
 use std::borrow::Cow;
 
 use llmss_model::{IterationWorkload, ModelSpec, Op, OpKind, SeqSlot, SigLayout};
-use llmss_net::{CollectiveKind, ExecGraph, ExecNodeId, ExecPayload, NodeId, Topology};
+use llmss_net::{
+    BlockRun, CollectiveKind, ExecGraph, ExecNodeId, ExecPayload, NodeId, Topology,
+};
 use llmss_sched::{partition_sub_batches, IterationBatch, PartitionCriteria};
 
-use crate::{map_op, DeviceKind, EngineStack, ParallelismSpec, PimMode};
+use crate::{map_op, DeviceKind, EngineStack, ParallelismSpec, PimMode, ReuseStats};
+
+/// Decoder blocks a folded conversion emits per pipeline stage: the
+/// network DES compares the state at the start of the second block with
+/// the state after it, so two are the fewest that prove a repeat.
+pub const FOLD_KEEP: usize = 2;
 
 /// Reusable working buffers for graph construction, persisted across
 /// iterations so the steady-state convert path allocates nothing.
@@ -38,6 +54,8 @@ struct ConvertScratch {
     att_final: Vec<ExecNodeId>,
     /// KV-reload ops gating the iteration's entry.
     entry_deps: Vec<ExecNodeId>,
+    /// The last folded conversion's block run per pipeline stage.
+    folds: Vec<BlockRun>,
 }
 
 /// Converts scheduler iterations into execution graphs for the system
@@ -199,10 +217,42 @@ impl GraphConverter {
         stack: &mut EngineStack,
         graph: &mut ExecGraph,
     ) {
+        self.convert_with(batch, stack, graph, false);
+    }
+
+    /// Converts one iteration into `graph` like
+    /// [`convert_into`](Self::convert_into), but emits at most
+    /// [`FOLD_KEEP`] decoder blocks per pipeline stage and returns each
+    /// stage's [`BlockRun`], in graph order.
+    ///
+    /// The left-out blocks would price the same signatures as the first
+    /// one, all of them cache hits, so their lookups are credited to the
+    /// op cache as hits: the reuse statistics match a full conversion's.
+    /// A stack whose op cache is off, or a batch that splits into
+    /// interleaved sub-batches (two chains sharing nodes, with no clean
+    /// block boundary), gets a full conversion and no runs.
+    pub fn convert_folded_into(
+        &mut self,
+        batch: &IterationBatch,
+        stack: &mut EngineStack,
+        graph: &mut ExecGraph,
+    ) -> &[BlockRun] {
+        self.convert_with(batch, stack, graph, stack.reuse_enabled());
+        &self.scratch.folds
+    }
+
+    fn convert_with(
+        &mut self,
+        batch: &IterationBatch,
+        stack: &mut EngineStack,
+        graph: &mut ExecGraph,
+        fold: bool,
+    ) {
         graph.clear();
         // The scratch moves out so `&self` methods can run while its
         // buffers are mutably borrowed; it moves back at the end.
         let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.folds.clear();
 
         // KV paging transfers gate the iteration (paper: the converter
         // inserts memory store/load operators based on scheduler decisions).
@@ -227,11 +277,11 @@ impl GraphConverter {
                 PartitionCriteria::MemoryAccess,
             );
             for slots in &sub_slots {
-                self.emit_sub_batch(graph, stack, slots, &mut scratch);
+                self.emit_sub_batch(graph, stack, slots, &mut scratch, false);
             }
         } else {
             // Single sub-batch: emit straight from the batch, no copy.
-            self.emit_sub_batch(graph, stack, &batch.slots, &mut scratch);
+            self.emit_sub_batch(graph, stack, &batch.slots, &mut scratch, fold);
         }
         self.scratch = scratch;
     }
@@ -242,6 +292,7 @@ impl GraphConverter {
         stack: &mut EngineStack,
         slots: &[SeqSlot],
         scratch: &mut ConvertScratch,
+        fold: bool,
     ) {
         let workload = IterationWorkload::build(&self.spec, slots);
         let t = workload.new_tokens_total();
@@ -280,8 +331,30 @@ impl GraphConverter {
                     scratch.chain[dst] = Some(id);
                 }
             }
-            for _blk in self.stage_layers[stage].clone() {
+            let total = self.stage_layers[stage].len();
+            let emitted = if fold { total.min(FOLD_KEEP) } else { total };
+            let first_op = graph.len();
+            let before = stack.reuse_stats();
+            for _ in 0..emitted {
                 self.emit_block(graph, stack, &workload, slots, nodes, stage, scratch);
+            }
+            if fold && emitted > 0 {
+                // The emitted blocks are copies of one template: each
+                // added the same ops and made the same lookups.
+                let run = BlockRun {
+                    first_op,
+                    ops_per_block: (graph.len() - first_op) / emitted,
+                    emitted,
+                    total,
+                };
+                let lookups = |s: ReuseStats| {
+                    [s.attention_hits + s.attention_misses, s.other_hits + s.other_misses]
+                };
+                let (was, now) = (lookups(before), lookups(stack.reuse_stats()));
+                let skipped = run.skipped() as u64;
+                let per_block = |i: usize| (now[i] - was[i]) / emitted as u64;
+                stack.credit_hits(skipped * per_block(0), skipped * per_block(1));
+                scratch.folds.push(run);
             }
         }
 
@@ -545,7 +618,7 @@ impl GraphConverter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llmss_net::{simulate_graph, LinkSpec};
+    use llmss_net::{simulate_graph, GraphSimulator, LinkSpec};
     use llmss_npu::NpuConfig;
     use llmss_pim::PimConfig;
     use llmss_sched::KvTransfer;
@@ -765,6 +838,91 @@ mod tests {
             ratio < 1.15,
             "sub-batch interleaving should roughly break even here: {ratio:.2}"
         );
+    }
+
+    /// The outcome fields a folded run extrapolates.
+    fn totals(out: &llmss_net::SimOutcome) -> [u64; 5] {
+        [out.makespan_ps, out.events, out.compute_ps, out.comm_ps, out.host_ps]
+    }
+
+    #[test]
+    fn gpt3_7b_tp4_decode_folds_to_two_of_32_blocks() {
+        let topo = Topology::grouped_npus(4, 1, LinkSpec::pcie4_x16());
+        let mk = || {
+            let conv = GraphConverter::new(
+                ModelSpec::gpt3_7b(),
+                ParallelismSpec { tp: 4, pp: 1 },
+                &topo,
+                PimMode::None,
+                true,
+                false,
+            );
+            (conv, EngineStack::homogeneous(NpuConfig::table1(), true))
+        };
+        let b = batch((0..16).map(|i| SeqSlot::decode(i, 100 + 37 * i as usize)).collect());
+        let (mut conv, mut stack) = mk();
+        let full = conv.convert(&b, &mut stack);
+        let (mut conv, mut folded_stack) = mk();
+        let mut g = ExecGraph::new();
+        let folds = conv.convert_folded_into(&b, &mut folded_stack, &mut g).to_vec();
+        assert_eq!(folds.len(), 1);
+        let run = folds[0];
+        assert_eq!((run.emitted, run.total), (FOLD_KEEP, 32));
+        assert_eq!(g.len() + run.skipped_ops(), full.len());
+        assert_eq!(folded_stack.reuse_stats(), stack.reuse_stats());
+        let mut des = GraphSimulator::new();
+        let out = des.simulate_folded(&g, &topo, &[run]).unwrap();
+        let want = simulate_graph(&full, &topo).unwrap();
+        assert_eq!(out.map(totals), Some(totals(&want)));
+    }
+
+    #[test]
+    fn a_long_eviction_still_folds_exactly() {
+        // The eviction holds its owner node from time zero, so it ends
+        // before the second block can start and the proof holds.
+        let (mut conv, topo, mut stack) = homogeneous(2, 1);
+        let b = IterationBatch {
+            slots: vec![SeqSlot::decode(0, 128), SeqSlot::decode(1, 900)],
+            evictions: vec![KvTransfer { request: 1, bytes: 1 << 30, pages: 1 << 14 }],
+            reloads: vec![],
+        };
+        let full = simulate_graph(&conv.convert(&b, &mut stack), &topo).unwrap();
+        let mut g = ExecGraph::new();
+        let runs = conv.convert_folded_into(&b, &mut stack, &mut g).to_vec();
+        let mut des = GraphSimulator::new();
+        let out = des.simulate_folded(&g, &topo, &runs).unwrap();
+        assert!(full.host_ps > full.makespan_ps / 2, "the eviction dominates");
+        assert_eq!(out.map(totals), Some(totals(&full)));
+    }
+
+    #[test]
+    fn sub_batches_and_a_disabled_cache_convert_in_full() {
+        let topo = Topology::npu_pim_pools(1, 1, 1, LinkSpec::pcie4_x16(), LinkSpec::cxl());
+        let pool = |reuse| {
+            EngineStack::for_pim_mode(
+                PimMode::Pool,
+                NpuConfig::table1(),
+                PimConfig::table1(),
+                reuse,
+            )
+        };
+        let slots: Vec<_> = (0..4).map(|i| SeqSlot::decode(i, 512)).collect();
+        for (sub, reuse) in [(true, true), (false, false)] {
+            let mut conv = GraphConverter::new(
+                spec(),
+                ParallelismSpec { tp: 1, pp: 1 },
+                &topo,
+                PimMode::Pool,
+                true,
+                sub,
+            );
+            let full = conv.convert(&batch(slots.clone()), &mut pool(reuse));
+            let mut g = ExecGraph::new();
+            let folds =
+                conv.convert_folded_into(&batch(slots.clone()), &mut pool(reuse), &mut g);
+            assert!(folds.is_empty(), "sub_batch={sub} reuse={reuse}");
+            assert_eq!(g, full);
+        }
     }
 
     #[test]

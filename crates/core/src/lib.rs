@@ -58,7 +58,7 @@ pub use chaos::{
 pub use config::{
     ConfigError, KvBucket, KvManage, ParallelismKind, ParallelismSpec, SimConfig,
 };
-pub use convert::GraphConverter;
+pub use convert::{GraphConverter, FOLD_KEEP};
 pub use engine::{ExecutionEngine, NpuPimLocalPlugin, NpuPlugin, PimPlugin};
 pub use fabric::{
     Fabric, FabricCommit, FabricGraph, FabricStats, FabricTopology, FlowDone, FlowModel,

@@ -6,6 +6,11 @@
 //!
 //! * **Model redundancy**: all transformer blocks share one template, so a
 //!   block compiles once and replicates (`n_layers - 1` free hits per op).
+//!   On an iteration miss the converter goes one step further and emits
+//!   only the first two blocks of each pipeline stage; the network DES
+//!   proves the rest repeat and extrapolates them, and the blocks left
+//!   out are credited as the hits they would have been
+//!   ([`ReuseCache::credit_hits`]).
 //! * **Iteration redundancy**: non-attention operators keep the same shapes
 //!   across decode iterations (only attention shapes track the KV length),
 //!   so prior iterations' results keep serving.
@@ -375,6 +380,22 @@ impl ReuseCache {
             }
         }
         ps
+    }
+
+    /// Counts `attention` and `other` lookups as hits without making
+    /// them. Block folding skips the lookups of the blocks it leaves out;
+    /// they repeat an emitted block's signatures and, with the cache on,
+    /// would all hit.
+    pub fn credit_hits(&mut self, attention: u64, other: u64) {
+        self.stats.attention_hits += attention;
+        self.stats.other_hits += other;
+    }
+
+    /// Puts back counters saved by [`stats`](Self::stats). A caller that
+    /// re-converts an iteration it already converted drops the repeat's
+    /// counts this way, so every iteration counts its lookups once.
+    pub fn restore_stats(&mut self, stats: ReuseStats) {
+        self.stats = stats;
     }
 
     /// Cached entry count.

@@ -7,12 +7,18 @@
 //! clock. Wall-clock spent in each component is recorded for the Figure 9
 //! breakdown.
 //!
-//! Two levels of work avoidance keep the loop fast at serving scale:
+//! Three levels of work avoidance keep the loop fast at serving scale:
 //!
 //! * **Iteration-outcome memoization** — a [`BatchSignature`] computed in
 //!   O(batch) keys the whole iteration's result, so recurring steady-state
 //!   decode batches skip graph construction *and* the network DES (see
 //!   [`IterationCache`]).
+//! * **Block folding** — with the op cache on, a miss converts and
+//!   simulates only the first two decoder blocks of each pipeline stage.
+//!   The DES proves that the state at the start of the second block
+//!   repeats, shifted in time, after it, and extrapolates the other
+//!   blocks exactly ([`GraphSimulator::simulate_folded`]); when it cannot
+//!   prove that, the iteration is converted and simulated in full.
 //! * **A zero-realloc miss path** — one [`ExecGraph`] arena and one
 //!   [`GraphSimulator`] (event heap, dependency buffers) persist across
 //!   steps, cleared and refilled instead of rebuilt.
@@ -22,7 +28,7 @@
 use std::time::Instant;
 
 use llmss_model::FnvHashSet;
-use llmss_net::{ExecGraph, GraphSimulator, Topology};
+use llmss_net::{BlockRun, ExecGraph, GraphSimulator, Topology};
 use llmss_sched::{Request, Scheduler, TimePs};
 
 use crate::telemetry::{SimEvent, Telemetry};
@@ -72,6 +78,8 @@ pub struct ServingSimulator {
     traced_decode: FnvHashSet<u64>,
     /// Completion records already emitted as events.
     completions_emitted: usize,
+    /// Misses whose folded DES run could not prove its blocks repeat.
+    fold_fallbacks: u64,
 }
 
 impl ServingSimulator {
@@ -80,8 +88,10 @@ impl ServingSimulator {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the configuration cannot be realized
-    /// (invalid parallelism, model does not fit in memory, ...).
+    /// (an out-of-range batching delay or memory size, invalid
+    /// parallelism, model does not fit in memory, ...).
     pub fn new(config: SimConfig, requests: Vec<Request>) -> Result<Self, ConfigError> {
+        config.check_values()?;
         let parallelism = config.parallelism()?;
         let topology = config.topology()?;
         let kv = config.kv_cache()?;
@@ -130,6 +140,7 @@ impl ServingSimulator {
             traced_prefill: FnvHashSet::default(),
             traced_decode: FnvHashSet::default(),
             completions_emitted: 0,
+            fold_fallbacks: 0,
         })
     }
 
@@ -185,19 +196,7 @@ impl ServingSimulator {
         }
         let sched_elapsed = t0.elapsed();
 
-        let engine_before = self.stack.engine_wall();
-        let t1 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
-        self.converter.convert_into(&batch, &mut self.stack, &mut self.graph);
-        let convert_total = t1.elapsed();
-        let engine_elapsed = self.stack.engine_wall() - engine_before;
-
-        let t2 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
-        let outcome = self
-            .des
-            .simulate(&self.graph, &self.topology)
-            .expect("converter emits valid graphs"); // llmss-lint: allow(p001, reason = "documented panic: an inconsistent graph is a converter bug, not a user error")
-        let iteration = IterationOutcome::capture(outcome, self.graph.len());
-        let net_elapsed = t2.elapsed();
+        let iteration = self.simulate_miss(&batch);
         if lookup == IterationLookup::Miss {
             self.memo.insert_current(iteration);
         }
@@ -205,14 +204,59 @@ impl ServingSimulator {
         self.record_iteration(&batch, &iteration);
         self.emit_iteration(&batch, iteration.makespan_ps, false);
 
-        let t3 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
+        let t1 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
         self.scheduler.complete_iteration(iteration.makespan_ps);
         self.emit_completions();
-        self.wall.scheduler += sched_elapsed + t3.elapsed();
+        self.wall.scheduler += sched_elapsed + t1.elapsed();
+        true
+    }
+
+    /// The miss path. With the op cache on, the converter emits two
+    /// decoder blocks per pipeline stage and the DES extrapolates the
+    /// rest once it has proved they repeat; without a proof the
+    /// iteration is simulated in full. Host time goes to the engine,
+    /// converter and network parts of the wall breakdown.
+    fn simulate_miss(&mut self, batch: &llmss_sched::IterationBatch) -> IterationOutcome {
+        let engine_before = self.stack.engine_wall();
+        let t0 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
+        let folds = self.converter.convert_folded_into(batch, &mut self.stack, &mut self.graph);
+        let skipped_ops: usize = folds.iter().map(BlockRun::skipped_ops).sum();
+        let convert_total = t0.elapsed();
+        let engine_elapsed = self.stack.engine_wall() - engine_before;
         self.wall.engine += engine_elapsed;
         self.wall.converter += convert_total.saturating_sub(engine_elapsed);
-        self.wall.network += net_elapsed;
-        true
+
+        let t1 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
+        let folded = self
+            .des
+            .simulate_folded(&self.graph, &self.topology, folds)
+            .expect("converter emits valid graphs") // llmss-lint: allow(p001, reason = "documented panic: an inconsistent graph is a converter bug, not a user error")
+            .map(|outcome| IterationOutcome::capture(outcome, self.graph.len() + skipped_ops));
+        self.wall.network += t1.elapsed();
+        folded.unwrap_or_else(|| {
+            self.fold_fallbacks += 1;
+            self.simulate_unfolded(batch)
+        })
+    }
+
+    /// Converts and simulates `batch` in full, after a folded conversion
+    /// of the same batch has counted its op lookups. The repeat finds
+    /// every price cached, so its counts are dropped: each iteration
+    /// counts its lookups once.
+    fn simulate_unfolded(&mut self, batch: &llmss_sched::IterationBatch) -> IterationOutcome {
+        let counted = self.stack.reuse_stats();
+        let t0 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
+        self.converter.convert_into(batch, &mut self.stack, &mut self.graph);
+        self.wall.converter += t0.elapsed();
+        self.stack.restore_reuse_stats(counted);
+        let t1 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
+        let outcome = self
+            .des
+            .simulate(&self.graph, &self.topology)
+            .expect("converter emits valid graphs"); // llmss-lint: allow(p001, reason = "documented panic: an inconsistent graph is a converter bug, not a user error")
+        let iteration = IterationOutcome::capture(outcome, self.graph.len());
+        self.wall.network += t1.elapsed();
+        iteration
     }
 
     /// Appends the iteration record shared by the memoized and simulated
@@ -425,6 +469,13 @@ impl ServingSimulator {
         &self.stack
     }
 
+    /// Iterations whose folded simulation could not prove that the
+    /// left-out decoder blocks repeat, and that were converted and
+    /// simulated in full instead.
+    pub fn fold_fallbacks(&self) -> u64 {
+        self.fold_fallbacks
+    }
+
     /// Combined reuse statistics: per-operator counters from the engine
     /// stack plus iteration-level memoization counters.
     pub fn reuse_stats(&self) -> crate::ReuseStats {
@@ -583,6 +634,48 @@ mod tests {
         let drift = (adaptive.sim_duration_ps as f64 - exact.sim_duration_ps as f64).abs()
             / exact.sim_duration_ps as f64;
         assert!(drift < 0.25, "adaptive-bucket duration drift {drift:.3} out of bounds");
+    }
+
+    #[test]
+    fn out_of_range_floats_are_config_errors() {
+        for delay in [f64::INFINITY, 1e30, 2e10, f64::NAN, -1.0] {
+            let mut cfg = config();
+            cfg.batch_delay_ms = delay;
+            let err = ServingSimulator::new(cfg, small_trace(2)).unwrap_err();
+            assert_eq!(err.field(), Some("batch_delay_ms"), "{delay}: {err}");
+        }
+        for mem in [f64::NAN, 0.0, -1.0, f64::INFINITY, 1e30] {
+            let mut cfg = config();
+            cfg.npu_mem_gib = Some(mem);
+            let err = ServingSimulator::new(cfg, small_trace(2)).unwrap_err();
+            assert_eq!(err.field(), Some("npu_mem_gib"), "{mem}: {err}");
+        }
+        let mut cfg = config();
+        cfg.batch_delay_ms = 2.5;
+        let report = ServingSimulator::new(cfg, small_trace(2)).unwrap().run();
+        assert_eq!(report.completions.len(), 2);
+    }
+
+    #[test]
+    fn the_unfolded_fallback_returns_the_full_outcome_and_counts_lookups_once() {
+        use llmss_model::SeqSlot;
+        let cfg = SimConfig::new(ModelSpec::gpt2()).npu_num(2).tensor_parallel();
+        let batch = llmss_sched::IterationBatch {
+            slots: vec![SeqSlot::decode(0, 300), SeqSlot::prefill(1, 40)],
+            evictions: vec![],
+            reloads: vec![],
+        };
+        let mut full = ServingSimulator::new(cfg.clone(), Vec::new()).unwrap();
+        full.converter.convert_into(&batch, &mut full.stack, &mut full.graph);
+        let out = full.des.simulate(&full.graph, &full.topology).unwrap();
+        let want = IterationOutcome::capture(out, full.graph.len());
+        // The fallback runs after a folded conversion counted the lookups.
+        let mut sim = ServingSimulator::new(cfg, Vec::new()).unwrap();
+        sim.converter.convert_folded_into(&batch, &mut sim.stack, &mut sim.graph);
+        let counted = sim.stack.reuse_stats();
+        assert_eq!(counted, full.stack.reuse_stats());
+        assert_eq!(sim.simulate_unfolded(&batch), want);
+        assert_eq!(sim.stack.reuse_stats(), counted);
     }
 
     #[test]

@@ -115,9 +115,27 @@ impl EngineStack {
         self.cache.publish_shared();
     }
 
+    /// Whether the op cache is on.
+    pub fn reuse_enabled(&self) -> bool {
+        self.cache.enabled()
+    }
+
     /// Reuse statistics.
     pub fn reuse_stats(&self) -> ReuseStats {
         self.cache.stats()
+    }
+
+    /// Counts lookups that were skipped as op-cache hits (see
+    /// [`ReuseCache::credit_hits`]).
+    pub fn credit_hits(&mut self, attention: u64, other: u64) {
+        self.cache.credit_hits(attention, other);
+    }
+
+    /// Puts back op-cache counters saved by
+    /// [`reuse_stats`](Self::reuse_stats), dropping whatever was counted
+    /// since (see [`ReuseCache::restore_stats`]).
+    pub fn restore_reuse_stats(&mut self, stats: ReuseStats) {
+        self.cache.restore_stats(stats);
     }
 
     /// Wall-clock time spent inside engine compile/simulate work.

@@ -104,6 +104,13 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
+    /// The pending events in no particular order, each with its time and
+    /// its insertion sequence number (among equal times, the lower number
+    /// pops first).
+    pub fn pending(&self) -> impl Iterator<Item = (TimePs, u64, &E)> + '_ {
+        self.heap.iter().map(|e| (e.time, e.seq, &e.event))
+    }
+
     /// Total events popped since construction (or the last
     /// [`reset`](Self::reset)).
     pub fn processed(&self) -> u64 {
@@ -161,6 +168,18 @@ mod tests {
         q.push(10, ());
         q.pop();
         q.push(5, ());
+    }
+
+    #[test]
+    fn pending_lists_unpopped_entries_with_their_order() {
+        let mut q = EventQueue::new();
+        q.push(5, 'a');
+        q.push(3, 'b');
+        q.push(5, 'c');
+        q.pop();
+        let mut pending: Vec<_> = q.pending().map(|(t, seq, &e)| (t, seq, e)).collect();
+        pending.sort_unstable();
+        assert_eq!(pending, vec![(5, 0, 'a'), (5, 2, 'c')]);
     }
 
     #[test]

@@ -52,5 +52,5 @@ mod topology;
 pub use collective::{collective_time_ps, step_time_ps, CollectiveKind};
 pub use des::{EventQueue, TimePs};
 pub use graph::{DepList, ExecGraph, ExecNodeId, ExecOp, ExecPayload};
-pub use sim::{simulate_graph, GraphSimulator, SimError, SimOutcome};
+pub use sim::{simulate_graph, BlockRun, GraphSimulator, SimError, SimOutcome};
 pub use topology::{GroupId, LinkSpec, NodeClass, NodeId, Topology};

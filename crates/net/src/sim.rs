@@ -87,6 +87,75 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// A run of identical blocks that an [`ExecGraph`] holds only in part
+/// (block folding).
+///
+/// The graph holds the first `emitted` copies of one block template back
+/// to back from `first_op`. The unfolded graph holds `total` copies,
+/// followed by the ops that follow the emitted ones here. Whoever builds
+/// the graph promises that every further copy is the last emitted block
+/// with its ids shifted by `ops_per_block`;
+/// [`GraphSimulator::simulate_folded`] checks everything else it relies
+/// on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockRun {
+    /// Id of the first op of the first block.
+    pub first_op: ExecNodeId,
+    /// Ops per block.
+    pub ops_per_block: usize,
+    /// Blocks the graph holds.
+    pub emitted: usize,
+    /// Blocks the unfolded graph holds.
+    pub total: usize,
+}
+
+impl BlockRun {
+    /// Blocks the graph leaves out.
+    pub fn skipped(&self) -> usize {
+        self.total.saturating_sub(self.emitted)
+    }
+
+    /// Ops the graph leaves out.
+    pub fn skipped_ops(&self) -> usize {
+        self.skipped() * self.ops_per_block
+    }
+}
+
+/// A watched block boundary of a folded run. It fires once every op with
+/// a lower id has finished.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    /// Id of the first op of the block that starts here.
+    at: ExecNodeId,
+    /// Ops per block.
+    len: usize,
+    /// 0 on the first cut of a pair (the start of the last emitted
+    /// block); on the second (the end of the emitted blocks), the blocks
+    /// the graph leaves out.
+    skipped: u64,
+}
+
+/// The running totals a folded run extrapolates, read at a cut.
+#[derive(Debug, Clone, Copy, Default)]
+struct Totals {
+    time: TimePs,
+    events: u64,
+    compute: TimePs,
+    comm: TimePs,
+    host: TimePs,
+}
+
+impl Totals {
+    /// Adds `n` times the change from `from` to `to`.
+    fn add_scaled(&mut self, from: Totals, to: Totals, n: u64) {
+        self.time += n * (to.time - from.time);
+        self.events += n * (to.events - from.events);
+        self.compute += n * (to.compute - from.compute);
+        self.comm += n * (to.comm - from.comm);
+        self.host += n * (to.host - from.host);
+    }
+}
+
 /// A graph simulator whose working state (dependency counts, CSR
 /// successor lists, node timelines, the event heap, and the outcome
 /// buffers) persists across runs.
@@ -130,6 +199,13 @@ pub struct GraphSimulator {
     queue: EventQueue<Event>,
     /// Outcome buffers, overwritten per run.
     outcome: SimOutcome,
+    /// Cuts a folded run watches, in id order (two per folded run).
+    cuts: Vec<Cut>,
+    /// The ready ops at the cut just fired: (sequence number, offset
+    /// into the block), in queue order.
+    pending: Vec<(u64, usize)>,
+    /// The ready-op offsets at the first cut of the pair being watched.
+    first_pending: Vec<usize>,
 }
 
 impl GraphSimulator {
@@ -151,7 +227,68 @@ impl GraphSimulator {
         topology: &Topology,
     ) -> Result<&SimOutcome, SimError> {
         validate(graph, topology)?;
+        self.cuts.clear();
+        let proved = self.run(graph, topology);
+        debug_assert!(proved, "a run without cuts has nothing to prove");
+        Ok(&self.outcome)
+    }
 
+    /// Executes a folded `graph` and extrapolates its outcome to the
+    /// unfolded graph, or returns `None` when the run cannot prove that
+    /// the left-out blocks repeat.
+    ///
+    /// For every run in `runs` that leaves blocks out, the DES watches two
+    /// cuts: the start of the last emitted block and the start of the ops
+    /// after it. A cut fires when every op with a lower id has finished.
+    /// It is *clean* when no op at or past it has started, the only
+    /// pending events are `Ready` events of the block's own ops due at
+    /// the cut time, and every node and the host link are free by then.
+    /// If both cuts are clean, their ready ops sit at the same offsets in
+    /// the same queue order, and the ops after the emitted blocks depend
+    /// on the last one as a next block would, the two states differ only
+    /// by a time shift. The DES is deterministic, so each left-out block
+    /// would repeat that shift exactly. Makespan, events, compute, comm
+    /// and host time then grow by the blocks left out times the change
+    /// between the two cuts; the result equals an unfolded run's.
+    ///
+    /// `completions` and `node_busy_ps` of the returned outcome cover
+    /// the emitted ops only.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] if the graph references nodes or groups that
+    /// do not exist in the topology.
+    pub fn simulate_folded(
+        &mut self,
+        graph: &ExecGraph,
+        topology: &Topology,
+        runs: &[BlockRun],
+    ) -> Result<Option<&SimOutcome>, SimError> {
+        validate(graph, topology)?;
+        self.cuts.clear();
+        for run in runs {
+            if run.skipped() == 0 {
+                continue;
+            }
+            if run.emitted < 2 || !frontier_repeats(graph, run) {
+                return Ok(None);
+            }
+            let len = run.ops_per_block;
+            let end = run.first_op + run.emitted * len;
+            self.cuts.push(Cut { at: end - len, len, skipped: 0 });
+            self.cuts.push(Cut { at: end, len, skipped: run.skipped() as u64 });
+        }
+        debug_assert!(
+            self.cuts.windows(2).all(|w| w[0].at < w[1].at),
+            "block runs must be disjoint and in id order"
+        );
+        Ok(self.run(graph, topology).then_some(&self.outcome))
+    }
+
+    /// Runs the DES over a validated graph, watching `self.cuts`.
+    /// Returns `false` as soon as a cut is not clean or two paired cuts
+    /// disagree; otherwise the outcome holds the extrapolated totals.
+    fn run(&mut self, graph: &ExecGraph, topology: &Topology) -> bool {
         let n_ops = graph.len();
         self.indegree.clear();
         self.indegree.resize(n_ops, 0);
@@ -200,11 +337,24 @@ impl GraphSimulator {
         let node_busy = &mut out.node_busy_ps;
         let mut host_free: TimePs = 0;
         let mut done = 0usize;
+        // The cut being watched, and how many ops below it have finished.
+        let mut next_cut = 0;
+        let mut watch = self.cuts.first().map_or(usize::MAX, |c| c.at);
+        let mut below = 0usize;
+        // Totals at the first cut of the pair being watched, and what the
+        // left-out blocks add.
+        let mut first = Totals::default();
+        let mut skipped = Totals::default();
 
         while let Some((now, event)) = self.queue.pop() {
             match event {
                 Event::Step => {}
                 Event::Ready(id) => {
+                    if id >= watch {
+                        // An op at or past the watched cut starts before
+                        // every op below it has finished: not clean.
+                        return false;
+                    }
                     let op = graph.op(id);
                     match op.payload {
                         ExecPayload::Compute { ps } => {
@@ -272,14 +422,114 @@ impl GraphSimulator {
                             self.queue.push(now, Event::Ready(s));
                         }
                     }
+                    if id >= watch {
+                        continue;
+                    }
+                    below += 1;
+                    if below < watch {
+                        continue;
+                    }
+                    // Every op below the cut has finished and none at or
+                    // past it has started, so `below` stays right for the
+                    // next cut.
+                    let cut = self.cuts[next_cut];
+                    if !cut_is_clean(
+                        &self.queue,
+                        &cut,
+                        now,
+                        node_free,
+                        host_free,
+                        &mut self.pending,
+                    ) {
+                        return false;
+                    }
+                    let here = Totals {
+                        time: now,
+                        events: self.queue.processed(),
+                        compute: out.compute_ps,
+                        comm: out.comm_ps,
+                        host: out.host_ps,
+                    };
+                    let offsets = self.pending.iter().map(|&(_, offset)| offset);
+                    if cut.skipped == 0 {
+                        first = here;
+                        self.first_pending.clear();
+                        self.first_pending.extend(offsets);
+                    } else if offsets.eq(self.first_pending.iter().copied()) {
+                        skipped.add_scaled(first, here, cut.skipped);
+                    } else {
+                        return false;
+                    }
+                    next_cut += 1;
+                    watch = self.cuts.get(next_cut).map_or(usize::MAX, |c| c.at);
                 }
             }
         }
 
         debug_assert_eq!(done, n_ops, "all ops must complete");
-        out.events = self.queue.processed();
-        Ok(&self.outcome)
+        if next_cut < self.cuts.len() {
+            return false;
+        }
+        out.events = self.queue.processed() + skipped.events;
+        out.makespan_ps += skipped.time;
+        out.compute_ps += skipped.compute;
+        out.comm_ps += skipped.comm;
+        out.host_ps += skipped.host;
+        true
     }
+}
+
+/// Whether the ops after the last emitted block of `run` depend on it
+/// the way that block depends on the one before: for every offset in a
+/// block, the dependencies below the block boundary, counted back from
+/// it, are the same. A next block of the unfolded graph depends on the
+/// last emitted one exactly like that, so a DES state reached at the end
+/// of the emitted blocks is also the state that next block starts from.
+fn frontier_repeats(graph: &ExecGraph, run: &BlockRun) -> bool {
+    let len = run.ops_per_block;
+    let end = run.first_op + run.emitted * len;
+    if len == 0 || end > graph.len() {
+        return false;
+    }
+    let last = end - len;
+    let back = |cut: ExecNodeId, id: ExecNodeId| {
+        graph.op(id).deps.iter().filter(move |&&d| d < cut).map(move |&d| cut - d)
+    };
+    (0..len).all(|j| {
+        if end + j < graph.len() {
+            back(last, last + j).eq(back(end, end + j))
+        } else {
+            back(last, last + j).next().is_none()
+        }
+    })
+}
+
+/// Whether the DES state at a fired cut is clean: every node and the
+/// host link are free by `now`, and every pending event is a `Ready` of
+/// the cut's block due now. Fills `pending` with the ready ops'
+/// (sequence number, offset into the block), in queue order.
+fn cut_is_clean(
+    queue: &EventQueue<Event>,
+    cut: &Cut,
+    now: TimePs,
+    node_free: &[TimePs],
+    host_free: TimePs,
+    pending: &mut Vec<(u64, usize)>,
+) -> bool {
+    if host_free > now || node_free.iter().any(|&t| t > now) {
+        return false;
+    }
+    pending.clear();
+    for (time, seq, event) in queue.pending() {
+        match *event {
+            Event::Ready(id) if time == now && (cut.at..cut.at + cut.len).contains(&id) => {
+                pending.push((seq, id - cut.at));
+            }
+            _ => return false,
+        }
+    }
+    pending.sort_unstable();
+    true
 }
 
 /// Executes `graph` on `topology`, returning timing and utilization.
@@ -475,6 +725,92 @@ mod tests {
         let out = simulate_graph(&ExecGraph::new(), &topo(1)).unwrap();
         assert_eq!(out.makespan_ps, 0);
         assert_eq!(out.events, 0);
+    }
+
+    /// `blocks` copies of a two-node block (a compute per node joined by
+    /// an all-reduce over group 0) between a head op and two tail ops
+    /// that depend on the last block as a next block would. `prelude`
+    /// ops go first, before the head.
+    fn blocked(blocks: usize, prelude: &[(usize, TimePs)]) -> ExecGraph {
+        let mut g = ExecGraph::new();
+        for &(node, ps) in prelude {
+            g.add(node, ExecPayload::Compute { ps }, &[], "prelude");
+        }
+        let mut tail = g.add(0, ExecPayload::Compute { ps: 7 }, &[], "head");
+        for _ in 0..blocks {
+            let a = g.add(0, ExecPayload::Compute { ps: 100 }, &[tail], "a");
+            let b = g.add(1, ExecPayload::Compute { ps: 150 }, &[tail], "b");
+            let ar = ExecPayload::Collective {
+                kind: CollectiveKind::AllReduce,
+                bytes: 1 << 16,
+                group: 0,
+            };
+            tail = g.add(0, ar, &[a, b], "ar");
+        }
+        g.add(0, ExecPayload::Compute { ps: 5 }, &[tail], "t0");
+        g.add(1, ExecPayload::Compute { ps: 9 }, &[tail], "t1");
+        g
+    }
+
+    fn run_of(prelude: usize, total: usize) -> BlockRun {
+        BlockRun { first_op: prelude + 1, ops_per_block: 3, emitted: 2, total }
+    }
+
+    #[test]
+    fn folded_run_extrapolates_the_unfolded_outcome_exactly() {
+        let topo = Topology::grouped_npus(4, 2, LinkSpec::new(64.0, 100.0));
+        let full = simulate_graph(&blocked(10, &[]), &topo).unwrap();
+        let folded_graph = blocked(2, &[]);
+        let run = run_of(0, 10);
+        assert_eq!(folded_graph.len() + run.skipped_ops(), blocked(10, &[]).len());
+        let mut sim = GraphSimulator::new();
+        let folded = sim.simulate_folded(&folded_graph, &topo, &[run]).unwrap().unwrap();
+        assert_eq!(folded.makespan_ps, full.makespan_ps);
+        assert_eq!(folded.events, full.events);
+        assert_eq!(folded.compute_ps, full.compute_ps);
+        assert_eq!(folded.comm_ps, full.comm_ps);
+        assert_eq!(folded.host_ps, full.host_ps);
+        // Runs that leave nothing out fold nothing.
+        let plain = sim.simulate_folded(&blocked(2, &[]), &topo, &[run_of(0, 2)]).unwrap();
+        assert_eq!(
+            plain.unwrap().makespan_ps,
+            simulate_graph(&folded_graph, &topo).unwrap().makespan_ps
+        );
+    }
+
+    #[test]
+    fn an_op_overlapping_the_second_block_defeats_the_proof() {
+        // A long op on node 2, outside the blocks' group, is still
+        // running when the second block starts: that cut is not clean.
+        let topo = Topology::grouped_npus(4, 2, LinkSpec::new(64.0, 100.0));
+        let long = [(2, 2_000_000)];
+        let mut sim = GraphSimulator::new();
+        let folded = sim.simulate_folded(&blocked(2, &long), &topo, &[run_of(1, 10)]).unwrap();
+        assert!(folded.is_none());
+        // Finished before the second block starts, it does no harm.
+        let short = [(2, 1_000_000)];
+        let folded = sim.simulate_folded(&blocked(2, &short), &topo, &[run_of(1, 10)]).unwrap();
+        let full = simulate_graph(&blocked(10, &short), &topo).unwrap();
+        assert_eq!(folded.map(|o| o.makespan_ps), Some(full.makespan_ps));
+    }
+
+    #[test]
+    fn ops_after_the_blocks_must_depend_on_them_as_a_block_would() {
+        // Drop the second tail op: the ops after the emitted blocks no
+        // longer mirror a next block's dependencies.
+        let topo = Topology::grouped_npus(4, 2, LinkSpec::new(64.0, 100.0));
+        let mut g = blocked(2, &[]);
+        let mut trimmed = ExecGraph::new();
+        for (id, op) in g.iter().take(g.len() - 1) {
+            trimmed.add(op.node, op.payload, &op.deps, op.label);
+            assert_eq!(trimmed.len(), id + 1);
+        }
+        g = trimmed;
+        let mut sim = GraphSimulator::new();
+        assert!(sim.simulate_folded(&g, &topo, &[run_of(0, 10)]).unwrap().is_none());
+        // A run claiming fewer than two emitted blocks proves nothing.
+        let one = BlockRun { emitted: 1, ..run_of(0, 10) };
+        assert!(sim.simulate_folded(&blocked(1, &[]), &topo, &[one]).unwrap().is_none());
     }
 
     #[test]

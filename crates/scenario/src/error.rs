@@ -87,7 +87,13 @@ impl std::error::Error for ScenarioError {}
 
 impl From<ConfigError> for ScenarioError {
     fn from(e: ConfigError) -> Self {
-        ScenarioError::Config(e)
+        match e.field() {
+            // One scenario key carries each such field under its name.
+            Some(field) => {
+                ScenarioError::InvalidValue { field: field.into(), message: e.message().into() }
+            }
+            None => ScenarioError::Config(e),
+        }
     }
 }
 

@@ -777,9 +777,10 @@ impl Scenario {
                 ScenarioError::InvalidValue { field: "network".into(), message }
             })?;
         }
-        // Parallelism layout constraints (group divisibility, stages vs
-        // model depth) are pure functions of the config — fail here, not
-        // inside a half-built fleet.
+        // Value ranges and parallelism layout constraints (group
+        // divisibility, stages vs model depth) are pure functions of the
+        // config — fail here, not inside a half-built fleet.
+        cfg.check_values()?;
         cfg.parallelism()?;
         Ok(cfg)
     }
@@ -1618,6 +1619,43 @@ mod tests {
         assert!(matches!(err, ScenarioError::InvalidValue { .. }), "{err}");
         let err = small().kv_link_gbps(0.0).disagg(1, 1).validate().unwrap_err();
         assert!(matches!(err, ScenarioError::InvalidValue { .. }), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_floats_are_invalid_values_naming_the_field() {
+        let bad_delays = ["inf", "1e30", "2e10", "nan", "-1"];
+        let bad_mems = ["nan", "0", "-1", "inf", "1e30"];
+        let cases = bad_delays
+            .iter()
+            .map(|v| ("batch_delay_ms", v))
+            .chain(bad_mems.iter().map(|v| ("npu_mem_gib", v)));
+        for (key, value) in cases {
+            let mut s = small();
+            s.set(key, value).unwrap();
+            match s.validate() {
+                Err(ScenarioError::InvalidValue { field, .. }) => {
+                    assert_eq!(field, key, "{key}={value}")
+                }
+                other => panic!("{key}={value}: expected an invalid value, got {other:?}"),
+            }
+            // The same values through a [[fleet.replica]] override.
+            let mut over = ReplicaOverride::default();
+            let v: f64 = value.parse().unwrap();
+            if key == "batch_delay_ms" {
+                over.batch_delay_ms = Some(v);
+            } else {
+                over.npu_mem_gib = Some(v);
+            }
+            let fleet = FleetSpec { replicas: vec![over], ..FleetSpec::default() };
+            let err = small().fleet(fleet).build().unwrap_err();
+            assert!(
+                matches!(&err, ScenarioError::InvalidValue { field, .. } if field == key),
+                "override {key}={value}: {err}"
+            );
+        }
+        let mut s = small();
+        s.set("batch_delay_ms", "2.5").unwrap();
+        s.build().unwrap();
     }
 
     #[test]

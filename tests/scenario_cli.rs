@@ -201,6 +201,23 @@ fn conflicting_flags_exit_with_a_typed_message_not_a_panic() {
     }
 }
 
+#[test]
+fn out_of_range_floats_exit_with_a_typed_message_not_a_panic() {
+    let single = scenario_path("quickstart.toml");
+    let bad = ["inf", "1e30", "2e10", "nan", "-1"]
+        .map(|v| format!("batch_delay_ms={v}"))
+        .into_iter()
+        .chain(["nan", "0", "-1", "inf"].map(|v| format!("npu_mem_gib={v}")));
+    for set in bad {
+        let out = bin().args(["run", &single, "--set", &set]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{set}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let field = set.split('=').next().unwrap();
+        assert!(stderr.contains(&format!("{field}: must be")), "{set}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{set}: {stderr}");
+    }
+}
+
 /// `shards` is a scenario key like any other: it leaves a cluster a
 /// cluster, and the sharded run reproduces the cluster goldens.
 #[test]
