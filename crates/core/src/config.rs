@@ -22,6 +22,32 @@ pub enum ParallelismKind {
     Hybrid,
 }
 
+impl ParallelismKind {
+    /// The scenario-file spelling (the artifact's `parallel` values).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            ParallelismKind::Tensor => "tensor",
+            ParallelismKind::Pipeline => "pipeline",
+            ParallelismKind::Hybrid => "hybrid",
+        }
+    }
+}
+
+impl std::str::FromStr for ParallelismKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "tensor" => Ok(ParallelismKind::Tensor),
+            "pipeline" => Ok(ParallelismKind::Pipeline),
+            "hybrid" => Ok(ParallelismKind::Hybrid),
+            other => Err(format!(
+                "unknown parallelism '{other}' (expected tensor | pipeline | hybrid)"
+            )),
+        }
+    }
+}
+
 /// A resolved parallelism layout: `tp` nodes per group, `pp` groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ParallelismSpec {
@@ -51,6 +77,28 @@ pub enum KvManage {
     Vllm,
     /// Conventional max-length preallocation.
     MaxLen,
+}
+
+impl KvManage {
+    /// The scenario-file spelling (the artifact's `kv_manage` values).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            KvManage::Vllm => "vllm",
+            KvManage::MaxLen => "max",
+        }
+    }
+}
+
+impl std::str::FromStr for KvManage {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "vllm" => Ok(KvManage::Vllm),
+            "max" => Ok(KvManage::MaxLen),
+            other => Err(format!("unknown KV management '{other}' (expected vllm | max)")),
+        }
+    }
 }
 
 /// KV-length bucket policy for iteration-outcome memoization.

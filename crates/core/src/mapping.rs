@@ -28,6 +28,30 @@ pub enum PimMode {
     Pool,
 }
 
+impl PimMode {
+    /// The scenario-file spelling (the artifact's `pim_type` values).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            PimMode::None => "none",
+            PimMode::Local => "local",
+            PimMode::Pool => "pool",
+        }
+    }
+}
+
+impl std::str::FromStr for PimMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "none" => Ok(PimMode::None),
+            "local" => Ok(PimMode::Local),
+            "pool" => Ok(PimMode::Pool),
+            other => Err(format!("unknown PIM mode '{other}' (expected none | local | pool)")),
+        }
+    }
+}
+
 /// The device class an operator is mapped to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DeviceKind {

@@ -37,9 +37,11 @@
 //! byte-for-byte.
 
 use llmss_core::{ChaosSchedule, LinkFault, ReplicaFault, ReplicaFaultKind, RetryPolicy};
-use serde::Value;
+use llmss_sched::EVENT_HORIZON_PS;
+use serde::{Serialize, Value};
 
-use crate::{ms_to_ps, ScenarioError};
+use crate::codec::{parse, parse_opt, read_entries, Table};
+use crate::{check_horizon, check_link_gbps, ms_to_ps, ScenarioError};
 
 /// One `[[chaos.replica_fault]]` entry: an explicit replica fault
 /// window in scenario (millisecond) units.
@@ -68,54 +70,24 @@ impl ReplicaFaultSpec {
             ("replica".into(), Value::Int(self.replica as i128)),
             ("kind".into(), Value::Str(self.kind.to_string())),
             ("at_ms".into(), Value::Float(self.at_ms)),
-            ("recover_ms".into(), opt_float(self.recover_ms)),
+            ("recover_ms".into(), self.recover_ms.to_value()),
         ])
     }
+}
 
-    fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("chaos.replica_fault: expected a table, got {v:?}"),
-            });
-        };
-        let bad = |field: &str, v: &Value, expected: &str| ScenarioError::UnknownValue {
-            field: format!("chaos.replica_fault.{field}"),
-            value: format!("{v:?}"),
-            expected: expected.into(),
-        };
-        let mut fault = ReplicaFaultSpec::default();
-        for (key, v) in fields {
-            match key.as_str() {
-                "replica" => {
-                    fault.replica =
-                        index_of(v).ok_or_else(|| bad("replica", v, "a replica index"))?;
-                }
-                "kind" => {
-                    let Value::Str(s) = v else {
-                        return Err(bad("kind", v, "crash | hang | drain"));
-                    };
-                    fault.kind =
-                        s.parse().map_err(|e: String| ScenarioError::UnknownValue {
-                            field: "chaos.replica_fault.kind".into(),
-                            value: s.clone(),
-                            expected: e,
-                        })?;
-                }
-                "at_ms" => {
-                    fault.at_ms = f64_of(v).ok_or_else(|| bad("at_ms", v, "milliseconds"))?;
-                }
-                "recover_ms" => {
-                    fault.recover_ms =
-                        opt_f64(v).ok_or_else(|| bad("recover_ms", v, "milliseconds"))?;
-                }
-                other => {
-                    return Err(ScenarioError::UnknownKey {
-                        key: format!("chaos.replica_fault.{other}"),
-                    })
-                }
-            }
+impl Table for ReplicaFaultSpec {
+    const PATH: &'static str = "chaos.replica_fault";
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        let path = Self::PATH;
+        match key {
+            "replica" => self.replica = parse(path, key, value)?,
+            "kind" => self.kind = parse(path, key, value)?,
+            "at_ms" => self.at_ms = parse(path, key, value)?,
+            "recover_ms" => self.recover_ms = parse_opt(path, key, value)?,
+            other => return Err(ScenarioError::UnknownKey { key: format!("{path}.{other}") }),
         }
-        Ok(fault)
+        Ok(())
     }
 }
 
@@ -146,76 +118,25 @@ impl LinkFaultSpec {
         Value::Object(vec![
             ("link".into(), Value::Int(self.link as i128)),
             ("at_ms".into(), Value::Float(self.at_ms)),
-            ("recover_ms".into(), opt_float(self.recover_ms)),
+            ("recover_ms".into(), self.recover_ms.to_value()),
             ("degrade_to_gbps".into(), Value::Float(self.degrade_to_gbps)),
         ])
     }
+}
 
-    fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("chaos.link_fault: expected a table, got {v:?}"),
-            });
-        };
-        let bad = |field: &str, v: &Value, expected: &str| ScenarioError::UnknownValue {
-            field: format!("chaos.link_fault.{field}"),
-            value: format!("{v:?}"),
-            expected: expected.into(),
-        };
-        let mut fault = LinkFaultSpec::default();
-        for (key, v) in fields {
-            match key.as_str() {
-                "link" => {
-                    fault.link = index_of(v).ok_or_else(|| bad("link", v, "a link index"))?;
-                }
-                "at_ms" => {
-                    fault.at_ms = f64_of(v).ok_or_else(|| bad("at_ms", v, "milliseconds"))?;
-                }
-                "recover_ms" => {
-                    fault.recover_ms =
-                        opt_f64(v).ok_or_else(|| bad("recover_ms", v, "milliseconds"))?;
-                }
-                "degrade_to_gbps" => {
-                    fault.degrade_to_gbps =
-                        f64_of(v).ok_or_else(|| bad("degrade_to_gbps", v, "GB/s"))?;
-                }
-                other => {
-                    return Err(ScenarioError::UnknownKey {
-                        key: format!("chaos.link_fault.{other}"),
-                    })
-                }
-            }
+impl Table for LinkFaultSpec {
+    const PATH: &'static str = "chaos.link_fault";
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        let path = Self::PATH;
+        match key {
+            "link" => self.link = parse(path, key, value)?,
+            "at_ms" => self.at_ms = parse(path, key, value)?,
+            "recover_ms" => self.recover_ms = parse_opt(path, key, value)?,
+            "degrade_to_gbps" => self.degrade_to_gbps = parse(path, key, value)?,
+            other => return Err(ScenarioError::UnknownKey { key: format!("{path}.{other}") }),
         }
-        Ok(fault)
-    }
-}
-
-fn opt_float(v: Option<f64>) -> Value {
-    match v {
-        Some(f) => Value::Float(f),
-        None => Value::Null,
-    }
-}
-
-fn index_of(v: &Value) -> Option<usize> {
-    match v {
-        Value::Int(i) => usize::try_from(*i).ok(),
-        _ => None,
-    }
-}
-
-fn f64_of(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(f) => Some(*f),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
-    }
-}
-
-fn opt_f64(v: &Value) -> Option<Option<f64>> {
-    match v {
-        Value::Null => Some(None),
-        _ => f64_of(v).map(Some),
+        Ok(())
     }
 }
 
@@ -295,6 +216,7 @@ impl ChaosSpec {
             if !value.is_finite() || ms_to_ps(value) == 0 {
                 return invalid(field.into(), format!("must be at least 1 ps, got {value} ms"));
             }
+            check_horizon(field, value * 1e9)?;
         }
         if !self.retry_backoff_mult.is_finite() || self.retry_backoff_mult < 1.0 {
             return invalid(
@@ -302,6 +224,20 @@ impl ChaosSpec {
                 format!(
                     "the backoff multiplier must be at least 1, got {}",
                     self.retry_backoff_mult
+                ),
+            );
+        }
+        // The last retry waits longest: backoff × mult^(max_retries − 1).
+        let last_backoff_ps = self.retry().backoff_for(self.max_retries);
+        if last_backoff_ps > EVENT_HORIZON_PS {
+            return invalid(
+                "chaos.retry_backoff_ms".into(),
+                format!(
+                    "retry {} of {} ms x {}^{} waits past the event horizon",
+                    self.max_retries,
+                    self.retry_backoff_ms,
+                    self.retry_backoff_mult,
+                    self.max_retries.saturating_sub(1)
                 ),
             );
         }
@@ -342,14 +278,9 @@ impl ChaosSpec {
                     format!("a fault time must be non-negative, got {}", fault.at_ms),
                 );
             }
-            if !fault.degrade_to_gbps.is_finite() || fault.degrade_to_gbps < 0.0 {
-                return invalid(
-                    field("degrade_to_gbps"),
-                    format!(
-                        "degraded bandwidth must be non-negative, got {}",
-                        fault.degrade_to_gbps
-                    ),
-                );
+            // Zero is a full partition; any other bandwidth is a link's.
+            if fault.degrade_to_gbps != 0.0 {
+                check_link_gbps(&field("degrade_to_gbps"), fault.degrade_to_gbps)?;
             }
             match fault.recover_ms {
                 Some(recover)
@@ -429,38 +360,16 @@ impl ChaosSpec {
                 degrade_to_gbps: fault.degrade_to_gbps,
             });
         }
-        Ok(schedule.retry(RetryPolicy {
+        Ok(schedule.retry(self.retry()))
+    }
+
+    /// The retry policy in engine (picosecond) units.
+    fn retry(&self) -> RetryPolicy {
+        RetryPolicy {
             max_retries: self.max_retries,
             backoff_ps: ms_to_ps(self.retry_backoff_ms),
             backoff_multiplier: self.retry_backoff_mult,
-        }))
-    }
-
-    /// Sets one knob by its serialized sub-key (the `chaos.*` surface of
-    /// [`Scenario::set`](crate::Scenario::set) — sweep axes and `--set`).
-    /// The fault lists are not string-addressable.
-    pub(crate) fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        fn parse<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, ScenarioError>
-        where
-            T::Err: std::fmt::Display,
-        {
-            value.parse().map_err(|e| ScenarioError::UnknownValue {
-                field: format!("chaos.{field}"),
-                value: value.into(),
-                expected: format!("{e}"),
-            })
         }
-        match key {
-            "seed" => self.seed = parse(key, value)?,
-            "crash_rate_per_s" => self.crash_rate_per_s = parse(key, value)?,
-            "mttr_ms" => self.mttr_ms = parse(key, value)?,
-            "horizon_ms" => self.horizon_ms = parse(key, value)?,
-            "max_retries" => self.max_retries = parse(key, value)?,
-            "retry_backoff_ms" => self.retry_backoff_ms = parse(key, value)?,
-            "retry_backoff_mult" => self.retry_backoff_mult = parse(key, value)?,
-            other => return Err(ScenarioError::UnknownKey { key: format!("chaos.{other}") }),
-        }
-        Ok(())
     }
 
     /// Renders the table as a value tree in canonical key order.
@@ -483,52 +392,36 @@ impl ChaosSpec {
             ),
         ])
     }
+}
 
-    /// Rebuilds the table from a value tree with typed errors.
-    pub(crate) fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("chaos: expected a table, got {v:?}"),
-            });
-        };
-        let mut spec = ChaosSpec::default();
-        for (key, value) in fields {
-            if key == "replica_fault" || key == "link_fault" {
-                let Value::Array(items) = value else {
-                    return Err(ScenarioError::Parse {
-                        message: format!("chaos.{key}: expected an array, got {value:?}"),
-                    });
-                };
-                if key == "replica_fault" {
-                    spec.replica_faults = items
-                        .iter()
-                        .map(ReplicaFaultSpec::from_value)
-                        .collect::<Result<_, _>>()?;
-                } else {
-                    spec.link_faults = items
-                        .iter()
-                        .map(LinkFaultSpec::from_value)
-                        .collect::<Result<_, _>>()?;
-                }
-                continue;
-            }
-            let text = match value {
-                Value::Null => "none".to_owned(),
-                Value::Str(s) => s.clone(),
-                Value::Int(i) => i.to_string(),
-                Value::Float(f) => format!("{f:?}"),
-                Value::Bool(b) => b.to_string(),
-                other => {
-                    return Err(ScenarioError::UnknownValue {
-                        field: format!("chaos.{key}"),
-                        value: format!("{other:?}"),
-                        expected: "a scalar".into(),
-                    })
-                }
-            };
-            spec.set(key, &text)?;
+/// The `chaos.*` surface of [`Scenario::set`](crate::Scenario::set) —
+/// sweep axes and `--set`. The fault lists are not string-addressable; a
+/// file spells them as `[[chaos.replica_fault]]`/`[[chaos.link_fault]]`
+/// entries.
+impl Table for ChaosSpec {
+    const PATH: &'static str = "chaos";
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        let path = Self::PATH;
+        match key {
+            "seed" => self.seed = parse(path, key, value)?,
+            "crash_rate_per_s" => self.crash_rate_per_s = parse(path, key, value)?,
+            "mttr_ms" => self.mttr_ms = parse(path, key, value)?,
+            "horizon_ms" => self.horizon_ms = parse(path, key, value)?,
+            "max_retries" => self.max_retries = parse(path, key, value)?,
+            "retry_backoff_ms" => self.retry_backoff_ms = parse(path, key, value)?,
+            "retry_backoff_mult" => self.retry_backoff_mult = parse(path, key, value)?,
+            other => return Err(ScenarioError::UnknownKey { key: format!("{path}.{other}") }),
         }
-        Ok(spec)
+        Ok(())
+    }
+
+    fn read(&mut self, key: &str, value: &Value) -> Option<Result<(), ScenarioError>> {
+        match key {
+            "replica_fault" => Some(read_entries(value).map(|f| self.replica_faults = f)),
+            "link_fault" => Some(read_entries(value).map(|f| self.link_faults = f)),
+            _ => None,
+        }
     }
 }
 

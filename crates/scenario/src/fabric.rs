@@ -28,9 +28,10 @@
 
 use llmss_core::{Fabric, FabricGraph, FabricTopology, NamedLink, RouteSpec};
 use llmss_net::LinkSpec;
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 
-use crate::ScenarioError;
+use crate::codec::{parse, parse_opt, read_entries, Table};
+use crate::{check_horizon, check_link_gbps, ScenarioError};
 
 /// How concurrent transfers share the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -74,7 +75,7 @@ impl std::str::FromStr for FabricSharing {
 }
 
 /// One `[[fabric.link]]` entry of an explicit graph.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FabricLink {
     /// The link's name (route paths refer to it).
     pub name: String,
@@ -88,7 +89,7 @@ pub struct FabricLink {
 /// One `[[fabric.route]]` entry: the link path an ordered replica pair
 /// uses. Routes are bidirectional unless the reverse pair declares its
 /// own.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FabricRoute {
     /// Source replica (fleet-global index).
     pub from: usize,
@@ -177,35 +178,27 @@ impl FabricSpec {
             [("fabric.bw_gbps", self.bw_gbps), ("fabric.trunk_gbps", self.trunk_gbps)]
         {
             if let Some(bw) = value {
-                if !bw.is_finite() || bw <= 0.0 {
-                    return invalid(
-                        field,
-                        format!("link bandwidth must be positive, got {bw}"),
-                    );
-                }
+                check_link_gbps(field, bw)?;
             }
         }
-        if let Some(lat) = self.latency_ns {
-            if !lat.is_finite() || lat < 0.0 {
-                return invalid(
-                    "fabric.latency_ns",
-                    format!("link latency cannot be negative, got {lat}"),
-                );
+        let latencies = std::iter::once(("fabric.latency_ns", self.latency_ns))
+            .chain(self.links.iter().map(|l| ("fabric.link.latency_ns", l.latency_ns)));
+        for (field, value) in latencies {
+            if let Some(lat) = value {
+                if !lat.is_finite() || lat < 0.0 {
+                    return invalid(
+                        field,
+                        format!("link latency cannot be negative, got {lat}"),
+                    );
+                }
+                check_horizon(field, lat * 1e3)?;
             }
         }
         for link in &self.links {
             if link.name.is_empty() {
                 return invalid("fabric.link.name", "a fabric link needs a name".into());
             }
-            if !link.gbps.is_finite() || link.gbps <= 0.0 {
-                return invalid(
-                    "fabric.link.gbps",
-                    format!(
-                        "link '{}': bandwidth must be positive, got {}",
-                        link.name, link.gbps
-                    ),
-                );
-            }
+            check_link_gbps("fabric.link.gbps", link.gbps)?;
         }
         Ok(())
     }
@@ -255,58 +248,14 @@ impl FabricSpec {
         Ok(Fabric::fair(topology, graph))
     }
 
-    /// Sets one knob by its serialized sub-key (the `fabric.*` surface
-    /// of [`Scenario::set`](crate::Scenario::set) — sweep axes and
-    /// `--set`). The link/route lists are not string-addressable.
-    pub(crate) fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        fn parse<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, ScenarioError>
-        where
-            T::Err: std::fmt::Display,
-        {
-            value.parse().map_err(|e| ScenarioError::UnknownValue {
-                field: format!("fabric.{field}"),
-                value: value.into(),
-                expected: format!("{e}"),
-            })
-        }
-        let opt_f64 = |field: &str, value: &str| -> Result<Option<f64>, ScenarioError> {
-            if value == "none" {
-                Ok(None)
-            } else {
-                parse(field, value).map(Some)
-            }
-        };
-        match key {
-            "topology" => {
-                self.topology = if value == "none" { None } else { Some(value.to_owned()) }
-            }
-            "sharing" => self.sharing = parse(key, value)?,
-            "bw_gbps" => self.bw_gbps = opt_f64(key, value)?,
-            "latency_ns" => self.latency_ns = opt_f64(key, value)?,
-            "trunk_gbps" => self.trunk_gbps = opt_f64(key, value)?,
-            other => return Err(ScenarioError::UnknownKey { key: format!("fabric.{other}") }),
-        }
-        Ok(())
-    }
-
     /// Renders the table as a value tree in canonical key order.
     pub(crate) fn to_value(&self) -> Value {
-        let opt_float = |v: Option<f64>| match v {
-            Some(f) => Value::Float(f),
-            None => Value::Null,
-        };
         Value::Object(vec![
-            (
-                "topology".into(),
-                match &self.topology {
-                    Some(t) => Value::Str(t.clone()),
-                    None => Value::Null,
-                },
-            ),
+            ("topology".into(), self.topology.to_value()),
             ("sharing".into(), Value::Str(self.sharing.as_str().into())),
-            ("bw_gbps".into(), opt_float(self.bw_gbps)),
-            ("latency_ns".into(), opt_float(self.latency_ns)),
-            ("trunk_gbps".into(), opt_float(self.trunk_gbps)),
+            ("bw_gbps".into(), self.bw_gbps.to_value()),
+            ("latency_ns".into(), self.latency_ns.to_value()),
+            ("trunk_gbps".into(), self.trunk_gbps.to_value()),
             (
                 "link".into(),
                 Value::Array(
@@ -316,7 +265,7 @@ impl FabricSpec {
                             Value::Object(vec![
                                 ("name".into(), Value::Str(l.name.clone())),
                                 ("gbps".into(), Value::Float(l.gbps)),
-                                ("latency_ns".into(), opt_float(l.latency_ns)),
+                                ("latency_ns".into(), l.latency_ns.to_value()),
                             ])
                         })
                         .collect(),
@@ -331,12 +280,7 @@ impl FabricSpec {
                             Value::Object(vec![
                                 ("from".into(), Value::Int(r.from as i128)),
                                 ("to".into(), Value::Int(r.to as i128)),
-                                (
-                                    "path".into(),
-                                    Value::Array(
-                                        r.path.iter().map(|p| Value::Str(p.clone())).collect(),
-                                    ),
-                                ),
+                                ("path".into(), r.path.to_value()),
                             ])
                         })
                         .collect(),
@@ -344,155 +288,79 @@ impl FabricSpec {
             ),
         ])
     }
+}
 
-    /// Rebuilds the table from a value tree with typed errors.
-    pub(crate) fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("fabric: expected a table, got {v:?}"),
-            });
-        };
-        let mut spec = FabricSpec::default();
-        for (key, value) in fields {
-            match key.as_str() {
-                "link" => {
-                    let Value::Array(items) = value else {
-                        return Err(ScenarioError::Parse {
-                            message: format!("fabric.link: expected an array, got {value:?}"),
-                        });
-                    };
-                    spec.links = items.iter().map(link_from_value).collect::<Result<_, _>>()?;
-                }
-                "route" => {
-                    let Value::Array(items) = value else {
-                        return Err(ScenarioError::Parse {
-                            message: format!("fabric.route: expected an array, got {value:?}"),
-                        });
-                    };
-                    spec.routes =
-                        items.iter().map(route_from_value).collect::<Result<_, _>>()?;
-                }
-                _ => {
-                    let text = match value {
-                        Value::Null => "none".to_owned(),
-                        Value::Str(s) => s.clone(),
-                        Value::Int(i) => i.to_string(),
-                        Value::Float(f) => format!("{f:?}"),
-                        Value::Bool(b) => b.to_string(),
-                        other => {
-                            return Err(ScenarioError::UnknownValue {
-                                field: format!("fabric.{key}"),
-                                value: format!("{other:?}"),
-                                expected: "a scalar".into(),
-                            })
-                        }
-                    };
-                    spec.set(key, &text)?;
-                }
-            }
+/// The `fabric.*` surface of [`Scenario::set`](crate::Scenario::set) —
+/// sweep axes and `--set`. The link/route lists are not
+/// string-addressable; a file spells them as `[[fabric.link]]` and
+/// `[[fabric.route]]` entries.
+impl Table for FabricSpec {
+    const PATH: &'static str = "fabric";
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        let path = Self::PATH;
+        match key {
+            "topology" => self.topology = parse_opt(path, key, value)?,
+            "sharing" => self.sharing = parse(path, key, value)?,
+            "bw_gbps" => self.bw_gbps = parse_opt(path, key, value)?,
+            "latency_ns" => self.latency_ns = parse_opt(path, key, value)?,
+            "trunk_gbps" => self.trunk_gbps = parse_opt(path, key, value)?,
+            other => return Err(ScenarioError::UnknownKey { key: format!("{path}.{other}") }),
         }
-        Ok(spec)
+        Ok(())
+    }
+
+    fn read(&mut self, key: &str, value: &Value) -> Option<Result<(), ScenarioError>> {
+        match key {
+            "link" => Some(read_entries(value).map(|links| self.links = links)),
+            "route" => Some(read_entries(value).map(|routes| self.routes = routes)),
+            _ => None,
+        }
     }
 }
 
-fn link_from_value(v: &Value) -> Result<FabricLink, ScenarioError> {
-    let Value::Object(fields) = v else {
-        return Err(ScenarioError::Parse {
-            message: format!("fabric.link: expected a table, got {v:?}"),
-        });
-    };
-    let bad = |field: &str, v: &Value, expected: &str| ScenarioError::UnknownValue {
-        field: format!("fabric.link.{field}"),
-        value: format!("{v:?}"),
-        expected: expected.into(),
-    };
-    let mut name = None;
-    let mut gbps = None;
-    let mut latency_ns = None;
-    for (key, v) in fields {
-        match key.as_str() {
-            "name" => match v {
-                Value::Str(s) => name = Some(s.clone()),
-                other => return Err(bad("name", other, "a link name")),
-            },
-            "gbps" => match v {
-                Value::Float(f) => gbps = Some(*f),
-                Value::Int(i) => gbps = Some(*i as f64),
-                other => return Err(bad("gbps", other, "GB/s")),
-            },
-            "latency_ns" => match v {
-                Value::Null => latency_ns = None,
-                Value::Float(f) => latency_ns = Some(*f),
-                Value::Int(i) => latency_ns = Some(*i as f64),
-                other => return Err(bad("latency_ns", other, "nanoseconds")),
-            },
-            other => {
-                return Err(ScenarioError::UnknownKey { key: format!("fabric.link.{other}") })
-            }
+impl Table for FabricLink {
+    const PATH: &'static str = "fabric.link";
+    const REQUIRED: &'static [&'static str] = &["name", "gbps"];
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        let path = Self::PATH;
+        match key {
+            "name" => self.name = value.to_owned(),
+            "gbps" => self.gbps = parse(path, key, value)?,
+            "latency_ns" => self.latency_ns = parse_opt(path, key, value)?,
+            other => return Err(ScenarioError::UnknownKey { key: format!("{path}.{other}") }),
         }
+        Ok(())
     }
-    let name = name.ok_or_else(|| ScenarioError::InvalidValue {
-        field: "fabric.link".into(),
-        message: "every [[fabric.link]] needs a name".into(),
-    })?;
-    let gbps = gbps.ok_or_else(|| ScenarioError::InvalidValue {
-        field: "fabric.link".into(),
-        message: format!("link '{name}' needs a gbps bandwidth"),
-    })?;
-    Ok(FabricLink { name, gbps, latency_ns })
 }
 
-fn route_from_value(v: &Value) -> Result<FabricRoute, ScenarioError> {
-    let Value::Object(fields) = v else {
-        return Err(ScenarioError::Parse {
-            message: format!("fabric.route: expected a table, got {v:?}"),
-        });
-    };
-    let bad = |field: &str, v: &Value, expected: &str| ScenarioError::UnknownValue {
-        field: format!("fabric.route.{field}"),
-        value: format!("{v:?}"),
-        expected: expected.into(),
-    };
-    let mut from = None;
-    let mut to = None;
-    let mut path = Vec::new();
-    for (key, v) in fields {
-        match key.as_str() {
-            "from" => match v {
-                Value::Int(i) if *i >= 0 => from = Some(*i as usize),
-                other => return Err(bad("from", other, "a replica index")),
-            },
-            "to" => match v {
-                Value::Int(i) if *i >= 0 => to = Some(*i as usize),
-                other => return Err(bad("to", other, "a replica index")),
-            },
-            "path" => match v {
-                Value::Array(items) => {
-                    path = items
-                        .iter()
-                        .map(|p| match p {
-                            Value::Str(s) => Ok(s.clone()),
-                            other => Err(bad("path", other, "link names")),
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                other => return Err(bad("path", other, "an array of link names")),
-            },
-            other => {
-                return Err(ScenarioError::UnknownKey { key: format!("fabric.route.{other}") })
-            }
+impl Table for FabricRoute {
+    const PATH: &'static str = "fabric.route";
+    const REQUIRED: &'static [&'static str] = &["from", "to"];
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        let path = Self::PATH;
+        match key {
+            "from" => self.from = parse(path, key, value)?,
+            "to" => self.to = parse(path, key, value)?,
+            other => return Err(ScenarioError::UnknownKey { key: format!("{path}.{other}") }),
         }
+        Ok(())
     }
-    let (from, to) = match (from, to) {
-        (Some(f), Some(t)) => (f, t),
-        _ => {
-            return Err(ScenarioError::InvalidValue {
-                field: "fabric.route".into(),
-                message: "every [[fabric.route]] needs from and to".into(),
-            })
-        }
-    };
-    Ok(FabricRoute { from, to, path })
+
+    /// `path` is a list of link names.
+    fn read(&mut self, key: &str, value: &Value) -> Option<Result<(), ScenarioError>> {
+        (key == "path").then(|| {
+            self.path =
+                Vec::<String>::from_value(value).map_err(|e| ScenarioError::UnknownValue {
+                    field: "fabric.route.path".into(),
+                    value: format!("{value:?}"),
+                    expected: format!("an array of link names ({e})"),
+                })?;
+            Ok(())
+        })
+    }
 }
 
 #[cfg(test)]

@@ -28,8 +28,9 @@
 //! `kv_link_gbps` link.
 
 use llmss_core::ReplicaRole;
-use serde::Value;
+use serde::{Serialize, Value};
 
+use crate::codec::{parse, parse_opt, read_entries, Table};
 use crate::ScenarioError;
 
 /// Which control plane drives the fleet.
@@ -119,86 +120,30 @@ impl ReplicaOverride {
     }
 
     fn to_value(self) -> Value {
-        let opt_int = |v: Option<usize>| match v {
-            Some(n) => Value::Int(n as i128),
-            None => Value::Null,
-        };
-        let opt_float = |v: Option<f64>| match v {
-            Some(f) => Value::Float(f),
-            None => Value::Null,
-        };
         Value::Object(vec![
             ("role".into(), Value::Str(self.role.to_string())),
-            ("npus".into(), opt_int(self.npus)),
-            ("max_batch".into(), opt_int(self.max_batch)),
-            ("batch_delay_ms".into(), opt_float(self.batch_delay_ms)),
-            ("npu_mem_gib".into(), opt_float(self.npu_mem_gib)),
+            ("npus".into(), self.npus.to_value()),
+            ("max_batch".into(), self.max_batch.to_value()),
+            ("batch_delay_ms".into(), self.batch_delay_ms.to_value()),
+            ("npu_mem_gib".into(), self.npu_mem_gib.to_value()),
         ])
     }
+}
 
-    fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("fleet.replica: expected a table, got {v:?}"),
-            });
-        };
-        let bad = |field: &str, v: &Value, expected: &str| ScenarioError::UnknownValue {
-            field: format!("fleet.replica.{field}"),
-            value: format!("{v:?}"),
-            expected: expected.into(),
-        };
-        let mut over = ReplicaOverride::default();
-        for (key, v) in fields {
-            match key.as_str() {
-                "role" => {
-                    let Value::Str(s) = v else {
-                        return Err(bad("role", v, "unified | prefill | decode"));
-                    };
-                    over.role = s.parse().map_err(|e: String| ScenarioError::UnknownValue {
-                        field: "fleet.replica.role".into(),
-                        value: s.clone(),
-                        expected: e,
-                    })?;
-                }
-                "npus" => {
-                    over.npus = opt_usize(v).ok_or_else(|| bad("npus", v, "an NPU count"))?
-                }
-                "max_batch" => {
-                    over.max_batch =
-                        opt_usize(v).ok_or_else(|| bad("max_batch", v, "a batch size"))?
-                }
-                "batch_delay_ms" => {
-                    over.batch_delay_ms =
-                        opt_f64(v).ok_or_else(|| bad("batch_delay_ms", v, "milliseconds"))?
-                }
-                "npu_mem_gib" => {
-                    over.npu_mem_gib = opt_f64(v).ok_or_else(|| bad("npu_mem_gib", v, "GiB"))?
-                }
-                other => {
-                    return Err(ScenarioError::UnknownKey {
-                        key: format!("fleet.replica.{other}"),
-                    })
-                }
-            }
+impl Table for ReplicaOverride {
+    const PATH: &'static str = "fleet.replica";
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        let path = Self::PATH;
+        match key {
+            "role" => self.role = parse(path, key, value)?,
+            "npus" => self.npus = parse_opt(path, key, value)?,
+            "max_batch" => self.max_batch = parse_opt(path, key, value)?,
+            "batch_delay_ms" => self.batch_delay_ms = parse_opt(path, key, value)?,
+            "npu_mem_gib" => self.npu_mem_gib = parse_opt(path, key, value)?,
+            other => return Err(ScenarioError::UnknownKey { key: format!("{path}.{other}") }),
         }
-        Ok(over)
-    }
-}
-
-fn opt_usize(v: &Value) -> Option<Option<usize>> {
-    match v {
-        Value::Null => Some(None),
-        Value::Int(i) => usize::try_from(*i).ok().map(Some),
-        _ => None,
-    }
-}
-
-fn opt_f64(v: &Value) -> Option<Option<f64>> {
-    match v {
-        Value::Null => Some(None),
-        Value::Float(f) => Some(Some(*f)),
-        Value::Int(i) => Some(Some(*i as f64)),
-        _ => None,
+        Ok(())
     }
 }
 
@@ -273,35 +218,6 @@ impl FleetSpec {
         }
     }
 
-    /// Sets one knob by its serialized sub-key (the `fleet.*` surface of
-    /// [`Scenario::set`](crate::Scenario::set) — sweep axes and `--set`).
-    /// The per-replica list is not string-addressable.
-    pub(crate) fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        fn parse<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, ScenarioError>
-        where
-            T::Err: std::fmt::Display,
-        {
-            value.parse().map_err(|e| ScenarioError::UnknownValue {
-                field: format!("fleet.{field}"),
-                value: value.into(),
-                expected: format!("{e}"),
-            })
-        }
-        match key {
-            "control" => self.control = parse(key, value)?,
-            "tick_ms" => self.tick_ms = parse(key, value)?,
-            "flex_idle_ticks" => self.flex_idle_ticks = parse(key, value)?,
-            "min_prefill" => self.min_prefill = parse(key, value)?,
-            "min_replicas" => self.min_replicas = parse(key, value)?,
-            "max_replicas" => self.max_replicas = parse(key, value)?,
-            "queue_high" => self.queue_high = parse(key, value)?,
-            "queue_low" => self.queue_low = parse(key, value)?,
-            "warmup_ms" => self.warmup_ms = parse(key, value)?,
-            other => return Err(ScenarioError::UnknownKey { key: format!("fleet.{other}") }),
-        }
-        Ok(())
-    }
-
     /// Renders the table as a value tree in canonical key order.
     pub(crate) fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -319,43 +235,6 @@ impl FleetSpec {
                 Value::Array(self.replicas.iter().map(|r| r.to_value()).collect()),
             ),
         ])
-    }
-
-    /// Rebuilds the table from a value tree with typed errors.
-    pub(crate) fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("fleet: expected a table, got {v:?}"),
-            });
-        };
-        let mut spec = FleetSpec::default();
-        for (key, value) in fields {
-            if key == "replica" {
-                let Value::Array(items) = value else {
-                    return Err(ScenarioError::Parse {
-                        message: format!("fleet.replica: expected an array, got {value:?}"),
-                    });
-                };
-                spec.replicas =
-                    items.iter().map(ReplicaOverride::from_value).collect::<Result<_, _>>()?;
-                continue;
-            }
-            let text = match value {
-                Value::Str(s) => s.clone(),
-                Value::Int(i) => i.to_string(),
-                Value::Float(f) => format!("{f:?}"),
-                Value::Bool(b) => b.to_string(),
-                other => {
-                    return Err(ScenarioError::UnknownValue {
-                        field: format!("fleet.{key}"),
-                        value: format!("{other:?}"),
-                        expected: "a scalar".into(),
-                    })
-                }
-            };
-            spec.set(key, &text)?;
-        }
-        Ok(spec)
     }
 
     /// The fleet size this spec implies given the scenario's `replicas`
@@ -377,6 +256,34 @@ impl FleetSpec {
     /// a KV link and at least one decode replica).
     pub fn has_prefill(&self) -> bool {
         self.replicas.iter().any(|r| r.role == ReplicaRole::Prefill)
+    }
+}
+
+/// The `fleet.*` surface of [`Scenario::set`](crate::Scenario::set) —
+/// sweep axes and `--set`. The per-replica list is not
+/// string-addressable; a file spells it as `[[fleet.replica]]` entries.
+impl Table for FleetSpec {
+    const PATH: &'static str = "fleet";
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        let path = Self::PATH;
+        match key {
+            "control" => self.control = parse(path, key, value)?,
+            "tick_ms" => self.tick_ms = parse(path, key, value)?,
+            "flex_idle_ticks" => self.flex_idle_ticks = parse(path, key, value)?,
+            "min_prefill" => self.min_prefill = parse(path, key, value)?,
+            "min_replicas" => self.min_replicas = parse(path, key, value)?,
+            "max_replicas" => self.max_replicas = parse(path, key, value)?,
+            "queue_high" => self.queue_high = parse(path, key, value)?,
+            "queue_low" => self.queue_low = parse(path, key, value)?,
+            "warmup_ms" => self.warmup_ms = parse(path, key, value)?,
+            other => return Err(ScenarioError::UnknownKey { key: format!("{path}.{other}") }),
+        }
+        Ok(())
+    }
+
+    fn read(&mut self, key: &str, value: &Value) -> Option<Result<(), ScenarioError>> {
+        (key == "replica").then(|| read_entries(value).map(|replicas| self.replicas = replicas))
     }
 }
 

@@ -46,6 +46,7 @@
 
 mod any;
 mod chaos;
+mod codec;
 mod error;
 mod fabric;
 mod fleet;
@@ -63,8 +64,44 @@ pub use scenario::{Scenario, ServingShape};
 pub use sweep::{Sweep, SweepAxis, SweepPoint, SweepReport, SweepRow};
 pub use telemetry::TelemetrySpec;
 
+use llmss_sched::{TimePs, EVENT_HORIZON_PS};
+
+/// The slowest link bandwidth a scenario may set: 10^-3 GB/s (1 MB/s).
+/// `kv_link_gbps`, `fabric.bw_gbps`, `fabric.trunk_gbps`, a
+/// `[[fabric.link]]` `gbps` and a non-zero link-fault `degrade_to_gbps`
+/// are all held to it, so a KV transfer's serialization time stays far
+/// inside the picosecond clock.
+pub const MIN_LINK_GBPS: f64 = 1e-3;
+
 /// Scenario milliseconds to engine picoseconds, rounded to the nearest
 /// picosecond (so a positive duration below 0.5 ps becomes zero).
-pub(crate) fn ms_to_ps(ms: f64) -> llmss_sched::TimePs {
-    (ms * 1e9).round() as llmss_sched::TimePs
+pub(crate) fn ms_to_ps(ms: f64) -> TimePs {
+    (ms * 1e9).round() as TimePs
+}
+
+/// Checks a link bandwidth against [`MIN_LINK_GBPS`].
+pub(crate) fn check_link_gbps(field: &str, gbps: f64) -> Result<(), ScenarioError> {
+    if gbps.is_finite() && gbps >= MIN_LINK_GBPS {
+        return Ok(());
+    }
+    Err(ScenarioError::InvalidValue {
+        field: field.into(),
+        message: format!("must be at least {MIN_LINK_GBPS} GB/s, got {gbps}"),
+    })
+}
+
+/// Checks a virtual duration, in picoseconds, against the event horizon
+/// ([`EVENT_HORIZON_PS`]).
+pub(crate) fn check_horizon(field: &str, ps: f64) -> Result<(), ScenarioError> {
+    if ps <= EVENT_HORIZON_PS as f64 {
+        return Ok(());
+    }
+    Err(ScenarioError::InvalidValue {
+        field: field.into(),
+        message: format!(
+            "must stay within the event horizon of {} s, got {} s",
+            EVENT_HORIZON_PS / 1_000_000_000_000,
+            ps / 1e12
+        ),
+    })
 }

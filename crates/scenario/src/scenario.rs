@@ -1,7 +1,6 @@
 //! The [`Scenario`] builder: one typed, declarative description of a
 //! serving experiment, validated at build time.
 
-// llmss-lint: allow(p001, file, reason = "emit paths assert invariants established by validate(); serializing a validated scenario is infallible")
 use llmss_core::{
     AutoscaleConfig, AutoscaleControl, ControlPlane, FleetEngine, FlexPools, FlexPoolsConfig,
     KvBucket, KvManage, PairingPolicyKind, ParallelismKind, PimMode, ReplicaRole,
@@ -12,9 +11,10 @@ use llmss_net::LinkSpec;
 use llmss_sched::{Request, SchedulingPolicy, Workload, WorkloadSpec};
 use serde::{Deserialize, Error, Serialize, Value};
 
+use crate::codec::{parse, parse_opt, read_table, Table};
 use crate::{
-    ms_to_ps, toml, AnyReport, AnySimulator, ChaosSpec, FabricSpec, FleetControlKind,
-    FleetSpec, ReplicaOverride, ScenarioError, TelemetrySpec,
+    check_link_gbps, ms_to_ps, toml, AnyReport, AnySimulator, ChaosSpec, FabricSpec,
+    FleetControlKind, FleetSpec, ReplicaOverride, ScenarioError, TelemetrySpec,
 };
 
 /// The fleet-scaling keys, which a `[fleet]` table or a `fleet.*`
@@ -488,12 +488,7 @@ impl Scenario {
                 });
             }
         }
-        if !self.kv_link_gbps.is_finite() || self.kv_link_gbps <= 0.0 {
-            return invalid(
-                "kv_link_gbps",
-                format!("link bandwidth must be positive, got {}", self.kv_link_gbps),
-            );
-        }
+        check_link_gbps("kv_link_gbps", self.kv_link_gbps)?;
         if let Some(fleet) = &self.fleet {
             self.fleet_checks(fleet)?;
         }
@@ -694,10 +689,9 @@ impl Scenario {
     fn fabric_checks(&self, fabric: &FabricSpec) -> Result<(), ScenarioError> {
         fabric.validate()?;
         let conflict = |message: String| Err(ScenarioError::Conflict { message });
-        let endpoints = match self.shape() {
-            ServingShape::Disagg { prefill, decode } => prefill + decode,
-            ServingShape::Fleet { replicas, control } => {
-                let fleet = self.fleet.as_ref().expect("the fleet shape has a spec");
+        let endpoints = match (self.shape(), &self.fleet) {
+            (ServingShape::Disagg { prefill, decode }, _) => prefill + decode,
+            (ServingShape::Fleet { replicas, control }, Some(fleet)) => {
                 if !fleet.has_prefill() {
                     return conflict(
                         "a [fabric] table needs KV transfers to carry: declare \
@@ -713,7 +707,7 @@ impl Scenario {
                 }
                 replicas
             }
-            shape => {
+            (shape, _) => {
                 return conflict(format!(
                     "a [fabric] table needs KV transfers to carry, but the {shape} \
                      shape has none: use disagg = \"PxD\" or prefill/decode roles \
@@ -834,17 +828,15 @@ impl Scenario {
         trace: Vec<Request>,
     ) -> Result<FleetEngine, ScenarioError> {
         let implied;
-        let fleet = match shape {
-            ServingShape::Fleet { .. } => {
-                self.fleet.as_ref().expect("the fleet shape has a spec")
-            }
-            ServingShape::Disagg { prefill, decode } => {
+        let fleet = match (&self.fleet, shape) {
+            (Some(fleet), _) => fleet,
+            (None, ServingShape::Disagg { prefill, decode }) => {
                 let mut roles = vec![ReplicaRole::Prefill; prefill];
                 roles.resize(prefill + decode, ReplicaRole::Decode);
                 implied = FleetSpec::with_roles(&roles);
                 &implied
             }
-            ServingShape::Single | ServingShape::Cluster { .. } => {
+            (None, _) => {
                 implied = FleetSpec::default();
                 &implied
             }
@@ -944,16 +936,6 @@ impl Scenario {
     /// [`ScenarioError::UnknownKey`] for keys outside the schema,
     /// [`ScenarioError::UnknownValue`] when the value does not parse.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        fn parse<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, ScenarioError>
-        where
-            T::Err: std::fmt::Display,
-        {
-            value.parse().map_err(|e| ScenarioError::UnknownValue {
-                field: field.into(),
-                value: value.into(),
-                expected: format!("{e}"),
-            })
-        }
         fn parse_bool(field: &str, value: &str) -> Result<bool, ScenarioError> {
             match value {
                 "true" | "1" | "on" => Ok(true),
@@ -994,71 +976,16 @@ impl Scenario {
         }
         match key {
             "model" => self.model = value.to_owned(),
-            "npus" | "npu_num" => self.npus = parse(key, value)?,
-            "max_batch" => self.max_batch = parse(key, value)?,
-            "batch_delay_ms" => self.batch_delay_ms = parse(key, value)?,
-            "scheduling" => {
-                self.scheduling = match value {
-                    "orca" => SchedulingPolicy::IterationLevel,
-                    "request" => SchedulingPolicy::RequestLevel,
-                    _ => {
-                        return Err(ScenarioError::UnknownValue {
-                            field: key.into(),
-                            value: value.into(),
-                            expected: "orca | request".into(),
-                        })
-                    }
-                }
-            }
-            "parallel" => {
-                self.parallel = match value {
-                    "tensor" => ParallelismKind::Tensor,
-                    "pipeline" => ParallelismKind::Pipeline,
-                    "hybrid" => ParallelismKind::Hybrid,
-                    _ => {
-                        return Err(ScenarioError::UnknownValue {
-                            field: key.into(),
-                            value: value.into(),
-                            expected: "tensor | pipeline | hybrid".into(),
-                        })
-                    }
-                }
-            }
-            "npu_group" => self.npu_group = parse(key, value)?,
-            "npu_mem_gib" => {
-                self.npu_mem_gib = if value == "none" { None } else { Some(parse(key, value)?) }
-            }
-            "kv_manage" => {
-                self.kv_manage = match value {
-                    "vllm" => KvManage::Vllm,
-                    "max" => KvManage::MaxLen,
-                    _ => {
-                        return Err(ScenarioError::UnknownValue {
-                            field: key.into(),
-                            value: value.into(),
-                            expected: "vllm | max".into(),
-                        })
-                    }
-                }
-            }
-            "pim" | "pim_type" => {
-                self.pim = match value {
-                    "none" => PimMode::None,
-                    "local" => PimMode::Local,
-                    "pool" => PimMode::Pool,
-                    _ => {
-                        return Err(ScenarioError::UnknownValue {
-                            field: key.into(),
-                            value: value.into(),
-                            expected: "none | local | pool".into(),
-                        })
-                    }
-                }
-            }
-            "pim_pool_size" => {
-                self.pim_pool_size =
-                    if value == "none" { None } else { Some(parse(key, value)?) }
-            }
+            "npus" | "npu_num" => self.npus = parse("", key, value)?,
+            "max_batch" => self.max_batch = parse("", key, value)?,
+            "batch_delay_ms" => self.batch_delay_ms = parse("", key, value)?,
+            "scheduling" => self.scheduling = parse("", key, value)?,
+            "parallel" => self.parallel = parse("", key, value)?,
+            "npu_group" => self.npu_group = parse("", key, value)?,
+            "npu_mem_gib" => self.npu_mem_gib = parse_opt("", key, value)?,
+            "kv_manage" => self.kv_manage = parse("", key, value)?,
+            "pim" | "pim_type" => self.pim = parse("", key, value)?,
+            "pim_pool_size" => self.pim_pool_size = parse_opt("", key, value)?,
             "sub_batch" => self.sub_batch = parse_bool(key, value)?,
             "reuse" => self.reuse = parse_bool(key, value)?,
             "iteration_memo" => self.iteration_memo = parse_bool(key, value)?,
@@ -1066,51 +993,35 @@ impl Scenario {
                 self.kv_bucket = if value == "adaptive" {
                     KvBucket::adaptive()
                 } else {
-                    KvBucket::Fixed { tokens: parse(key, value)? }
+                    KvBucket::Fixed { tokens: parse("", key, value)? }
                 }
             }
             "gen_only" => self.gen_only = parse_bool(key, value)?,
             "seed" => {
-                let seed = parse(key, value)?;
+                let seed = parse("", key, value)?;
                 self.seed = seed;
                 self.workload.reseed(seed);
             }
-            "network" => {
-                self.network = if value == "none" { None } else { Some(value.to_owned()) }
-            }
-            "replicas" => self.replicas = parse(key, value)?,
-            "routing" => {
-                self.routing =
-                    value.parse().map_err(|e: String| ScenarioError::UnknownValue {
-                        field: key.into(),
-                        value: value.into(),
-                        expected: e,
-                    })?
-            }
+            "network" => self.network = parse_opt("", key, value)?,
+            "replicas" => self.replicas = parse("", key, value)?,
+            "routing" => self.routing = parse("", key, value)?,
             "disagg" => {
                 self.disagg = if value == "none" { None } else { Some(parse_pools(value)?) }
             }
-            "kv_link_gbps" => self.kv_link_gbps = parse(key, value)?,
-            "pairing" => {
-                self.pairing =
-                    value.parse().map_err(|e: String| ScenarioError::UnknownValue {
-                        field: key.into(),
-                        value: value.into(),
-                        expected: e,
-                    })?
-            }
-            "shards" => self.shards = parse(key, value)?,
+            "kv_link_gbps" => self.kv_link_gbps = parse("", key, value)?,
+            "pairing" => self.pairing = parse("", key, value)?,
+            "shards" => self.shards = parse("", key, value)?,
             "shared_cache" => self.shared_cache = parse_bool(key, value)?,
             "fleet" => {
                 // `none` clears the table; a control kind is shorthand
                 // for a default-knobbed fleet of that control plane.
-                self.fleet = if value == "none" {
-                    None
-                } else {
-                    let control: FleetControlKind = parse(key, value)?;
-                    let mut spec = self.fleet.take().unwrap_or_default();
-                    spec.control = control;
-                    Some(spec)
+                self.fleet = match parse_opt("", key, value)? {
+                    None => None,
+                    Some(control) => {
+                        let mut spec = self.fleet.take().unwrap_or_default();
+                        spec.control = control;
+                        Some(spec)
+                    }
                 }
             }
             "fabric" => {
@@ -1167,12 +1078,13 @@ impl Scenario {
 
     /// Serializes as a TOML scenario file (the canonical on-disk form).
     pub fn to_toml(&self) -> String {
+        // llmss-lint: allow(p001, reason = "to_value builds a table whose arrays hold no null, the only values emit rejects")
         toml::emit(&self.to_value()).expect("scenario values are TOML-expressible")
     }
 
     /// Serializes as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("scenario serialization is infallible")
+        serde_json::value_to_string_pretty(&self.to_value())
     }
 
     /// Parses a TOML scenario document: defaults first, then every
@@ -1184,7 +1096,7 @@ impl Scenario {
     /// errors for schema violations.
     pub fn from_toml(text: &str) -> Result<Self, ScenarioError> {
         let value = toml::parse(text).map_err(|message| ScenarioError::Parse { message })?;
-        Self::from_value_checked(&value)
+        <Self as Table>::from_value(&value)
     }
 
     /// Parses a JSON scenario document (same schema as the TOML form).
@@ -1216,198 +1128,29 @@ impl Scenario {
             })
     }
 
-    /// Rebuilds a scenario from a value tree with typed errors (the
-    /// checked core behind both file codecs and the sweep loader).
-    pub(crate) fn from_value_checked(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("scenario: expected an object, got {v:?}"),
-            });
-        };
-        let mut scenario = Scenario::default();
-        for (key, value) in fields {
-            match key.as_str() {
-                "workload" => {
-                    scenario.workload = WorkloadSpec::from_value(value)
-                        .map_err(|e| ScenarioError::Parse { message: e.to_string() })?;
-                }
-                "kv_bucket" => scenario.kv_bucket = kv_bucket_from_value(value)?,
-                "fleet" => {
-                    scenario.fleet = match value {
-                        Value::Null => None,
-                        Value::Object(fields) => {
-                            let (aliases, table): (Vec<_>, Vec<_>) =
-                                fields.iter().cloned().partition(|(k, _)| {
-                                    FLEET_SCALING_ALIASES.contains(&k.as_str())
-                                });
-                            for (k, v) in &aliases {
-                                scenario.set(k, &scalar_to_string(k, v)?)?;
-                            }
-                            Some(FleetSpec::from_value(&Value::Object(table))?)
-                        }
-                        other => Some(FleetSpec::from_value(other)?),
-                    }
-                }
-                "fabric" => {
-                    scenario.fabric = match value {
-                        Value::Null => None,
-                        // `fabric = "star4"`: fair-sharing shorthand.
-                        Value::Str(topology) => Some(FabricSpec::named(topology.clone())),
-                        other => Some(FabricSpec::from_value(other)?),
-                    }
-                }
-                "telemetry" => {
-                    scenario.telemetry = match value {
-                        Value::Null => None,
-                        // `telemetry = "auto"`: both exports, derived
-                        // paths.
-                        Value::Str(s) if s == "auto" => Some(TelemetrySpec::auto()),
-                        other => Some(TelemetrySpec::from_value(other)?),
-                    }
-                }
-                "chaos" => {
-                    scenario.chaos = match value {
-                        Value::Null => None,
-                        other => Some(ChaosSpec::from_value(other)?),
-                    }
-                }
-                "npu_mem_gib" => {
-                    scenario.npu_mem_gib = match value {
-                        Value::Null => None,
-                        Value::Float(f) => Some(*f),
-                        Value::Int(i) => Some(*i as f64),
-                        other => {
-                            return Err(ScenarioError::UnknownValue {
-                                field: "npu_mem_gib".into(),
-                                value: format!("{other:?}"),
-                                expected: "a number of GiB".into(),
-                            })
-                        }
-                    }
-                }
-                "pim_pool_size" => {
-                    scenario.pim_pool_size = match value {
-                        Value::Null => None,
-                        other => Some(usize::from_value(other).map_err(|e| {
-                            ScenarioError::UnknownValue {
-                                field: "pim_pool_size".into(),
-                                value: format!("{other:?}"),
-                                expected: e.to_string(),
-                            }
-                        })?),
-                    }
-                }
-                "network" | "disagg" if matches!(value, Value::Null) => {
-                    // Optional fields spelled out as null (JSON form).
-                    if key == "network" {
-                        scenario.network = None;
-                    } else {
-                        scenario.disagg = None;
-                    }
-                }
-                // `seed` must not re-seed the workload here: the file may
-                // carry an explicit workload seed, and field order must
-                // not matter. The coupling is a CLI/sweep convenience.
-                "seed" => {
-                    scenario.seed =
-                        u64::from_value(value).map_err(|e| ScenarioError::UnknownValue {
-                            field: "seed".into(),
-                            value: format!("{value:?}"),
-                            expected: e.to_string(),
-                        })?
-                }
-                _ => {
-                    let text = scalar_to_string(key, value)?;
-                    scenario.set(key, &text)?;
-                }
-            }
-        }
-        Ok(scenario)
-    }
-
     /// Renders the scenario as a value tree in canonical key order.
     fn to_value(&self) -> Value {
-        let opt_str = |s: &Option<String>| match s {
-            Some(s) => Value::Str(s.clone()),
-            None => Value::Null,
-        };
         let mut fields = vec![
             ("model".into(), Value::Str(self.model.clone())),
             ("npus".into(), Value::Int(self.npus as i128)),
             ("max_batch".into(), Value::Int(self.max_batch as i128)),
             ("batch_delay_ms".into(), Value::Float(self.batch_delay_ms)),
-            (
-                "scheduling".into(),
-                Value::Str(
-                    match self.scheduling {
-                        SchedulingPolicy::IterationLevel => "orca",
-                        SchedulingPolicy::RequestLevel => "request",
-                    }
-                    .into(),
-                ),
-            ),
-            (
-                "parallel".into(),
-                Value::Str(
-                    match self.parallel {
-                        ParallelismKind::Tensor => "tensor",
-                        ParallelismKind::Pipeline => "pipeline",
-                        ParallelismKind::Hybrid => "hybrid",
-                    }
-                    .into(),
-                ),
-            ),
+            ("scheduling".into(), Value::Str(self.scheduling.as_str().into())),
+            ("parallel".into(), Value::Str(self.parallel.as_str().into())),
             ("npu_group".into(), Value::Int(self.npu_group as i128)),
-            (
-                "npu_mem_gib".into(),
-                match self.npu_mem_gib {
-                    Some(gib) => Value::Float(gib),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "kv_manage".into(),
-                Value::Str(
-                    match self.kv_manage {
-                        KvManage::Vllm => "vllm",
-                        KvManage::MaxLen => "max",
-                    }
-                    .into(),
-                ),
-            ),
-            (
-                "pim".into(),
-                Value::Str(
-                    match self.pim {
-                        PimMode::None => "none",
-                        PimMode::Local => "local",
-                        PimMode::Pool => "pool",
-                    }
-                    .into(),
-                ),
-            ),
-            (
-                "pim_pool_size".into(),
-                match self.pim_pool_size {
-                    Some(n) => Value::Int(n as i128),
-                    None => Value::Null,
-                },
-            ),
+            ("npu_mem_gib".into(), self.npu_mem_gib.to_value()),
+            ("kv_manage".into(), Value::Str(self.kv_manage.as_str().into())),
+            ("pim".into(), Value::Str(self.pim.as_str().into())),
+            ("pim_pool_size".into(), self.pim_pool_size.to_value()),
             ("sub_batch".into(), Value::Bool(self.sub_batch)),
             ("reuse".into(), Value::Bool(self.reuse)),
             ("iteration_memo".into(), Value::Bool(self.iteration_memo)),
             ("gen_only".into(), Value::Bool(self.gen_only)),
             ("seed".into(), Value::Int(self.seed as i128)),
-            ("network".into(), opt_str(&self.network)),
+            ("network".into(), self.network.to_value()),
             ("replicas".into(), Value::Int(self.replicas as i128)),
             ("routing".into(), Value::Str(self.routing.as_str().into())),
-            (
-                "disagg".into(),
-                match self.disagg {
-                    Some((p, d)) => Value::Str(format!("{p}x{d}")),
-                    None => Value::Null,
-                },
-            ),
+            ("disagg".into(), self.disagg.map(|(p, d)| format!("{p}x{d}")).to_value()),
             ("kv_link_gbps".into(), Value::Float(self.kv_link_gbps)),
             ("pairing".into(), Value::Str(self.pairing.as_str().into())),
             ("kv_bucket".into(), kv_bucket_to_value(self.kv_bucket)),
@@ -1421,34 +1164,13 @@ impl Scenario {
             fields.push(("shared_cache".into(), Value::Bool(true)));
         }
         fields.extend([
-            (
-                "fleet".into(),
-                match &self.fleet {
-                    Some(spec) => spec.to_value(),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "fabric".into(),
-                match &self.fabric {
-                    Some(spec) => spec.to_value(),
-                    None => Value::Null,
-                },
-            ),
+            ("fleet".into(), self.fleet.as_ref().map_or(Value::Null, FleetSpec::to_value)),
+            ("fabric".into(), self.fabric.as_ref().map_or(Value::Null, FabricSpec::to_value)),
             (
                 "telemetry".into(),
-                match &self.telemetry {
-                    Some(spec) => spec.to_value(),
-                    None => Value::Null,
-                },
+                self.telemetry.as_ref().map_or(Value::Null, TelemetrySpec::to_value),
             ),
-            (
-                "chaos".into(),
-                match &self.chaos {
-                    Some(spec) => spec.to_value(),
-                    None => Value::Null,
-                },
-            ),
+            ("chaos".into(), self.chaos.as_ref().map_or(Value::Null, ChaosSpec::to_value)),
             ("workload".into(), self.workload.to_value()),
         ]);
         Value::Object(fields)
@@ -1465,20 +1187,6 @@ fn parse_pools(value: &str) -> Result<(usize, usize), ScenarioError> {
     Ok((p.parse().map_err(|_| err())?, d.parse().map_err(|_| err())?))
 }
 
-fn scalar_to_string(key: &str, value: &Value) -> Result<String, ScenarioError> {
-    match value {
-        Value::Str(s) => Ok(s.clone()),
-        Value::Int(i) => Ok(i.to_string()),
-        Value::Float(f) => Ok(format!("{f:?}")),
-        Value::Bool(b) => Ok(b.to_string()),
-        other => Err(ScenarioError::UnknownValue {
-            field: key.into(),
-            value: format!("{other:?}"),
-            expected: "a scalar".into(),
-        }),
-    }
-}
-
 fn kv_bucket_to_value(bucket: KvBucket) -> Value {
     match bucket {
         KvBucket::Fixed { tokens } => Value::Int(tokens as i128),
@@ -1493,55 +1201,81 @@ fn kv_bucket_to_value(bucket: KvBucket) -> Value {
     }
 }
 
-fn kv_bucket_from_value(value: &Value) -> Result<KvBucket, ScenarioError> {
-    let bad = |expected: &str| ScenarioError::UnknownValue {
-        field: "kv_bucket".into(),
-        value: format!("{value:?}"),
-        expected: expected.into(),
-    };
-    match value {
-        Value::Int(tokens) => Ok(KvBucket::Fixed {
-            tokens: usize::try_from(*tokens).map_err(|_| bad("a positive token count"))?,
-        }),
-        Value::Str(s) if s == "adaptive" => Ok(KvBucket::adaptive()),
-        Value::Object(fields) => {
-            let KvBucket::Adaptive {
-                mut min_tokens,
-                mut max_tokens,
-                mut target_hit_rate,
-                mut window,
-            } = KvBucket::adaptive()
-            else {
-                unreachable!("adaptive() is Adaptive");
-            };
-            for (key, v) in fields {
-                match key.as_str() {
-                    "min_tokens" => {
-                        min_tokens = usize::from_value(v)
-                            .map_err(|_| bad("min_tokens: a token count"))?
-                    }
-                    "max_tokens" => {
-                        max_tokens = usize::from_value(v)
-                            .map_err(|_| bad("max_tokens: a token count"))?
-                    }
-                    "target_hit_rate" => {
-                        target_hit_rate = f64::from_value(v)
-                            .map_err(|_| bad("target_hit_rate: a rate in (0, 1]"))?
-                    }
-                    "window" => {
-                        window =
-                            u64::from_value(v).map_err(|_| bad("window: an iteration count"))?
-                    }
-                    other => {
-                        return Err(ScenarioError::UnknownKey {
-                            key: format!("kv_bucket.{other}"),
-                        })
-                    }
+/// The top-level keys of a scenario file: `--set` keys, except that a
+/// file's `seed` never re-seeds the workload (the `[workload]` table may
+/// carry its own seed, and key order must not matter) and tables read
+/// through their own [`Table`] impls.
+impl Table for Scenario {
+    const PATH: &'static str = "";
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        Scenario::set(self, key, value)
+    }
+
+    fn read(&mut self, key: &str, value: &Value) -> Option<Result<(), ScenarioError>> {
+        let nested = matches!(value, Value::Object(_) | Value::Array(_));
+        Some(match key {
+            "seed" => u64::from_value(value).map(|seed| self.seed = seed).map_err(|e| {
+                ScenarioError::UnknownValue {
+                    field: "seed".into(),
+                    value: format!("{value:?}"),
+                    expected: e.to_string(),
                 }
+            }),
+            "workload" => WorkloadSpec::from_value(value)
+                .map(|workload| self.workload = workload)
+                .map_err(|e| ScenarioError::Parse { message: e.to_string() }),
+            "kv_bucket" if matches!(value, Value::Object(_)) => {
+                let mut bucket = KvBucket::adaptive();
+                read_table(&mut bucket, value).map(|()| self.kv_bucket = bucket)
             }
-            Ok(KvBucket::Adaptive { min_tokens, max_tokens, target_hit_rate, window })
+            "fleet" if nested => self.read_fleet(value),
+            "fabric" if nested => FabricSpec::from_value(value).map(|s| self.fabric = Some(s)),
+            "telemetry" if nested => {
+                TelemetrySpec::from_value(value).map(|s| self.telemetry = Some(s))
+            }
+            "chaos" if nested => ChaosSpec::from_value(value).map(|s| self.chaos = Some(s)),
+            _ => return None,
+        })
+    }
+}
+
+impl Scenario {
+    /// Reads a `[fleet]` table, whose scaling aliases set top-level keys.
+    fn read_fleet(&mut self, value: &Value) -> Result<(), ScenarioError> {
+        let mut table = value.clone();
+        if let Value::Object(fields) = &mut table {
+            let is_alias =
+                |(k, _): &(String, Value)| FLEET_SCALING_ALIASES.contains(&k.as_str());
+            let aliases = fields.iter().filter(|f| is_alias(f)).cloned().collect();
+            fields.retain(|f| !is_alias(f));
+            read_table(self, &Value::Object(aliases))?;
         }
-        _ => Err(bad("a token count, \"adaptive\", or an adaptive table")),
+        self.fleet = Some(FleetSpec::from_value(&table)?);
+        Ok(())
+    }
+}
+
+/// The adaptive `[kv_bucket]` table's knobs. A bad value names the whole
+/// `kv_bucket` key.
+impl Table for KvBucket {
+    const PATH: &'static str = "kv_bucket";
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
+        let KvBucket::Adaptive { min_tokens, max_tokens, target_hit_rate, window } = self
+        else {
+            return Err(ScenarioError::UnknownKey { key: format!("kv_bucket.{key}") });
+        };
+        match key {
+            "min_tokens" => *min_tokens = parse("", Self::PATH, value)?,
+            "max_tokens" => *max_tokens = parse("", Self::PATH, value)?,
+            "target_hit_rate" => *target_hit_rate = parse("", Self::PATH, value)?,
+            "window" => *window = parse("", Self::PATH, value)?,
+            other => {
+                return Err(ScenarioError::UnknownKey { key: format!("kv_bucket.{other}") })
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1553,7 +1287,7 @@ impl Serialize for Scenario {
 
 impl Deserialize for Scenario {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        Scenario::from_value_checked(v).map_err(|e| Error::custom(e.to_string()))
+        <Scenario as Table>::from_value(v).map_err(|e| Error::custom(e.to_string()))
     }
 }
 
@@ -1931,5 +1665,165 @@ mod tests {
                 window: 16
             }
         );
+    }
+
+    #[test]
+    fn files_accept_the_set_shorthands_of_tables() {
+        let flex = Scenario::from_toml("fleet = \"flex\"\n").unwrap();
+        assert_eq!(flex.fleet.map(|f| f.control), Some(FleetControlKind::Flex));
+        let cleared = "fleet = \"none\"\nchaos = \"none\"\ntelemetry = \"none\"\n\
+                       fabric = \"none\"\n";
+        let cleared = Scenario::from_toml(cleared).unwrap();
+        assert_eq!(cleared, Scenario::default());
+        let auto = Scenario::from_toml("telemetry = \"auto\"\n").unwrap();
+        assert_eq!(auto.telemetry, Some(TelemetrySpec::auto()));
+        // A scalar that is no shorthand fails as `--set` fails.
+        for text in ["fleet = 1\n", "chaos = \"on\"\n", "telemetry = true\n"] {
+            let err = Scenario::from_toml(text).unwrap_err();
+            assert!(matches!(err, ScenarioError::UnknownValue { .. }), "{text}: {err}");
+        }
+        // A table key still refuses a list.
+        let err = Scenario::from_toml("fleet = [1]\n").unwrap_err();
+        assert!(matches!(err, ScenarioError::Parse { .. }), "{err}");
+    }
+
+    #[test]
+    fn entry_and_kv_bucket_scalars_read_through_their_text() {
+        let text = "kv_bucket = \"64\"\nnpu_mem_gib = \"48\"\npim = \"pool\"\n\
+                    pim_pool_size = \"2\"\n\
+                    [fleet]\n[[fleet.replica]]\nnpus = \"2\"\nmax_batch = \"none\"\n\
+                    [[fleet.replica]]\nrole = \"unified\"\nbatch_delay_ms = 1\n";
+        let s = Scenario::from_toml(text).unwrap();
+        assert_eq!(s.kv_bucket, KvBucket::Fixed { tokens: 64 });
+        assert_eq!((s.npu_mem_gib, s.pim_pool_size), (Some(48.0), Some(2)));
+        let replicas = s.fleet.unwrap().replicas;
+        assert_eq!((replicas[0].npus, replicas[0].max_batch), (Some(2), None));
+        assert_eq!(replicas[1].batch_delay_ms, Some(1.0));
+        let table = "[kv_bucket]\nmin_tokens = \"2\"\ntarget_hit_rate = \"0.5\"\nwindow = 8\n";
+        let KvBucket::Adaptive { min_tokens, target_hit_rate, window, .. } =
+            Scenario::from_toml(table).unwrap().kv_bucket
+        else {
+            panic!("a [kv_bucket] table is adaptive")
+        };
+        assert_eq!((min_tokens, target_hit_rate, window), (2, 0.5, 8));
+        // Errors keep their variant and field.
+        let err = Scenario::from_toml("[kv_bucket]\nwindow = \"x\"\n").unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::UnknownValue { field, .. } if field == "kv_bucket")
+        );
+        let err = Scenario::from_toml("[fleet]\n[[fleet.replica]]\nnpus = 2.0\n").unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::UnknownValue { field, .. } if field == "fleet.replica.npus")
+        );
+        let err = Scenario::from_toml("[fleet]\n[[fleet.replica]]\nrol = 1\n").unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::UnknownKey { key } if key == "fleet.replica.rol")
+        );
+    }
+
+    #[test]
+    fn json_null_reads_as_none() {
+        let text = r#"{"model": "gpt2", "pim": null, "network": null, "fleet": null,
+                       "npu_mem_gib": null, "fabric": null, "chaos": null}"#;
+        let s = Scenario::from_json(text).unwrap();
+        assert_eq!(s, Scenario::default());
+        let err = Scenario::from_json(r#"{"npus": null}"#).unwrap_err();
+        assert!(err.to_string().contains("npus: unknown value 'none'"), "{err}");
+    }
+
+    #[test]
+    fn link_bandwidths_below_the_floor_are_invalid_values_naming_the_key() {
+        let disagg = || small().disagg(2, 2);
+        let explicit = |gbps: f64| {
+            let mut spec = FabricSpec::named("explicit");
+            spec.links = vec![crate::FabricLink { name: "a".into(), gbps, latency_ns: None }];
+            small().disagg(1, 1).fabric(spec)
+        };
+        let degraded = |gbps: f64| {
+            let mut s = small().replicas(2).fleet(FleetSpec::default());
+            s.chaos = Some(ChaosSpec {
+                link_faults: vec![crate::LinkFaultSpec {
+                    link: 0,
+                    at_ms: 1.0,
+                    recover_ms: Some(2.0),
+                    degrade_to_gbps: gbps,
+                }],
+                ..ChaosSpec::default()
+            });
+            s
+        };
+        for bad in [1e-12, 1e-9, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut bw = disagg();
+            bw.set("fabric", "star4").unwrap();
+            let mut trunk = bw.clone();
+            bw.set("fabric.bw_gbps", &bad.to_string()).unwrap();
+            trunk.set("fabric.trunk_gbps", &bad.to_string()).unwrap();
+            let cases = [
+                ("kv_link_gbps", disagg().kv_link_gbps(bad)),
+                ("fabric.bw_gbps", bw),
+                ("fabric.trunk_gbps", trunk),
+                ("fabric.link.gbps", explicit(bad)),
+                ("chaos.link_fault[0].degrade_to_gbps", degraded(bad)),
+            ];
+            for (key, scenario) in cases {
+                if key.ends_with("degrade_to_gbps") && bad == 0.0 {
+                    // Zero is a partition, not a link speed.
+                    scenario.validate().unwrap();
+                    continue;
+                }
+                match scenario.validate() {
+                    Err(ScenarioError::InvalidValue { field, .. }) => {
+                        assert_eq!(field, key, "{key}={bad}")
+                    }
+                    other => panic!("{key}={bad}: expected an invalid value, got {other:?}"),
+                }
+            }
+        }
+        disagg().kv_link_gbps(crate::MIN_LINK_GBPS).validate().unwrap();
+        explicit(crate::MIN_LINK_GBPS).validate().unwrap();
+    }
+
+    #[test]
+    fn durations_past_the_event_horizon_are_invalid_values() {
+        let mut latency = small().disagg(1, 1);
+        latency.set("fabric", "single").unwrap();
+        latency.set("fabric.latency_ns", "1e300").unwrap();
+        let mut backoff = small().replicas(2).fleet(FleetSpec::default());
+        backoff.set("chaos.crash_rate_per_s", "50").unwrap();
+        backoff.set("chaos.retry_backoff_ms", "1e300").unwrap();
+        let mut mttr = backoff.clone();
+        mttr.set("chaos.retry_backoff_ms", "1").unwrap();
+        mttr.set("chaos.mttr_ms", "1e300").unwrap();
+        // Each step is inside the horizon; the last retry's is not.
+        let mut growth = mttr.clone();
+        growth.set("chaos.mttr_ms", "1").unwrap();
+        growth.set("chaos.retry_backoff_ms", "1000").unwrap();
+        growth.set("chaos.max_retries", "40").unwrap();
+        for (key, scenario) in [
+            ("fabric.latency_ns", latency),
+            ("chaos.retry_backoff_ms", backoff),
+            ("chaos.mttr_ms", mttr),
+            ("chaos.retry_backoff_ms", growth.clone()),
+        ] {
+            match scenario.validate() {
+                Err(ScenarioError::InvalidValue { field, .. }) => assert_eq!(field, key),
+                other => panic!("{key}: expected an invalid value, got {other:?}"),
+            }
+        }
+        growth.set("chaos.max_retries", "20").unwrap();
+        growth.validate().unwrap();
+    }
+
+    #[test]
+    fn non_finite_floats_serialize_instead_of_panicking() {
+        let s = Scenario::model("gpt2").batch_delay_ms(f64::NAN).kv_link_gbps(f64::INFINITY);
+        let text = s.to_toml();
+        assert!(text.contains("batch_delay_ms = nan\n"), "{text}");
+        assert!(text.contains("kv_link_gbps = inf\n"), "{text}");
+        let back = Scenario::from_toml(&text).unwrap();
+        assert!(back.batch_delay_ms.is_nan());
+        assert_eq!(back.kv_link_gbps, f64::INFINITY);
+        assert!(matches!(back.validate(), Err(ScenarioError::InvalidValue { .. })));
+        assert!(s.to_json().contains("\"batch_delay_ms\": null"));
     }
 }

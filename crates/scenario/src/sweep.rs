@@ -32,13 +32,12 @@
 //!   rows keep grid order by point index, so the parallel TSV is
 //!   byte-identical to the serial one.
 
-// llmss-lint: allow(p001, file, reason = "sweep workers never poison locks (rows are plain data) and every grid point is filled by construction")
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use llmss_core::PercentileSummary;
 use serde::Value;
 
+use crate::codec::{scalar_text, Table};
 use crate::{toml, AnyReport, Scenario, ScenarioError};
 
 /// One sweep dimension: a scenario key and the values it takes.
@@ -114,7 +113,7 @@ impl Sweep {
         let mut metrics = None;
         for (key, v) in fields {
             match key.as_str() {
-                "scenario" => base = Scenario::from_value_checked(v)?,
+                "scenario" => base = Scenario::from_value(v)?,
                 "sweep" => (axes, metrics) = parse_sweep_table(v)?,
                 other => {
                     return Err(ScenarioError::UnknownKey { key: other.into() });
@@ -235,40 +234,35 @@ impl Sweep {
         let points = self.points()?;
         let axes: Vec<String> = self.axes.iter().map(|a| a.key.clone()).collect();
         let jobs = if jobs == 0 { available_jobs() } else { jobs }.min(points.len()).max(1);
-        let mut slots: Vec<Option<Result<SweepRow, ScenarioError>>> = Vec::new();
-        if jobs == 1 {
-            for point in points {
-                slots.push(Some(
-                    point.scenario.run().map(|r| SweepRow::collect(point.settings, &r)),
-                ));
-            }
+        let run = |point: &SweepPoint| {
+            point.scenario.run().map(|r| SweepRow::collect(point.settings.clone(), &r))
+        };
+        let mut results: Vec<(usize, Result<SweepRow, ScenarioError>)> = if jobs == 1 {
+            points.iter().map(run).enumerate().collect()
         } else {
-            slots.resize_with(points.len(), || None);
+            // Each worker returns the `(index, row)` pairs it ran.
             let cursor = AtomicUsize::new(0);
-            let results: Vec<Mutex<Option<Result<SweepRow, ScenarioError>>>> =
-                slots.iter().map(|_| Mutex::new(None)).collect();
             std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(point) = points.get(i) else { break };
-                        let row = point
-                            .scenario
-                            .run()
-                            .map(|r| SweepRow::collect(point.settings.clone(), &r));
-                        *results[i].lock().expect("no poisoned sweep slot") = Some(row);
-                    });
-                }
-            });
-            slots = results
-                .into_iter()
-                .map(|m| m.into_inner().expect("no poisoned sweep slot"))
-                .collect();
-        }
-        let mut rows = Vec::with_capacity(slots.len());
-        for slot in slots {
-            rows.push(slot.expect("every point was run")?);
-        }
+                let workers: Vec<_> = (0..jobs)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut ran = Vec::new();
+                            loop {
+                                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                                let Some(point) = points.get(i) else { return ran };
+                                ran.push((i, run(point)));
+                            }
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            })
+        };
+        results.sort_unstable_by_key(|&(i, _)| i);
+        let rows = results.into_iter().map(|(_, row)| row).collect::<Result<_, _>>()?;
         Ok(SweepReport { axes, rows, metrics: self.metrics.clone() })
     }
 }
@@ -296,17 +290,9 @@ fn parse_sweep_table(
         };
         let mut texts = Vec::with_capacity(items.len());
         for item in &items {
-            texts.push(match item {
-                Value::Str(s) => s.clone(),
-                Value::Int(i) => i.to_string(),
-                Value::Float(f) => format!("{f:?}"),
-                Value::Bool(b) => b.to_string(),
-                other => {
-                    return Err(ScenarioError::Parse {
-                        message: format!("sweep axis `{key}`: unsupported value {other:?}"),
-                    })
-                }
-            });
+            texts.push(scalar_text(item).ok_or_else(|| ScenarioError::Parse {
+                message: format!("sweep axis `{key}`: unsupported value {item:?}"),
+            })?);
         }
         // `metrics` is the one reserved [sweep] key: a column selection,
         // not a grid axis (it is not a scenario key either, so nothing

@@ -24,8 +24,9 @@
 
 use llmss_core::TimelineConfig;
 use llmss_sched::TimePs;
-use serde::Value;
+use serde::{Serialize, Value};
 
+use crate::codec::{parse, parse_opt, scalar_text, Table};
 use crate::ScenarioError;
 
 /// The `[telemetry]` table: which exports to produce, the timeline
@@ -147,22 +148,29 @@ impl TelemetrySpec {
         Ok(())
     }
 
-    /// Sets one knob by its serialized sub-key (the `telemetry.*`
-    /// surface of [`Scenario::set`](crate::Scenario::set) — sweep axes
-    /// and `--set`). The filter lists parse from comma-separated ids.
-    pub(crate) fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        fn parse<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, ScenarioError>
-        where
-            T::Err: std::fmt::Display,
-        {
-            value.parse().map_err(|e| ScenarioError::UnknownValue {
-                field: format!("telemetry.{field}"),
-                value: value.into(),
-                expected: format!("{e}"),
-            })
-        }
+    /// Renders the table as a value tree in canonical key order.
+    pub(crate) fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("trace".into(), self.trace.to_value()),
+            ("timeline".into(), self.timeline.to_value()),
+            ("window_ps".into(), Value::Int(i128::from(self.window_ps))),
+            ("slo_ttft_ms".into(), Value::Float(self.slo_ttft_ms)),
+            ("slo_tpot_ms".into(), Value::Float(self.slo_tpot_ms)),
+            ("requests".into(), self.requests.to_value()),
+            ("replicas".into(), self.replicas.to_value()),
+        ])
+    }
+}
+
+/// The `telemetry.*` surface of [`Scenario::set`](crate::Scenario::set)
+/// — sweep axes and `--set`. The filter lists parse from comma-separated
+/// ids; a file may spell them as arrays.
+impl Table for TelemetrySpec {
+    const PATH: &'static str = "telemetry";
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
         fn parse_list<T: std::str::FromStr>(
-            field: &str,
+            key: &str,
             value: &str,
         ) -> Result<Vec<T>, ScenarioError>
         where
@@ -171,91 +179,34 @@ impl TelemetrySpec {
             if value == "none" || value.is_empty() {
                 return Ok(Vec::new());
             }
-            value.split(',').map(|item| parse(field, item.trim())).collect()
+            value.split(',').map(|item| parse("telemetry", key, item.trim())).collect()
         }
-        let opt_path = |value: &str| -> Option<String> {
-            if value == "none" {
-                None
-            } else {
-                Some(value.to_owned())
-            }
-        };
+        let path = Self::PATH;
         match key {
-            "trace" => self.trace = opt_path(value),
-            "timeline" => self.timeline = opt_path(value),
-            "window_ps" => self.window_ps = parse(key, value)?,
-            "slo_ttft_ms" => self.slo_ttft_ms = parse(key, value)?,
-            "slo_tpot_ms" => self.slo_tpot_ms = parse(key, value)?,
+            "trace" => self.trace = parse_opt(path, key, value)?,
+            "timeline" => self.timeline = parse_opt(path, key, value)?,
+            "window_ps" => self.window_ps = parse(path, key, value)?,
+            "slo_ttft_ms" => self.slo_ttft_ms = parse(path, key, value)?,
+            "slo_tpot_ms" => self.slo_tpot_ms = parse(path, key, value)?,
             "requests" => self.requests = parse_list(key, value)?,
             "replicas" => self.replicas = parse_list(key, value)?,
-            other => {
-                return Err(ScenarioError::UnknownKey { key: format!("telemetry.{other}") })
-            }
+            other => return Err(ScenarioError::UnknownKey { key: format!("{path}.{other}") }),
         }
         Ok(())
     }
 
-    /// Renders the table as a value tree in canonical key order.
-    pub(crate) fn to_value(&self) -> Value {
-        let opt_str = |s: &Option<String>| match s {
-            Some(s) => Value::Str(s.clone()),
-            None => Value::Null,
-        };
-        Value::Object(vec![
-            ("trace".into(), opt_str(&self.trace)),
-            ("timeline".into(), opt_str(&self.timeline)),
-            ("window_ps".into(), Value::Int(i128::from(self.window_ps))),
-            ("slo_ttft_ms".into(), Value::Float(self.slo_ttft_ms)),
-            ("slo_tpot_ms".into(), Value::Float(self.slo_tpot_ms)),
-            (
-                "requests".into(),
-                Value::Array(
-                    self.requests.iter().map(|&id| Value::Int(i128::from(id))).collect(),
-                ),
-            ),
-            (
-                "replicas".into(),
-                Value::Array(self.replicas.iter().map(|&r| Value::Int(r as i128)).collect()),
-            ),
-        ])
-    }
-
-    /// Rebuilds the table from a value tree with typed errors.
-    pub(crate) fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        let Value::Object(fields) = v else {
-            return Err(ScenarioError::Parse {
-                message: format!("telemetry: expected a table, got {v:?}"),
-            });
-        };
-        let mut spec = TelemetrySpec::default();
-        for (key, value) in fields {
-            match (key.as_str(), value) {
-                ("requests", Value::Array(items)) => {
-                    spec.requests = int_list("telemetry.requests", items)?;
-                }
-                ("replicas", Value::Array(items)) => {
-                    spec.replicas = int_list::<usize>("telemetry.replicas", items)?;
-                }
-                _ => {
-                    let text = match value {
-                        Value::Null => "none".to_owned(),
-                        Value::Str(s) => s.clone(),
-                        Value::Int(i) => i.to_string(),
-                        Value::Float(f) => format!("{f:?}"),
-                        Value::Bool(b) => b.to_string(),
-                        other => {
-                            return Err(ScenarioError::UnknownValue {
-                                field: format!("telemetry.{key}"),
-                                value: format!("{other:?}"),
-                                expected: "a scalar".into(),
-                            })
-                        }
-                    };
-                    spec.set(key, &text)?;
-                }
-            }
-        }
-        Ok(spec)
+    /// A filter array reads as the comma-separated ids `--set` takes.
+    fn read(&mut self, key: &str, value: &Value) -> Option<Result<(), ScenarioError>> {
+        let ("requests" | "replicas", Value::Array(items)) = (key, value) else { return None };
+        let ids = items.iter().map(scalar_text).collect::<Option<Vec<_>>>();
+        Some(match ids {
+            Some(ids) => self.set(key, &ids.join(",")),
+            None => Err(ScenarioError::UnknownValue {
+                field: format!("telemetry.{key}"),
+                value: format!("{items:?}"),
+                expected: "an array of non-negative integers".into(),
+            }),
+        })
     }
 }
 
@@ -265,21 +216,6 @@ fn resolve(path: &str, output: &str, suffix: &str) -> String {
     } else {
         path.to_owned()
     }
-}
-
-fn int_list<T: TryFrom<i128>>(field: &str, items: &[Value]) -> Result<Vec<T>, ScenarioError> {
-    items
-        .iter()
-        .map(|v| match v {
-            Value::Int(i) => T::try_from(*i).map_err(|_| ()),
-            _ => Err(()),
-        })
-        .collect::<Result<_, _>>()
-        .map_err(|()| ScenarioError::UnknownValue {
-            field: field.into(),
-            value: format!("{items:?}"),
-            expected: "an array of non-negative integers".into(),
-        })
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@
 //! are skipped (TOML has no null; optional scenario fields simply stay
 //! absent).
 
-// llmss-lint: allow(p001, file, reason = "codec internals assert parser-guaranteed non-empty key paths")
 use serde::Value;
 
 /// Parses TOML text into a [`Value::Object`] tree.
@@ -46,7 +45,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
                     .ok_or_else(|| err("unterminated array-of-tables header".into()))?;
                 table_path = parse_key_path(aot).map_err(&err)?;
                 in_array_item = true;
-                let (key, parent_path) = table_path.split_last().expect("keys are non-empty");
+                let (key, parent_path) = split_key(&table_path).map_err(&err)?;
                 let parent = ensure_table(&mut root, parent_path).map_err(&err)?;
                 let Value::Object(fields) = parent else {
                     unreachable!("ensure_table returns objects")
@@ -86,7 +85,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
             value_text.push_str(strip_comment(next).trim());
         }
         let value = parse_value(value_text.trim()).map_err(&err)?;
-        let (key, parent_path) = key_path.split_last().expect("keys are non-empty");
+        let (key, parent_path) = split_key(&key_path).map_err(&err)?;
         let section = if in_array_item {
             array_last_item(&mut root, &table_path).map_err(&err)?
         } else {
@@ -105,7 +104,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 /// Walks to the last element of the array of tables at `path` (which
 /// must exist — a `[[path]]` header created it).
 fn array_last_item<'a>(root: &'a mut Value, path: &[String]) -> Result<&'a mut Value, String> {
-    let (key, parent_path) = path.split_last().expect("array paths are non-empty");
+    let (key, parent_path) = split_key(path)?;
     let parent = ensure_table(root, parent_path)?;
     let Value::Object(fields) = parent else { unreachable!("ensure_table returns objects") };
     let Some((_, Value::Array(items))) = fields.iter_mut().find(|(k, _)| k == key) else {
@@ -114,12 +113,17 @@ fn array_last_item<'a>(root: &'a mut Value, path: &[String]) -> Result<&'a mut V
     items.last_mut().ok_or_else(|| format!("array of tables `{key}` is empty"))
 }
 
+/// The last segment of a key path and the path to its parent table.
+fn split_key(path: &[String]) -> Result<(&String, &[String]), String> {
+    path.split_last().ok_or_else(|| "empty key".to_owned())
+}
+
 /// Serializes a [`Value::Object`] tree as TOML.
 ///
 /// # Errors
 ///
-/// Returns a message when the value is not an object or contains shapes
-/// TOML cannot express (objects inside arrays, non-finite floats).
+/// Returns a message when the value is not an object or holds a null
+/// inside an array (TOML has no null).
 pub fn emit(value: &Value) -> Result<String, String> {
     let Value::Object(_) = value else {
         return Err("top-level TOML value must be a table".into());
@@ -268,8 +272,30 @@ impl Cursor<'_> {
             b'[' => self.array(),
             b'{' => self.inline_table(),
             b't' | b'f' => self.boolean(),
-            _ => self.number(),
+            _ => match self.special_float() {
+                Some(f) => Ok(Value::Float(f)),
+                None => self.number(),
+            },
         }
+    }
+
+    /// TOML's `inf` and `nan`, optionally signed.
+    fn special_float(&mut self) -> Option<f64> {
+        let rest = &self.bytes[self.pos..];
+        let (sign, unsigned) = match rest.first() {
+            Some(b'-') => (-1.0, &rest[1..]),
+            Some(b'+') => (1.0, &rest[1..]),
+            _ => (1.0, rest),
+        };
+        let f = if unsigned.starts_with(b"inf") {
+            sign * f64::INFINITY
+        } else if unsigned.starts_with(b"nan") {
+            f64::NAN
+        } else {
+            return None;
+        };
+        self.pos += rest.len() - unsigned.len() + 3;
+        Some(f)
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -439,12 +465,11 @@ fn emit_inline(value: &Value, out: &mut String) -> Result<(), String> {
         Value::Null => return Err("null has no TOML form".into()),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Int(i) => out.push_str(&i.to_string()),
+        Value::Float(f) if f.is_nan() => out.push_str("nan"),
         Value::Float(f) => {
-            if !f.is_finite() {
-                return Err(format!("non-finite float {f} has no TOML form"));
-            }
             // `{:?}` keeps a trailing `.0` on integral floats, so the
-            // value re-parses as a float — required for losslessness.
+            // value re-parses as a float — required for losslessness. It
+            // spells the infinities `inf`/`-inf`, as TOML does.
             out.push_str(&format!("{f:?}"));
         }
         Value::Str(s) => {
@@ -612,6 +637,23 @@ x = 1
         // ...and the emitted canonical (inline) form re-parses identically.
         let text = emit(&a).unwrap();
         assert_eq!(parse(&text).unwrap(), a, "{text}");
+    }
+
+    #[test]
+    fn non_finite_floats_use_the_toml_spellings() {
+        let v = Value::Object(vec![
+            ("a".into(), Value::Float(f64::INFINITY)),
+            ("b".into(), Value::Float(f64::NEG_INFINITY)),
+            ("c".into(), Value::Float(f64::NAN)),
+        ]);
+        let text = emit(&v).unwrap();
+        assert_eq!(text, "a = inf\nb = -inf\nc = nan\n");
+        let back = parse(&text).unwrap();
+        assert_eq!(back.get("a"), Some(&Value::Float(f64::INFINITY)));
+        assert_eq!(back.get("b"), Some(&Value::Float(f64::NEG_INFINITY)));
+        assert!(matches!(back.get("c"), Some(Value::Float(f)) if f.is_nan()));
+        assert_eq!(parse("x = +inf").unwrap().get("x"), Some(&Value::Float(f64::INFINITY)));
+        assert!(parse("x = info").is_err());
     }
 
     #[test]

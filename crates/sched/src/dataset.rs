@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::{Request, TimePs};
+use crate::{Request, TimePs, EVENT_HORIZON_PS};
 
 /// A log-normal token-length model, clamped to a valid range.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -245,7 +245,8 @@ pub fn trace_to_tsv(requests: &[Request]) -> String {
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line.
+/// Returns a description of the first malformed line, including an
+/// arrival past [`EVENT_HORIZON_PS`].
 pub fn trace_from_tsv(tsv: &str) -> Result<Vec<Request>, String> {
     let mut out = Vec::new();
     for (i, line) in tsv.lines().enumerate() {
@@ -268,7 +269,15 @@ pub fn trace_from_tsv(tsv: &str) -> Result<Vec<Request>, String> {
         if input == 0 || output == 0 {
             return Err(format!("line {}: lengths must be positive", i + 1));
         }
-        out.push(Request::new(out.len() as u64, input, output, (arrival_ms * 1e9) as TimePs));
+        let arrival_ps = arrival_ms * 1e9;
+        if arrival_ps > EVENT_HORIZON_PS as f64 {
+            return Err(format!(
+                "line {}: arrival_ms {arrival_ms} is past the event horizon ({} ms)",
+                i + 1,
+                EVENT_HORIZON_PS / 1_000_000_000
+            ));
+        }
+        out.push(Request::new(out.len() as u64, input, output, arrival_ps as TimePs));
     }
     Ok(out)
 }
@@ -362,5 +371,13 @@ mod tests {
         let err =
             trace_from_tsv("input_toks\toutput_toks\tarrival_ms\n12\toops\t3.5\n").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn arrivals_past_the_event_horizon_name_their_line() {
+        let err = trace_from_tsv("8\t8\t0\n8\t8\t1e300\n").unwrap_err();
+        assert!(err.contains("line 2: arrival_ms"), "{err}");
+        let horizon_ms = (EVENT_HORIZON_PS / 1_000_000_000).to_string();
+        assert_eq!(trace_from_tsv(&format!("8\t8\t{horizon_ms}\n")).unwrap().len(), 1);
     }
 }

@@ -50,5 +50,5 @@ pub use dataset::{trace_from_tsv, trace_to_tsv, Dataset, LengthModel, TraceGener
 pub use kv_cache::{KvCache, KvCacheConfig, KvError, KvPolicy, KvTransfer};
 pub use memory::MemoryModel;
 pub use orca::{LostWork, Scheduler, SchedulerConfig, SchedulerMode, SchedulingPolicy};
-pub use request::{Completion, Request, RequestState, TimePs};
+pub use request::{Completion, Request, RequestState, TimePs, EVENT_HORIZON_PS};
 pub use workload::{bursty_trace, BurstyTraceSpec, Workload, WorkloadError, WorkloadSpec};

@@ -31,6 +31,30 @@ pub enum SchedulingPolicy {
     RequestLevel,
 }
 
+impl SchedulingPolicy {
+    /// The scenario-file spelling (the artifact's `scheduling` values).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            SchedulingPolicy::IterationLevel => "orca",
+            SchedulingPolicy::RequestLevel => "request",
+        }
+    }
+}
+
+impl std::str::FromStr for SchedulingPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "orca" => Ok(SchedulingPolicy::IterationLevel),
+            "request" => Ok(SchedulingPolicy::RequestLevel),
+            other => {
+                Err(format!("unknown scheduling policy '{other}' (expected orca | request)"))
+            }
+        }
+    }
+}
+
 /// Which serving phases this scheduler runs — the knob behind
 /// disaggregated prefill/decode serving.
 ///

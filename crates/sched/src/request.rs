@@ -5,6 +5,14 @@ use serde::{Deserialize, Serialize};
 /// Simulated time in picoseconds (matches `llmss-net`).
 pub type TimePs = u64;
 
+/// The event horizon: the latest virtual time an input may schedule an
+/// event at, 10^6 s. It sits far inside [`TimePs::MAX`] (about 1.8e7 s),
+/// so an in-horizon arrival, fault time or link latency plus simulated
+/// service time stays on the picosecond clock. Workloads whose arrivals
+/// pass it fail to materialize, and scenario validation checks durations
+/// against it.
+pub const EVENT_HORIZON_PS: TimePs = 1_000_000 * 1_000_000_000_000;
+
 /// One inference request: a prompt to prefill and a target number of tokens
 /// to generate.
 ///

@@ -36,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Error, Serialize, Value};
 
-use crate::{trace_from_tsv, Dataset, Request, TimePs, TraceGenerator};
+use crate::{trace_from_tsv, Dataset, Request, TimePs, TraceGenerator, EVENT_HORIZON_PS};
 
 /// Shape of a bursty, size-skewed trace.
 ///
@@ -166,15 +166,19 @@ impl BurstyTraceSpec {
 /// assert!(mix.windows(2).all(|w| w[0].arrival_ps < w[1].arrival_ps));
 /// ```
 pub fn bursty_trace(spec: &BurstyTraceSpec) -> Vec<Request> {
+    // Clock arithmetic saturates: a gap or rate that runs the arrivals
+    // off the picosecond clock pins them at `TimePs::MAX`, which
+    // `materialize` rejects as past the event horizon.
     let gap_ps = (spec.burst_gap_ms * 1e9) as TimePs;
     let intra_ps: TimePs = 1_000_000; // 1 µs between arrivals in a burst
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let mut out = Vec::with_capacity(spec.total_requests());
     let mut clock: TimePs = 0;
     for burst in 0..spec.bursts {
+        let burst_start = (burst as TimePs).saturating_mul(gap_ps);
         // Poisson tails may spill past the nominal burst boundary; never
         // let a later burst start behind an earlier arrival.
-        clock = clock.max(burst as TimePs * gap_ps);
+        clock = clock.max(burst_start);
         for slot in 0..spec.burst_size {
             let id = (burst * spec.burst_size + slot) as u64;
             let heavy = if spec.heavy_frac > 0.0 {
@@ -187,17 +191,17 @@ pub fn bursty_trace(spec: &BurstyTraceSpec) -> Vec<Request> {
                 if slot > 0 {
                     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                     let gap_s = -u.ln() / spec.poisson_rate_per_s;
-                    clock += ((gap_s * 1e12) as TimePs).max(1);
+                    clock = clock.saturating_add(((gap_s * 1e12) as TimePs).max(1));
                 }
                 clock
             } else {
-                burst as TimePs * gap_ps + slot as TimePs * intra_ps
+                burst_start.saturating_add(slot as TimePs * intra_ps)
             };
             clock = arrival;
             out.push(Request::new(id, input_len, output_len, arrival));
         }
         // Keep monotonicity across bursts even if a tail spilled over.
-        clock += 1;
+        clock = clock.saturating_add(1);
     }
     out
 }
@@ -472,12 +476,22 @@ impl Workload for WorkloadSpec {
     fn materialize(&self) -> Result<Vec<Request>, WorkloadError> {
         self.validate()?;
         match self {
-            WorkloadSpec::Synthetic { dataset, requests, rate_per_s, seed } => {
-                Ok(TraceGenerator::new(*dataset, *seed)
+            WorkloadSpec::Synthetic { dataset, requests, rate_per_s, seed } => within_horizon(
+                "rate",
+                TraceGenerator::new(*dataset, *seed)
                     .rate_per_s(*rate_per_s)
-                    .generate(*requests))
+                    .generate(*requests),
+            ),
+            WorkloadSpec::Bursty { spec } => {
+                let gaps_ps = spec.bursts.saturating_sub(1) as f64 * spec.burst_gap_ms * 1e9;
+                let key = if spec.poisson_rate_per_s > 0.0 && gaps_ps <= EVENT_HORIZON_PS as f64
+                {
+                    "poisson_rate"
+                } else {
+                    "burst_gap_ms"
+                };
+                within_horizon(key, bursty_trace(spec))
             }
-            WorkloadSpec::Bursty { spec } => Ok(bursty_trace(spec)),
             WorkloadSpec::TraceFile { path } => {
                 let tsv = std::fs::read_to_string(path).map_err(|e| WorkloadError::Io {
                     path: path.clone(),
@@ -487,6 +501,21 @@ impl Workload for WorkloadSpec {
                     .map_err(|message| WorkloadError::Parse { path: path.clone(), message })
             }
         }
+    }
+}
+
+/// Passes a generated (arrival-ordered) trace whose last arrival is
+/// inside [`EVENT_HORIZON_PS`]; otherwise names the `workload.*` key
+/// that stretched it.
+fn within_horizon(key: &str, trace: Vec<Request>) -> Result<Vec<Request>, WorkloadError> {
+    match trace.last() {
+        Some(last) if last.arrival_ps > EVENT_HORIZON_PS => Err(WorkloadError::Invalid {
+            message: format!(
+                "workload.{key}: the arrivals run past the event horizon ({} s)",
+                EVENT_HORIZON_PS / 1_000_000_000_000
+            ),
+        }),
+        _ => Ok(trace),
     }
 }
 

@@ -2,6 +2,7 @@
 //! properties, and bit-identical equivalence between scenario-driven and
 //! hand-composed (legacy library-level) runs across the serving shapes.
 
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 use llmservingsim::core::{
@@ -310,5 +311,220 @@ proptest! {
         prop_assert_eq!(report.total_completions(), expected);
         let back = Scenario::from_toml(&scenario.to_toml()).unwrap();
         prop_assert_eq!(back, scenario);
+    }
+}
+
+/// Every checked-in `examples/scenarios/*.toml` text, then the
+/// `to_json()` text of each that parses as a scenario.
+fn scenario_corpus() -> Vec<String> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/scenarios");
+    let mut paths: Vec<_> =
+        std::fs::read_dir(dir).unwrap().map(|entry| entry.unwrap().path()).collect();
+    paths.sort();
+    let tomls: Vec<String> = paths
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "toml"))
+        .map(|p| std::fs::read_to_string(p).unwrap())
+        .collect();
+    let jsons: Vec<String> = tomls
+        .iter()
+        .filter_map(|text| Scenario::from_toml(text).ok())
+        .map(|s| s.to_json())
+        .collect();
+    tomls.into_iter().chain(jsons).collect()
+}
+
+/// Values at the edges of every key's domain.
+const EDGE_VALUES: [&str; 10] = [
+    "0",
+    "-1",
+    "1e-300",
+    "1e300",
+    "\"none\"",
+    "\"\"",
+    "[1, 2]",
+    "{ a = 1 }",
+    "true",
+    "1234567890123456789012345678901234567890",
+];
+
+/// Applies one random edit to `text`: delete a line, duplicate a line,
+/// replace a line's value with an edge value, or truncate at a byte.
+fn mutate(text: &str, op: usize, at: usize, edge: usize) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let line = at % lines.len().max(1);
+    match op {
+        0 if !lines.is_empty() => {
+            lines.remove(line);
+        }
+        1 if !lines.is_empty() => lines.insert(line, lines[line].clone()),
+        2 if !lines.is_empty() => {
+            let value = EDGE_VALUES[edge];
+            let edited = match (lines[line].split_once(" = "), lines[line].split_once(": ")) {
+                (Some((key, _)), _) => format!("{key} = {value}"),
+                (None, Some((key, rest))) => {
+                    let comma = if rest.ends_with(',') { "," } else { "" };
+                    format!("{key}: {value}{comma}")
+                }
+                (None, None) => value.to_owned(),
+            };
+            lines[line] = edited;
+        }
+        _ => {
+            let mut cut = at % (text.len() + 1);
+            while !text.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            return text[..cut].to_owned();
+        }
+    }
+    lines.join("\n")
+}
+
+/// The tables' `--set` sub-keys (`Scenario::KEYS` lists the top level).
+const SUB_KEYS: [&str; 44] = [
+    "fleet.control",
+    "fleet.tick_ms",
+    "fleet.flex_idle_ticks",
+    "fleet.min_prefill",
+    "fleet.min_replicas",
+    "fleet.max_replicas",
+    "fleet.queue_high",
+    "fleet.queue_low",
+    "fleet.warmup_ms",
+    "fleet.shards",
+    "fleet.shared_cache",
+    "fabric.topology",
+    "fabric.sharing",
+    "fabric.bw_gbps",
+    "fabric.latency_ns",
+    "fabric.trunk_gbps",
+    "telemetry.trace",
+    "telemetry.timeline",
+    "telemetry.window_ps",
+    "telemetry.slo_ttft_ms",
+    "telemetry.slo_tpot_ms",
+    "telemetry.requests",
+    "telemetry.replicas",
+    "chaos.seed",
+    "chaos.crash_rate_per_s",
+    "chaos.mttr_ms",
+    "chaos.horizon_ms",
+    "chaos.max_retries",
+    "chaos.retry_backoff_ms",
+    "chaos.retry_backoff_mult",
+    "workload.kind",
+    "workload.dataset",
+    "workload.requests",
+    "workload.rate",
+    "workload.seed",
+    "workload.path",
+    "workload.bursts",
+    "workload.burst_size",
+    "workload.burst_gap_ms",
+    "workload.heavy_every",
+    "workload.heavy_frac",
+    "workload.poisson_rate",
+    "workload.light",
+    "workload.heavy",
+];
+
+/// Finite `--set` values, valid for some key or other.
+const SET_VALUES: [&str; 44] = [
+    "0",
+    "1",
+    "7",
+    "64",
+    "18446744073709551615",
+    "0.5",
+    "-2.5",
+    "-0",
+    "1e-300",
+    "1e300",
+    "none",
+    "",
+    "true",
+    "off",
+    "adaptive",
+    "auto",
+    "static",
+    "flex",
+    "autoscale",
+    "orca",
+    "request",
+    "tensor",
+    "pipeline",
+    "hybrid",
+    "vllm",
+    "max",
+    "local",
+    "pool",
+    "p2c",
+    "sticky",
+    "least-kv",
+    "2x3",
+    "star4",
+    "fair",
+    "fifo",
+    "synthetic",
+    "bursty",
+    "trace",
+    "sharegpt",
+    "fixed:8x4",
+    "32x8",
+    "3, 1,2",
+    "a \"quoted\" # not a comment\t\\",
+    "gpt3-7b",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Mutated scenario files never panic the codecs: every parse ends in
+    /// a scenario (which then validates or fails typed) or a typed error.
+    #[test]
+    fn mutated_scenario_files_parse_or_fail_typed(
+        pick in 0usize..64,
+        edits in vec((0usize..4, 0usize..100_000, 0usize..EDGE_VALUES.len()), 1..4),
+    ) {
+        let corpus = scenario_corpus();
+        let mut text = corpus[pick % corpus.len()].clone();
+        for (op, at, edge) in edits {
+            text = mutate(&text, op, at, edge);
+        }
+        for parsed in [Scenario::from_toml(&text), Scenario::from_json(&text)] {
+            match parsed.and_then(|s| s.validate()) {
+                Ok(()) => {}
+                Err(e) => prop_assert!(!e.to_string().is_empty()),
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever a sequence of successful `set` calls expresses, a file
+    /// carries back: the scenario equals its TOML and JSON round trips.
+    #[test]
+    fn set_sequences_round_trip_through_both_codecs(
+        calls in vec((0usize..Scenario::KEYS.len() + SUB_KEYS.len(), 0usize..SET_VALUES.len()), 1..24),
+    ) {
+        let mut scenario = Scenario::default();
+        for (key, value) in calls {
+            let key = Scenario::KEYS.get(key).copied().unwrap_or_else(|| SUB_KEYS[key - Scenario::KEYS.len()]);
+            let mut next = scenario.clone();
+            if next.set(key, SET_VALUES[value]).is_ok() {
+                scenario = next;
+            }
+        }
+        let toml = scenario.to_toml();
+        let back = Scenario::from_toml(&toml)
+            .map_err(|e| TestCaseError::fail(format!("{e}\n{toml}")))?;
+        prop_assert_eq!(&back, &scenario, "TOML round trip:\n{}", toml);
+        let json = scenario.to_json();
+        let back = Scenario::from_json(&json)
+            .map_err(|e| TestCaseError::fail(format!("{e}\n{json}")))?;
+        prop_assert_eq!(&back, &scenario, "JSON round trip:\n{}", json);
     }
 }

@@ -257,3 +257,63 @@ fn schema_drift_in_a_scenario_file_names_the_key() {
     assert!(stderr.contains("modle"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Inputs that used to overflow the picosecond clock or stall the flow
+/// model in a debug build: each is a typed scenario error naming its key,
+/// and the CLI exits 1 at once.
+#[test]
+fn runaway_bandwidths_and_times_exit_with_a_typed_message_not_a_panic() {
+    let single = scenario_path("quickstart.toml");
+    let cases: [(&[&str], &str); 9] = [
+        (&["disagg=1x1", "kv_link_gbps=1e-12"], "kv_link_gbps"),
+        (&["disagg=2x2", "fabric=star4", "fabric.bw_gbps=1e-9"], "fabric.bw_gbps"),
+        (&["disagg=2x2", "fabric=star4", "fabric.trunk_gbps=1e-12"], "fabric.trunk_gbps"),
+        (&["workload.rate=1e-300"], "workload.rate"),
+        // 32 requests at 1e-6 req/s span ~3.2e7 s, past the horizon.
+        (&["workload.rate=1e-6"], "workload.rate"),
+        (&["workload.kind=bursty", "workload.burst_gap_ms=1e300"], "workload.burst_gap_ms"),
+        (&["workload.kind=bursty", "workload.poisson_rate=1e-300"], "workload.poisson_rate"),
+        (&["disagg=1x1", "fabric=single", "fabric.latency_ns=1e300"], "fabric.latency_ns"),
+        (
+            &[
+                "replicas=2",
+                "fleet=static",
+                "chaos.crash_rate_per_s=50",
+                "chaos.mttr_ms=1",
+                "chaos.horizon_ms=100",
+                "chaos.retry_backoff_ms=1e300",
+            ],
+            "chaos.retry_backoff_ms",
+        ),
+    ];
+    for (sets, key) in cases {
+        let mut args = vec!["run", single.as_str()];
+        for set in sets {
+            args.extend(["--set", set]);
+        }
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{sets:?}: {stderr}");
+        assert!(stderr.contains(key), "{sets:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{sets:?}: {stderr}");
+    }
+}
+
+/// A trace file whose arrival lies past the event horizon names its line.
+#[test]
+fn trace_arrivals_past_the_horizon_name_the_line() {
+    let dir = tempdir("horizon-trace");
+    let trace = dir.join("far.tsv");
+    std::fs::write(&trace, "input_toks\toutput_toks\tarrival_ms\n8\t8\t0\n8\t8\t1e300\n")
+        .unwrap();
+    let path = format!("workload.path={}", trace.to_string_lossy());
+    let single = scenario_path("quickstart.toml");
+    let out = bin()
+        .args(["run", &single, "--set", "workload.kind=trace", "--set", &path])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("line 3: arrival_ms"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
