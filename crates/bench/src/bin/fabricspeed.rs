@@ -20,7 +20,7 @@ use std::time::Instant;
 use serde::{Serialize, Value};
 
 use llmss_bench::disagg_fleet;
-use llmss_core::{json, DisaggReport, Fabric, FabricGraph, PairingPolicyKind, SimConfig};
+use llmss_core::{json, DisaggReport, Fabric, FabricGraph, RoutingPolicyKind, SimConfig};
 use llmss_model::ModelSpec;
 use llmss_net::LinkSpec;
 use llmss_sched::{bursty_trace, BurstyTraceSpec, Request};
@@ -110,7 +110,7 @@ fn run(requests: &[Request], fair: bool) -> (f64, SummaryStats) {
         };
         let t0 = Instant::now();
         let fleet = disagg_fleet(replica_config(), 2, 2, fabric, requests.to_vec()).run();
-        let report = DisaggReport::from_fleet(fleet, 2, PairingPolicyKind::LeastKvLoad);
+        let report = DisaggReport::from_fleet(fleet, 2, RoutingPolicyKind::LeastKvLoad);
         best = best.min(t0.elapsed().as_secs_f64());
         last = Some(report);
     }

@@ -30,7 +30,7 @@ use serde::{Serialize, Value};
 
 use llmss_bench::{cluster_fleet, disagg_fleet};
 use llmss_core::{
-    json, ClusterReport, DisaggReport, Fabric, MemorySink, PairingPolicyKind, SimConfig,
+    json, ClusterReport, DisaggReport, Fabric, MemorySink, RoutingPolicyKind, SimConfig,
     SimReport, Telemetry, WallBreakdown,
 };
 use llmss_model::ModelSpec;
@@ -276,7 +276,7 @@ fn run_disagg(memo: Memo, requests: Vec<Request>) -> ScenarioResult {
     let cfg = memo.apply(replica_config());
     let t0 = Instant::now();
     let fleet = disagg_fleet(cfg, 2, 2, Fabric::fifo(vec![LinkSpec::cxl()]), requests).run();
-    let report = DisaggReport::from_fleet(fleet, 2, PairingPolicyKind::LeastKvLoad);
+    let report = DisaggReport::from_fleet(fleet, 2, RoutingPolicyKind::LeastKvLoad);
     let wall_s = t0.elapsed().as_secs_f64();
     let summary = parse_summary(&report.summary_json());
     let iterations =

@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use llmss_core::{
-    EngineStack, Fabric, FleetEngine, GraphConverter, PairingPolicyKind, ParallelismSpec,
-    PimMode, ReuseStats, RoutingPolicyKind, SimConfig, SimReport, StaticControl, WallBreakdown,
+    EngineStack, Fabric, FleetEngine, GraphConverter, ParallelismSpec, PimMode, ReuseStats,
+    RoutingPolicyKind, SimConfig, SimReport, StaticControl, WallBreakdown,
 };
 use llmss_model::{ModelSpec, SeqSlot};
 use llmss_net::{simulate_graph, LinkSpec, TimePs, Topology};
@@ -23,7 +23,7 @@ use llmss_sched::{IterationBatch, Request};
 pub fn cluster_fleet(config: SimConfig, replicas: usize, trace: Vec<Request>) -> FleetEngine {
     let control = StaticControl::new(
         RoutingPolicyKind::RoundRobin.build(0),
-        PairingPolicyKind::LeastKvLoad.build(),
+        RoutingPolicyKind::LeastKvLoad.build(0),
     );
     FleetEngine::new(vec![config; replicas], Vec::new(), Box::new(control), trace)
         .expect("the replica config fits its NPUs")
@@ -44,7 +44,7 @@ pub fn disagg_fleet(
     configs.resize(prefill + decode, config.decode_only());
     let control = StaticControl::new(
         RoutingPolicyKind::LeastOutstanding.build(0),
-        PairingPolicyKind::LeastKvLoad.build(),
+        RoutingPolicyKind::LeastKvLoad.build(0),
     );
     FleetEngine::with_fabric(configs, fabric, Box::new(control), trace)
         .expect("the replica config fits its NPUs")

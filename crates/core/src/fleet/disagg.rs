@@ -21,7 +21,7 @@ use super::report::{
     contention_json, fabric_links_json, fabric_suffix, merged_reuse, push_fabric_tsv,
     shared_cache_suffix, FleetReport, ReplicaStats,
 };
-use super::route::PairingPolicyKind;
+use super::route::RoutingPolicyKind;
 
 /// One request's full disaggregated lifecycle: arrival → prefill-pool
 /// completion → KV transfer → decode-pool streaming.
@@ -168,7 +168,7 @@ impl DisaggReport {
     /// paired by `pairing`. Each lifecycle joins an end-to-end completion
     /// with its KV transfer; requests still short of their decode
     /// completion (a partially drained run) are left out.
-    pub fn from_fleet(report: FleetReport, prefill: usize, pairing: PairingPolicyKind) -> Self {
+    pub fn from_fleet(report: FleetReport, prefill: usize, pairing: RoutingPolicyKind) -> Self {
         let transfers = &report.transfers;
         let completions = report
             .completions

@@ -1,5 +1,5 @@
-//! The fleet engine: one virtual-time event loop for every multi-replica
-//! serving shape.
+//! The fleet engine: one virtual-time event loop for every serving
+//! shape, a single replica (a one-replica static fleet) included.
 //!
 //! A [`FleetEngine`] owns a vector of replica slots (each a
 //! [`ServingSimulator`] plus a [`ReplicaRole`] and its own
@@ -22,10 +22,11 @@
 //!   control plane sees a [`FleetStats`] view and may flex roles or
 //!   scale the fleet ([`FleetCommand`]), always under drain semantics.
 //!
-//! A routed cluster and a disaggregated deployment are configurations of
-//! this engine (a router is an admission-side control-plane decision;
-//! disaggregation is role-filtered admission plus KV-transfer links);
-//! flexing and autoscaling are just different control planes.
+//! A single replica, a routed cluster and a disaggregated deployment are
+//! configurations of this engine (a router is an admission-side
+//! control-plane decision; disaggregation is role-filtered admission
+//! plus KV-transfer links); flexing and autoscaling are just different
+//! control planes.
 
 // llmss-lint: allow(p001, file, reason = "fleet-engine invariants are asserted, not propagated: a violated invariant is a simulator bug that must halt the run")
 use std::collections::{BTreeMap, VecDeque};
@@ -385,7 +386,7 @@ impl FleetEngine {
         let mut sims = Vec::with_capacity(configs.len());
         let mut slots = Vec::with_capacity(configs.len());
         for config in configs {
-            sims.push(ServingSimulator::new(config.clone(), Vec::new())?);
+            sims.push(ServingSimulator::from_config(&config, Vec::new())?);
             slots.push(ReplicaSlot::new(config));
         }
 
@@ -672,7 +673,7 @@ impl FleetEngine {
                     return;
                 }
                 let config = self.slots[template].config.clone();
-                let mut sim = ServingSimulator::new(config.clone(), Vec::new())
+                let mut sim = ServingSimulator::from_config(&config, Vec::new())
                     .expect("the template configuration was already realized once");
                 let index = self.sims.len();
                 sim.set_telemetry(self.telemetry.for_replica(index));

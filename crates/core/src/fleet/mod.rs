@@ -1,8 +1,9 @@
-//! One fleet engine for every multi-replica serving shape.
+//! One fleet engine for every serving shape.
 //!
-//! A routed cluster, a disaggregated prefill/decode deployment, and a
-//! `[fleet]` scenario under a flexing or autoscaling control plane are
-//! all configurations of one core:
+//! A single replica (a one-replica static fleet), a routed cluster, a
+//! disaggregated prefill/decode deployment, and a `[fleet]` scenario
+//! under a flexing or autoscaling control plane are all configurations
+//! of one core:
 //!
 //! ```text
 //!             ┌──────────────────────────────────────────────┐
@@ -26,8 +27,9 @@
 //!   [`AutoscaleControl`].
 //! * [`ReadyHeap`] — the lazy-invalidation min-heap of replica
 //!   ready-times.
-//! * [`RoutingPolicy`] / [`ReplicaSnapshot`] / [`ReplicaRole`] /
-//!   [`PairingPolicyKind`] — the router and pairer vocabulary.
+//! * [`RoutingPolicy`] / [`RoutingPolicyKind`] / [`ReplicaSnapshot`] /
+//!   [`ReplicaRole`] — the router vocabulary, which decode pairing
+//!   speaks too.
 //! * [`FleetReport`] — what every run finishes as. The cluster and
 //!   disaggregated shapes render it through their own views,
 //!   [`ClusterReport`] and [`DisaggReport`].
@@ -50,6 +52,6 @@ pub use engine::{FleetEngine, FleetParts, FleetTransfer, ReplicaSlot};
 pub use heap::ReadyHeap;
 pub use report::{FleetReplica, FleetReport, ReplicaStats};
 pub use route::{
-    LeastKvLoad, LeastOutstanding, PairingPolicyKind, PowerOfTwoChoices, ReplicaRole,
-    ReplicaSnapshot, RoundRobin, RoutingPolicy, RoutingPolicyKind, Sticky,
+    LeastKvLoad, LeastOutstanding, PowerOfTwoChoices, ReplicaRole, ReplicaSnapshot, RoundRobin,
+    RoutingPolicy, RoutingPolicyKind, Sticky,
 };

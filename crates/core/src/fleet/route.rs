@@ -222,73 +222,6 @@ impl std::str::FromStr for RoutingPolicyKind {
     }
 }
 
-/// How a finished prefill picks its decode replica.
-///
-/// All three reuse the [`RoutingPolicy`] machinery over decode-pool
-/// snapshots; the decision runs at prefill-completion time, before the
-/// transfer starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PairingPolicyKind {
-    /// Ship to the decode replica with the fewest KV pages in use — the
-    /// memory-pressure signal that matters most on a pool whose whole job
-    /// is holding caches.
-    LeastKvLoad,
-    /// Ship to the decode replica with the fewest unfinished requests.
-    LeastOutstanding,
-    /// Session affinity: the request id picks the replica regardless of
-    /// load (KV locality for multi-turn reuse).
-    Sticky,
-}
-
-impl PairingPolicyKind {
-    /// Every built-in pairing policy (for sweeps and exhaustive tests).
-    pub const ALL: [PairingPolicyKind; 3] = [
-        PairingPolicyKind::LeastKvLoad,
-        PairingPolicyKind::LeastOutstanding,
-        PairingPolicyKind::Sticky,
-    ];
-
-    /// Instantiates the policy as a routing policy over decode replicas.
-    pub fn build(self) -> Box<dyn RoutingPolicy> {
-        match self {
-            PairingPolicyKind::LeastKvLoad => RoutingPolicyKind::LeastKvLoad.build(0),
-            PairingPolicyKind::LeastOutstanding => RoutingPolicyKind::LeastOutstanding.build(0),
-            PairingPolicyKind::Sticky => RoutingPolicyKind::Sticky.build(0),
-        }
-    }
-
-    /// The CLI spelling (`--pairing` flag values).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PairingPolicyKind::LeastKvLoad => "least-kv",
-            PairingPolicyKind::LeastOutstanding => "least-outstanding",
-            PairingPolicyKind::Sticky => "sticky",
-        }
-    }
-}
-
-impl std::fmt::Display for PairingPolicyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for PairingPolicyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "least-kv" | "kv" => Ok(PairingPolicyKind::LeastKvLoad),
-            "least-outstanding" | "lor" => Ok(PairingPolicyKind::LeastOutstanding),
-            "sticky" => Ok(PairingPolicyKind::Sticky),
-            other => Err(format!(
-                "unknown pairing policy '{other}' \
-                 (expected least-kv | least-outstanding | sticky)"
-            )),
-        }
-    }
-}
-
 /// Cycles through replicas in index order.
 #[derive(Debug, Default)]
 pub struct RoundRobin {

@@ -68,9 +68,9 @@ pub use fleet::{
     AutoscaleConfig, AutoscaleControl, ClusterReport, ControlPlane, DisaggCompletion,
     DisaggReport, FleetCommand, FleetEngine, FleetParts, FleetReplica, FleetReport, FleetStats,
     FleetTransfer, FlexPools, FlexPoolsConfig, LeastKvLoad, LeastOutstanding,
-    PairingPolicyKind, PowerOfTwoChoices, ReadyHeap, ReplicaRole, ReplicaSlot, ReplicaSnapshot,
-    ReplicaStats, ReplicaStatus, RoundRobin, RoutingPolicy, RoutingPolicyKind, StaticControl,
-    Sticky, TtftSplit,
+    PowerOfTwoChoices, ReadyHeap, ReplicaRole, ReplicaSlot, ReplicaSnapshot, ReplicaStats,
+    ReplicaStatus, RoundRobin, RoutingPolicy, RoutingPolicyKind, StaticControl, Sticky,
+    TtftSplit,
 };
 pub use mapping::{map_op, DeviceKind, PimMode};
 pub use report::{

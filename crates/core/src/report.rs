@@ -709,7 +709,7 @@ mod tests {
 
     use crate::{
         ClusterReport, DisaggCompletion, DisaggReport, FleetParts, FleetReplica, FleetReport,
-        FleetTransfer, PairingPolicyKind, ReplicaRole,
+        FleetTransfer, ReplicaRole, RoutingPolicyKind,
     };
 
     fn completion(id: u64, arrival_ps: u64, first_token_ps: u64, finish_ps: u64) -> Completion {
@@ -847,7 +847,7 @@ mod tests {
         ];
         let transfers = (0..2).map(|id| (id, handoff)).collect();
         let report = fleet("least-outstanding", replicas, vec![(0, 0), (1, 0)], transfers);
-        DisaggReport::from_fleet(report, 1, PairingPolicyKind::LeastKvLoad)
+        DisaggReport::from_fleet(report, 1, RoutingPolicyKind::LeastKvLoad)
     }
 
     #[test]
@@ -903,7 +903,7 @@ mod tests {
             replica(ReplicaRole::Decode, Vec::new(), 0, 0),
         ];
         let report = fleet("round-robin", replicas, Vec::new(), BTreeMap::new());
-        let r = DisaggReport::from_fleet(report, 1, PairingPolicyKind::Sticky);
+        let r = DisaggReport::from_fleet(report, 1, RoutingPolicyKind::Sticky);
         assert_eq!(r.ttft_percentiles(), None);
         assert_eq!(r.ttft_split(), None);
         assert!(!r.metrics_tsv().contains("NaN"));

@@ -35,7 +35,7 @@ use crate::telemetry::{SimEvent, Telemetry};
 use crate::{
     BucketAdaptivity, ConfigError, EngineStack, GraphConverter, IterationCache,
     IterationLookup, IterationOutcome, IterationRecord, KvBucket, SimConfig, SimReport,
-    Simulate, WallBreakdown,
+    WallBreakdown,
 };
 
 /// An end-to-end LLM serving simulation.
@@ -91,6 +91,15 @@ impl ServingSimulator {
     /// (an out-of-range batching delay or memory size, invalid
     /// parallelism, model does not fit in memory, ...).
     pub fn new(config: SimConfig, requests: Vec<Request>) -> Result<Self, ConfigError> {
+        Self::from_config(&config, requests)
+    }
+
+    /// [`new`](Self::new) over a borrowed configuration, for the fleet
+    /// engine, whose replica slots keep their own.
+    pub(crate) fn from_config(
+        config: &SimConfig,
+        requests: Vec<Request>,
+    ) -> Result<Self, ConfigError> {
         config.check_values()?;
         let parallelism = config.parallelism()?;
         let topology = config.topology()?;
@@ -485,8 +494,8 @@ impl ServingSimulator {
     }
 
     /// Finalizes the simulator into its report (used directly by drivers
-    /// that interleave [`step`](Self::step) calls, e.g. the cluster
-    /// simulator; [`run`](Self::run) is the single-replica shorthand).
+    /// that interleave [`step`](Self::step) calls, e.g. the fleet engine;
+    /// [`run`](Self::run) is the single-replica shorthand).
     pub fn into_report(mut self) -> SimReport {
         let reuse = self.reuse_stats();
         SimReport {
@@ -498,34 +507,6 @@ impl ServingSimulator {
             wall: self.wall,
             reuse,
         }
-    }
-}
-
-impl Simulate for ServingSimulator {
-    type Report = SimReport;
-
-    fn push_request(&mut self, request: Request) {
-        ServingSimulator::push_request(self, request);
-    }
-
-    fn next_ready_ps(&self) -> Option<TimePs> {
-        ServingSimulator::next_ready_ps(self)
-    }
-
-    fn clock_ps(&self) -> TimePs {
-        ServingSimulator::clock_ps(self)
-    }
-
-    fn completed_requests(&self) -> usize {
-        self.scheduler.completions().len()
-    }
-
-    fn step(&mut self) -> bool {
-        ServingSimulator::step(self)
-    }
-
-    fn finalize(self) -> SimReport {
-        self.into_report()
     }
 }
 
@@ -693,12 +674,12 @@ mod tests {
     use llmss_sched::{bursty_trace, BurstyTraceSpec};
 
     use crate::{
-        ClusterReport, DisaggReport, Fabric, FabricGraph, FleetEngine, PairingPolicyKind,
-        ReplicaRole, RoutingPolicyKind, StaticControl,
+        ClusterReport, DisaggReport, Fabric, FabricGraph, FleetEngine, ReplicaRole,
+        RoutingPolicyKind, StaticControl,
     };
 
     const LOR: RoutingPolicyKind = RoutingPolicyKind::LeastOutstanding;
-    const LEAST_KV: PairingPolicyKind = PairingPolicyKind::LeastKvLoad;
+    const LEAST_KV: RoutingPolicyKind = RoutingPolicyKind::LeastKvLoad;
 
     fn alpaca(n: usize, rate: f64) -> Vec<Request> {
         TraceGenerator::new(Dataset::Alpaca, 13).rate_per_s(rate).generate(n)
@@ -708,10 +689,10 @@ mod tests {
         configs: Vec<SimConfig>,
         fabric: Fabric,
         routing: RoutingPolicyKind,
-        pairing: PairingPolicyKind,
+        pairing: RoutingPolicyKind,
         trace: Vec<Request>,
     ) -> FleetEngine {
-        let control = StaticControl::new(routing.build(5), pairing.build());
+        let control = StaticControl::new(routing.build(5), pairing.build(0));
         FleetEngine::with_fabric(configs, fabric, Box::new(control), trace).unwrap()
     }
 
@@ -735,7 +716,7 @@ mod tests {
         (prefill, decode): (usize, usize),
         fabric: Fabric,
         routing: RoutingPolicyKind,
-        pairing: PairingPolicyKind,
+        pairing: RoutingPolicyKind,
         trace: Vec<Request>,
     ) -> DisaggReport {
         let mut configs = vec![config().prefill_only(); prefill];
@@ -985,7 +966,7 @@ mod tests {
 
     #[test]
     fn sticky_pairing_follows_request_id() {
-        let sticky = PairingPolicyKind::Sticky;
+        let sticky = RoutingPolicyKind::Sticky;
         for c in &disagg_over((1, 3), fifo(128.0), LOR, sticky, bursts()).completions {
             assert_eq!(c.decode_replica as u64, c.id % 3);
         }
@@ -993,7 +974,7 @@ mod tests {
 
     #[test]
     fn pairing_policies_are_selectable_and_complete() {
-        for pairing in PairingPolicyKind::ALL {
+        for pairing in RoutingPolicyKind::ALL {
             let report = disagg_over((1, 2), fifo(128.0), LOR, pairing, bursts());
             assert_eq!(report.total_completions(), 16, "pairing {pairing}");
             assert_eq!(report.pairing, pairing.as_str());
@@ -1017,11 +998,17 @@ mod tests {
 
     #[test]
     fn pairing_kind_round_trips_through_str() {
-        for kind in PairingPolicyKind::ALL {
-            let parsed: PairingPolicyKind = kind.as_str().parse().unwrap();
-            assert_eq!(parsed, kind);
+        // Pairing speaks the routing vocabulary: every spelling the
+        // pairing key has always taken still names the same policy.
+        for (spelling, kind) in [
+            ("least-kv", RoutingPolicyKind::LeastKvLoad),
+            ("kv", RoutingPolicyKind::LeastKvLoad),
+            ("least-outstanding", LOR),
+            ("lor", LOR),
+            ("sticky", RoutingPolicyKind::Sticky),
+        ] {
+            assert_eq!(spelling.parse::<RoutingPolicyKind>(), Ok(kind));
         }
-        assert!("nope".parse::<PairingPolicyKind>().is_err());
     }
 
     #[test]

@@ -3,17 +3,15 @@
 //! Single-replica serving, multi-replica clusters, and disaggregated
 //! prefill/decode deployments all expose the same lifecycle — push
 //! requests, advance virtual time one event at a time, watch progress,
-//! finalize into a report — but each used to spell it differently, so
-//! every driver (CLI, sweep runner, benches, tests) was written three
-//! times. [`Simulate`] names that lifecycle once:
+//! finalize into a report. [`Simulate`] names that lifecycle once:
 //!
 //! ```text
 //! push_request*  →  (step | next_ready_ps | clock_ps)*  →  finalize
 //! ```
 //!
-//! `ServingSimulator` and `FleetEngine` implement it directly, and the
-//! `llmss-scenario` crate's `AnySimulator` folds both behind one value,
-//! which is what the `Scenario` API hands back.
+//! `FleetEngine` implements it for every shape (a single replica is a
+//! one-replica fleet), and the `llmss-scenario` crate's `AnySimulator`
+//! wraps the engine with the report view its scenario's shape asks for.
 
 use llmss_sched::{Request, TimePs};
 
@@ -29,21 +27,23 @@ use crate::ReportOutput;
 ///
 /// # Examples
 ///
-/// Drive any serving shape through the one surface:
+/// Drive a one-replica fleet through the one surface:
 ///
 /// ```
-/// use llmss_core::{ServingSimulator, SimConfig, Simulate};
+/// use llmss_core::{FleetEngine, RoutingPolicyKind, SimConfig, Simulate, StaticControl};
 /// use llmss_model::ModelSpec;
 /// use llmss_sched::{Dataset, TraceGenerator};
 ///
 /// let config = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
 /// let trace = TraceGenerator::new(Dataset::Alpaca, 7).rate_per_s(50.0).generate(4);
-/// let mut sim = ServingSimulator::new(config, Vec::new())?;
+/// let round_robin = || RoutingPolicyKind::RoundRobin.build(0);
+/// let control = StaticControl::new(round_robin(), round_robin());
+/// let mut sim = FleetEngine::new(vec![config], Vec::new(), Box::new(control), Vec::new())?;
 /// for request in trace {
 ///     Simulate::push_request(&mut sim, request);
 /// }
 /// let report = Simulate::run_to_completion(sim);
-/// assert_eq!(report.completions.len(), 4);
+/// assert_eq!(report.total_completions(), 4);
 /// # Ok::<(), llmss_core::ConfigError>(())
 /// ```
 pub trait Simulate {

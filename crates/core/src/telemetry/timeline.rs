@@ -87,9 +87,6 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
     let mut links: Vec<(String, f64)> = Vec::new();
     let mut arrival_of: FnvHashMap<u64, TimePs> = FnvHashMap::default();
     let mut queued_of: FnvHashMap<u64, (usize, TimePs)> = FnvHashMap::default();
-    let mut any_arrival = false;
-    let mut any_admitted = false;
-    let mut any_activation = false;
     for e in events {
         end_ps = end_ps.max(match *e {
             SimEvent::Iteration { end_ps, .. } => end_ps,
@@ -98,11 +95,8 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
         });
         match e {
             SimEvent::Arrival { id, t_ps, .. } => {
-                any_arrival = true;
                 arrival_of.insert(*id, *t_ps);
             }
-            SimEvent::Admitted { .. } => any_admitted = true,
-            SimEvent::ReplicaActivated { .. } => any_activation = true,
             SimEvent::TransferQueued { id, from, t_ps } => {
                 queued_of.insert(*id, (*from, *t_ps));
             }
@@ -113,12 +107,6 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
                 if !links.iter().any(|(n, _)| n == link) =>
             {
                 links.push((link.clone(), *bw_gbps));
-            }
-            SimEvent::Completed { arrival_ps, t_ps, .. } => {
-                // Synthesized horizon/arrival sources for single-replica
-                // runs, which have no fleet front end.
-                end_ps = end_ps.max(*t_ps);
-                let _ = arrival_ps;
             }
             _ => {}
         }
@@ -158,10 +146,6 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
         match e {
             SimEvent::Arrival { t_ps, .. } => windows[at(*t_ps)].arrivals += 1,
             SimEvent::Admitted { t_ps, .. } => windows[at(*t_ps)].admitted += 1,
-            // Admission proxy for single-replica runs (no router).
-            SimEvent::PrefillStart { t_ps, .. } if !any_admitted => {
-                windows[at(*t_ps)].admitted += 1;
-            }
             SimEvent::Completed {
                 t_ps,
                 id,
@@ -180,9 +164,6 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
                 // End-to-end TTFT needs the original arrival; a decode
                 // replica's scheduler-local arrival is the KV delivery.
                 let arrival = arrival_of.get(id).copied().unwrap_or(*arrival_ps);
-                if !any_arrival {
-                    windows[at(arrival)].arrivals += 1;
-                }
                 let win = &mut windows[at(*t_ps)];
                 win.completed += 1;
                 let ttft_ms = first_token_ps.saturating_sub(arrival) as f64 / 1e9;
@@ -274,7 +255,7 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
             format!("{:.3}", num as f64 / den as f64)
         }
     };
-    let mut live: i64 = if any_activation { 0 } else { replicas.len() as i64 };
+    let mut live: i64 = 0;
     let window_s = w as f64 / 1e12;
     for (idx, win) in windows.iter().enumerate() {
         live += live_delta[idx];

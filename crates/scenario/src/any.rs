@@ -8,70 +8,37 @@
 //! writes the same artifact set the shape's native report writes.
 
 use llmss_core::{
-    ClusterReport, DisaggReport, FleetEngine, FleetReport, PairingPolicyKind, ReportOutput,
-    ReuseStats, ServingSimulator, SimEvent, SimReport, Simulate, SloSummary, Telemetry,
+    ClusterReport, DisaggReport, FleetEngine, FleetReport, ReportOutput, ReuseStats,
+    RoutingPolicyKind, SimReport, Simulate, SloSummary, Telemetry,
 };
 use llmss_sched::{Request, TimePs};
 
 use crate::ServingShape;
 
-/// A built scenario: one serving replica, or the fleet engine behind
-/// every multi-replica shape, driven uniformly through [`Simulate`].
+/// A built scenario: the fleet engine behind every shape (a single
+/// replica is a one-replica static fleet), tagged with the shape whose
+/// report it finishes as, and driven through [`Simulate`].
 #[derive(Debug)]
-// One AnySimulator exists per run; variant size spread is irrelevant at
-// that cardinality and boxing the fleet engine would tax every step call.
-#[allow(clippy::large_enum_variant)]
-pub enum AnySimulator {
-    /// One unified serving replica (boxed: a `ServingSimulator` is an
-    /// order of magnitude larger than the fleet engine's handle).
-    Single(Box<ServingSimulator>),
-    /// A routed cluster, a disaggregated deployment, or a `[fleet]`
-    /// scenario: the fleet engine, tagged with the shape whose report it
-    /// finishes as.
-    Fleet {
-        /// The engine stepping every replica.
-        engine: FleetEngine,
-        /// The scenario's shape: cluster and disagg runs render their
-        /// [`FleetReport`] through [`ClusterReport`] / [`DisaggReport`].
-        shape: ServingShape,
-        /// The decode-pairing policy the disaggregated report names.
-        pairing: PairingPolicyKind,
-    },
+pub struct AnySimulator {
+    /// The engine stepping every replica.
+    pub engine: FleetEngine,
+    /// The scenario's shape: single, cluster and disagg runs render the
+    /// engine's [`FleetReport`] as [`SimReport`], [`ClusterReport`] and
+    /// [`DisaggReport`].
+    pub shape: ServingShape,
+    /// The decode-pairing policy the disaggregated report names.
+    pub pairing: RoutingPolicyKind,
 }
 
 impl AnySimulator {
-    /// The shape's short name (`single` | `cluster` | `disagg` | `fleet`).
-    pub fn shape(&self) -> &'static str {
-        match self {
-            AnySimulator::Single(_) => "single",
-            AnySimulator::Fleet { shape: ServingShape::Cluster { .. }, .. } => "cluster",
-            AnySimulator::Fleet { shape: ServingShape::Disagg { .. }, .. } => "disagg",
-            AnySimulator::Fleet { .. } => "fleet",
-        }
-    }
-
     /// Runs to completion and finalizes (the common whole-trace run).
     pub fn run(self) -> AnyReport {
         Simulate::run_to_completion(self)
     }
 
-    /// Attaches a telemetry handle to whichever shape this is. The
-    /// fleet engine fans it out per replica; the single shape scopes it
-    /// to replica 0 and announces that replica so the timeline's
-    /// live-replica series starts at one.
+    /// Attaches a telemetry handle; the engine fans it out per replica.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        match self {
-            AnySimulator::Single(s) => {
-                let scoped = telemetry.for_replica(0);
-                scoped.emit(|| SimEvent::ReplicaActivated {
-                    t_ps: 0,
-                    replica: 0,
-                    admit_from_ps: 0,
-                });
-                s.set_telemetry(scoped);
-            }
-            AnySimulator::Fleet { engine, .. } => engine.set_telemetry(telemetry),
-        }
+        self.engine.set_telemetry(telemetry);
     }
 }
 
@@ -79,55 +46,40 @@ impl Simulate for AnySimulator {
     type Report = AnyReport;
 
     fn push_request(&mut self, request: Request) {
-        match self {
-            AnySimulator::Single(s) => Simulate::push_request(&mut **s, request),
-            AnySimulator::Fleet { engine, .. } => engine.push_request(request),
-        }
+        self.engine.push_request(request);
     }
 
     fn next_ready_ps(&self) -> Option<TimePs> {
-        match self {
-            AnySimulator::Single(s) => Simulate::next_ready_ps(&**s),
-            AnySimulator::Fleet { engine, .. } => engine.next_ready_ps(),
-        }
+        self.engine.next_ready_ps()
     }
 
     fn clock_ps(&self) -> TimePs {
-        match self {
-            AnySimulator::Single(s) => Simulate::clock_ps(&**s),
-            AnySimulator::Fleet { engine, .. } => engine.clock_ps(),
-        }
+        self.engine.clock_ps()
     }
 
     fn completed_requests(&self) -> usize {
-        match self {
-            AnySimulator::Single(s) => Simulate::completed_requests(&**s),
-            AnySimulator::Fleet { engine, .. } => engine.completed_requests(),
-        }
+        self.engine.completed_requests()
     }
 
     fn step(&mut self) -> bool {
-        match self {
-            AnySimulator::Single(s) => Simulate::step(&mut **s),
-            AnySimulator::Fleet { engine, .. } => engine.step(),
-        }
+        self.engine.step()
     }
 
     fn finalize(self) -> AnyReport {
-        match self {
-            AnySimulator::Single(s) => AnyReport::Single(Simulate::finalize(*s)),
-            AnySimulator::Fleet { engine, shape, pairing } => {
-                let report = engine.into_report();
-                match shape {
-                    ServingShape::Cluster { .. } => AnyReport::Cluster(report.into()),
-                    ServingShape::Disagg { prefill, .. } => {
-                        AnyReport::Disagg(DisaggReport::from_fleet(report, prefill, pairing))
-                    }
-                    ServingShape::Single | ServingShape::Fleet { .. } => {
-                        AnyReport::Fleet(report)
-                    }
-                }
+        match self.shape {
+            ServingShape::Single => {
+                // The one replica's report, without the fleet-level join.
+                let mut replicas = self.engine.into_parts().replicas;
+                let replica = replicas.pop().expect("a fleet has a replica"); // llmss-lint: allow(p001, reason = "FleetEngine::new refuses an empty fleet")
+                AnyReport::Single(replica.report)
             }
+            ServingShape::Cluster { .. } => {
+                AnyReport::Cluster(self.engine.into_report().into())
+            }
+            ServingShape::Disagg { prefill, .. } => AnyReport::Disagg(
+                DisaggReport::from_fleet(self.engine.into_report(), prefill, self.pairing),
+            ),
+            ServingShape::Fleet { .. } => AnyReport::Fleet(self.engine.into_report()),
         }
     }
 }

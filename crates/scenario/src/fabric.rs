@@ -248,6 +248,36 @@ impl FabricSpec {
         Ok(Fabric::fair(topology, graph))
     }
 
+    /// What bounds one KV transfer across the built fabric of
+    /// `link_count` links: the key setting the link latencies, their sum
+    /// over every link in nanoseconds, and each bandwidth a transfer can
+    /// cross with the key that sets it.
+    pub(crate) fn transfer_bounds(
+        &self,
+        link_count: usize,
+        kv_link_gbps: f64,
+    ) -> (&'static str, f64, Vec<(String, f64)>) {
+        let latency_ns = self.latency_ns.unwrap_or(LinkSpec::cxl().latency_ns);
+        if self.topology_name() == "explicit" {
+            let own = self.links.iter().any(|l| l.latency_ns.is_some());
+            let key = if own { "fabric.link.latency_ns" } else { "fabric.latency_ns" };
+            let summed = self.links.iter().map(|l| l.latency_ns.unwrap_or(latency_ns)).sum();
+            let bandwidths = self.links.iter().map(|l| ("fabric.link.gbps".into(), l.gbps));
+            return (key, summed, bandwidths.collect());
+        }
+        let access_key = if self.bw_gbps.is_some() { "fabric.bw_gbps" } else { "kv_link_gbps" };
+        let mut bandwidths =
+            vec![(access_key.to_owned(), self.bw_gbps.unwrap_or(kv_link_gbps))];
+        let trunked = matches!(
+            self.topology_name().parse(),
+            Ok(FabricTopology::Star { .. } | FabricTopology::Hier { .. })
+        );
+        if let (true, Some(trunk)) = (trunked, self.trunk_gbps) {
+            bandwidths.push(("fabric.trunk_gbps".to_owned(), trunk));
+        }
+        ("fabric.latency_ns", latency_ns * link_count as f64, bandwidths)
+    }
+
     /// Renders the table as a value tree in canonical key order.
     pub(crate) fn to_value(&self) -> Value {
         Value::Object(vec![

@@ -2,9 +2,9 @@
 //!
 //! Single-replica serving, routed clusters, disaggregated prefill/decode
 //! deployments, and reshaping fleets are all configurations of
-//! `llmss-core`'s two simulators — the `ServingSimulator` and the
-//! `FleetEngine`. This crate is the one composable experiment surface
-//! over them (the direction LLMServingSim 2.0's "unified simulator"
+//! `llmss-core`'s `FleetEngine` (a single replica is a one-replica
+//! static fleet). This crate is the one composable experiment surface
+//! over it (the direction LLMServingSim 2.0's "unified simulator"
 //! takes):
 //!
 //! * [`Scenario`] — a typed, chainable, *declarative* description of an
@@ -72,6 +72,13 @@ use llmss_sched::{TimePs, EVENT_HORIZON_PS};
 /// are all held to it, so a KV transfer's serialization time stays far
 /// inside the picosecond clock.
 pub const MIN_LINK_GBPS: f64 = 1e-3;
+
+/// The largest fleet size a scenario may name: `replicas`, each `disagg`
+/// pool, the `[[fleet.replica]]` count and `fleet.max_replicas`. It sits
+/// two orders of magnitude above the largest fleet any example, test or
+/// bench builds (1,000 replicas) and is checked before any size is
+/// summed or allocated.
+pub const MAX_FLEET_REPLICAS: usize = 100_000;
 
 /// Scenario milliseconds to engine picoseconds, rounded to the nearest
 /// picosecond (so a positive duration below 0.5 ps becomes zero).

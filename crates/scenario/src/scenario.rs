@@ -3,18 +3,19 @@
 
 use llmss_core::{
     AutoscaleConfig, AutoscaleControl, ControlPlane, FleetEngine, FlexPools, FlexPoolsConfig,
-    KvBucket, KvManage, PairingPolicyKind, ParallelismKind, PimMode, ReplicaRole,
-    RoutingPolicyKind, ServingSimulator, SimConfig, StaticControl,
+    KvBucket, KvManage, ParallelismKind, PimMode, ReplicaRole, RoutingPolicyKind, SimConfig,
+    StaticControl,
 };
 use llmss_model::ModelSpec;
 use llmss_net::LinkSpec;
-use llmss_sched::{Request, SchedulingPolicy, Workload, WorkloadSpec};
+use llmss_sched::{Request, SchedulingPolicy, Workload, WorkloadSpec, EVENT_HORIZON_PS};
 use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::codec::{parse, parse_opt, read_table, Table};
 use crate::{
     check_link_gbps, ms_to_ps, toml, AnyReport, AnySimulator, ChaosSpec, FabricSpec,
     FleetControlKind, FleetSpec, ReplicaOverride, ScenarioError, TelemetrySpec,
+    MAX_FLEET_REPLICAS,
 };
 
 /// The fleet-scaling keys, which a `[fleet]` table or a `fleet.*`
@@ -142,16 +143,17 @@ pub struct Scenario {
     pub disagg: Option<(usize, usize)>,
     /// Inter-pool KV-link bandwidth in GB/s (disaggregated shape).
     pub kv_link_gbps: f64,
-    /// Decode-replica pairing policy (disaggregated shape).
-    pub pairing: PairingPolicyKind,
-    /// Worker-thread budget for windowed stepping on every multi-replica
-    /// shape (1 = the per-event serial loop). Outcomes are byte-identical
-    /// under any value; a single replica has nothing to shard.
+    /// Decode-replica pairing policy (disaggregated shape), in the
+    /// routing vocabulary and seeded with `seed`.
+    pub pairing: RoutingPolicyKind,
+    /// Worker-thread budget for windowed fleet stepping (1 = the
+    /// per-event serial loop). Outcomes are byte-identical under any
+    /// value, a single replica's included.
     pub shards: usize,
-    /// Whether the replicas of a multi-replica shape share one
-    /// fleet-wide reuse cache (only identically configured replicas
-    /// exchange entries). Timing is unchanged; a single replica has no
-    /// peer to share with.
+    /// Whether the replicas share one fleet-wide reuse cache (only
+    /// identically configured replicas exchange entries). Timing is
+    /// unchanged; the summary gains the shared-tier counters, even for
+    /// a single replica, which has no peer to share with.
     pub shared_cache: bool,
     /// The `[fleet]` table: control plane and per-replica config list;
     /// `Some` selects the fleet shape.
@@ -197,7 +199,7 @@ impl Default for Scenario {
             routing: RoutingPolicyKind::RoundRobin,
             disagg: None,
             kv_link_gbps: 128.0,
-            pairing: PairingPolicyKind::LeastKvLoad,
+            pairing: RoutingPolicyKind::LeastKvLoad,
             shards: 1,
             shared_cache: false,
             fleet: None,
@@ -389,7 +391,7 @@ impl Scenario {
     }
 
     /// Sets the decode-pairing policy.
-    pub fn pairing(mut self, pairing: PairingPolicyKind) -> Self {
+    pub fn pairing(mut self, pairing: RoutingPolicyKind) -> Self {
         self.pairing = pairing;
         self
     }
@@ -470,6 +472,18 @@ impl Scenario {
         };
         if ModelSpec::by_name(&self.model).is_none() {
             return Err(ScenarioError::UnknownModel { name: self.model.clone() });
+        }
+        // Before any size is summed or allocated.
+        let pools = self.disagg.iter().flat_map(|&(p, d)| [("disagg", p), ("disagg", d)]);
+        let fleet = self.fleet.iter().flat_map(|f| {
+            [("fleet.replica", f.replicas.len()), ("fleet.max_replicas", f.max_replicas)]
+        });
+        let mut sizes = [("replicas", self.replicas)].into_iter().chain(pools).chain(fleet);
+        if let Some((field, size)) = sizes.find(|&(_, size)| size > MAX_FLEET_REPLICAS) {
+            return invalid(
+                field,
+                format!("must be at most {MAX_FLEET_REPLICAS} replicas, got {size}"),
+            );
         }
         if self.replicas == 0 {
             return invalid("replicas", "the fleet needs at least one replica".into());
@@ -795,32 +809,38 @@ impl Scenario {
         Ok(trace)
     }
 
-    /// Validates the scenario and builds the simulator for its shape.
+    /// Validates the scenario and builds the fleet engine for its shape.
     ///
     /// # Errors
     ///
     /// Returns a typed [`ScenarioError`] on any invalid field, conflict,
-    /// unrealizable hardware configuration, or workload failure.
+    /// unrealizable hardware configuration, or workload failure, and on
+    /// a trace the fleet cannot carry: a prompt larger than the smallest
+    /// replica's KV cache, or KV handoffs that could run past the event
+    /// horizon.
     pub fn build(&self) -> Result<AnySimulator, ScenarioError> {
         self.field_checks()?;
-        let cfg = self.validated_config(&ReplicaOverride::default())?;
+        let base = self.validated_config(&ReplicaOverride::default())?;
         let trace = self.trace()?;
         let shape = self.shape();
-        if shape == ServingShape::Single {
-            return Ok(AnySimulator::Single(Box::new(ServingSimulator::new(cfg, trace)?)));
-        }
-        let engine = self.build_fleet(shape, cfg, trace)?;
-        Ok(AnySimulator::Fleet { engine, shape, pairing: self.pairing })
+        let engine = self.build_fleet(shape, base, trace)?;
+        Ok(AnySimulator { engine, shape, pairing: self.pairing })
     }
 
-    /// Builds the fleet engine behind every multi-replica shape. A
-    /// cluster is a static fleet of unified replicas and a disaggregated
-    /// deployment a static fleet of `P` prefill then `D` decode replicas;
-    /// a `[fleet]` table spells out its own roles, overrides, and control
-    /// plane. Every replica gets the validated `base` config in its role
-    /// (re-validated only for slots that override it), the KV link or
-    /// `[fabric]` carries handoffs when prefill roles exist, and chaos,
-    /// shards and the shared cache arm last.
+    /// Builds the fleet engine behind every shape. A single replica is a
+    /// one-replica static fleet, a cluster a static fleet of unified
+    /// replicas and a disaggregated deployment a static fleet of `P`
+    /// prefill then `D` decode replicas; a `[fleet]` table spells out its
+    /// own roles, overrides, and control plane. Every replica gets the
+    /// validated `base` config in its role (re-validated only for slots
+    /// that override it), the KV link or `[fabric]` carries handoffs when
+    /// prefill roles exist, and chaos, shards and the shared cache arm
+    /// last.
+    ///
+    /// The trace must fit the fleet: every prompt has to fit the smallest
+    /// replica's KV cache (the scheduler could never admit it otherwise),
+    /// and KV handoffs must not be able to run past the event horizon
+    /// ([`check_transfer_time`](Self::check_transfer_time)).
     fn build_fleet(
         &self,
         shape: ServingShape,
@@ -842,17 +862,13 @@ impl Scenario {
             }
         };
         let replicas = fleet.size(self.replicas);
-        let mut configs = Vec::with_capacity(replicas);
-        for i in 0..replicas {
-            let cfg = match fleet.replicas.get(i) {
-                Some(over) if over.overrides_config() => self.validated_config(over)?,
-                _ => base.clone(),
-            };
-            configs.push(match fleet.role_of(i) {
-                ReplicaRole::Unified => cfg,
-                ReplicaRole::Prefill => cfg.prefill_only(),
-                ReplicaRole::Decode => cfg.decode_only(),
-            });
+        let kv_bytes_per_token = base.model.kv_bytes_per_token();
+        let mut configs = vec![base; replicas];
+        for (i, cfg) in configs.iter_mut().enumerate() {
+            if let Some(over) = fleet.replicas.get(i).filter(|over| over.overrides_config()) {
+                *cfg = self.validated_config(over)?;
+            }
+            cfg.mode = fleet.role_of(i).scheduler_mode();
         }
         let fabric = match &self.fabric {
             Some(spec) => Some(spec.build(replicas, self.kv_link_gbps)?),
@@ -866,11 +882,11 @@ impl Scenario {
         let control: Box<dyn ControlPlane> = match fleet.control {
             FleetControlKind::Static => Box::new(StaticControl::new(
                 self.routing.build(self.seed),
-                self.pairing.build(),
+                self.pairing.build(self.seed),
             )),
             FleetControlKind::Flex => Box::new(FlexPools::new(
                 self.routing.build(self.seed),
-                self.pairing.build(),
+                self.pairing.build(self.seed),
                 FlexPoolsConfig {
                     tick_ps: ms_to_ps(fleet.tick_ms),
                     idle_ticks: fleet.flex_idle_ticks,
@@ -893,10 +909,17 @@ impl Scenario {
             Some(fabric) => fabric.link_count(),
             None => links.len(),
         };
+        if fleet.has_prefill() {
+            self.check_transfer_time(&trace, link_count, kv_bytes_per_token)?;
+        }
+        let largest_prompt = trace.iter().max_by_key(|r| r.input_len).copied();
         let mut engine = match fabric {
             Some(fabric) => FleetEngine::with_fabric(configs, fabric, control, trace)?,
             None => FleetEngine::new(configs, links, control, trace)?,
         };
+        if let Some(request) = largest_prompt {
+            check_prompt_fits(&engine, request)?;
+        }
         if let Some(chaos) = self.chaos.as_ref().filter(|c| c.enabled()) {
             // Bounds-check fault targets against the largest fleet this
             // deployment can reach, not just its starting size: an
@@ -914,6 +937,52 @@ impl Scenario {
             engine.enable_shared_cache();
         }
         Ok(engine)
+    }
+
+    /// Bounds the total time the trace's KV handoffs can spend on the
+    /// wire by the event horizon. One transfer takes at most the latency
+    /// of every configured link (a route crosses each at most once) plus
+    /// its prompt's KV bytes at the slowest configured or chaos-degraded
+    /// bandwidth; FIFO sharing can serialize every transfer, and an armed
+    /// chaos table may repeat each one `max_retries` times. A scenario
+    /// past the bound names the latency or bandwidth key that dominates.
+    fn check_transfer_time(
+        &self,
+        trace: &[Request],
+        link_count: usize,
+        kv_bytes_per_token: u64,
+    ) -> Result<(), ScenarioError> {
+        // Without a [fabric] table handoffs cross the one FIFO wire.
+        let fabric = self.fabric.clone().unwrap_or_default();
+        let (latency_key, latency_ns, mut bandwidths) =
+            fabric.transfer_bounds(link_count, self.kv_link_gbps);
+        let chaos = self.chaos.as_ref().filter(|c| c.enabled());
+        for (i, fault) in chaos.iter().flat_map(|c| c.link_faults.iter().enumerate()) {
+            if fault.degrade_to_gbps > 0.0 {
+                let key = format!("chaos.link_fault[{i}].degrade_to_gbps");
+                bandwidths.push((key, fault.degrade_to_gbps));
+            }
+        }
+        let slowest = bandwidths.into_iter().min_by(|a, b| a.1.total_cmp(&b.1));
+        let Some((bandwidth_key, slowest_gbps)) = slowest else { return Ok(()) };
+        let attempts = chaos.map_or(1.0, |c| f64::from(c.max_retries) + 1.0);
+        let prompt_bytes: f64 =
+            trace.iter().map(|r| r.input_len as f64).sum::<f64>() * kv_bytes_per_token as f64;
+        let latency_ps = trace.len() as f64 * latency_ns * 1e3 * attempts;
+        let serialize_ps = prompt_bytes / slowest_gbps * 1e3 * attempts;
+        let total_s = (latency_ps + serialize_ps) / 1e12;
+        if latency_ps + serialize_ps <= EVENT_HORIZON_PS as f64 {
+            return Ok(());
+        }
+        Err(ScenarioError::InvalidValue {
+            field: if latency_ps >= serialize_ps { latency_key.into() } else { bandwidth_key },
+            message: format!(
+                "{} KV handoffs could spend {total_s:.3e} s on the wire in total, past the \
+                 event horizon of {} s",
+                trace.len(),
+                EVENT_HORIZON_PS / 1_000_000_000_000
+            ),
+        })
     }
 
     /// Builds and runs to completion (the one-shot convenience).
@@ -1175,6 +1244,26 @@ impl Scenario {
         ]);
         Value::Object(fields)
     }
+}
+
+/// Rejects a trace whose largest prompt, `request`'s, needs more KV
+/// pages than the smallest replica cache in the fleet holds: that
+/// replica's scheduler could never admit it.
+fn check_prompt_fits(engine: &FleetEngine, request: Request) -> Result<(), ScenarioError> {
+    let caches = engine.sims().iter().map(|sim| sim.scheduler().kv());
+    let Some(kv) = caches.min_by_key(|kv| kv.config().total_pages()) else { return Ok(()) };
+    let (needed, held) = (kv.pages_for(request.input_len), kv.config().total_pages());
+    if needed <= held {
+        return Ok(());
+    }
+    Err(ScenarioError::InvalidValue {
+        field: "workload".into(),
+        message: format!(
+            "request {} has a {}-token prompt, which needs {needed} KV pages, but the smallest \
+             replica cache holds {held} pages",
+            request.id, request.input_len
+        ),
+    })
 }
 
 fn parse_pools(value: &str) -> Result<(usize, usize), ScenarioError> {
@@ -1485,7 +1574,7 @@ mod tests {
             small()
                 .disagg(2, 2)
                 .kv_link_gbps(32.0)
-                .pairing(PairingPolicyKind::Sticky)
+                .pairing(RoutingPolicyKind::Sticky)
                 .workload(WorkloadSpec::from(BurstyTraceSpec::prefill_heavy_mix(0.4, 7))),
             small().replicas(2).fleet(FleetSpec::autoscale(1, 3)).chaos(crate::ChaosSpec {
                 replica_faults: vec![crate::ReplicaFaultSpec {
@@ -1812,6 +1901,93 @@ mod tests {
         }
         growth.set("chaos.max_retries", "20").unwrap();
         growth.validate().unwrap();
+    }
+
+    fn fixed(input_len: usize, requests: usize) -> WorkloadSpec {
+        let dataset = Dataset::Fixed { input_len, output_len: 1 };
+        WorkloadSpec::Synthetic { dataset, requests, rate_per_s: 100.0, seed: 1 }
+    }
+
+    fn expect_invalid(key: &str, built: Result<AnySimulator, ScenarioError>) -> String {
+        match built {
+            Err(ScenarioError::InvalidValue { field, message }) => {
+                assert_eq!(field, key, "{message}");
+                message
+            }
+            Err(other) => panic!("{key}: expected an invalid value, got {other}"),
+            Ok(_) => panic!("{key}: expected an invalid value, got a simulator"),
+        }
+    }
+
+    #[test]
+    fn fleet_sizes_past_the_ceiling_are_invalid_values_naming_the_key() {
+        let over = crate::MAX_FLEET_REPLICAS + 1;
+        let mut pools = small();
+        pools.set("disagg", &format!("{}x1", usize::MAX)).unwrap();
+        pools.set("fabric", "star4").unwrap();
+        let listed = FleetSpec::with_roles(&vec![ReplicaRole::Unified; over]);
+        // Building must fail before anything is summed or allocated.
+        for (key, scenario) in [
+            ("replicas", small().replicas(usize::MAX)),
+            ("disagg", pools),
+            ("disagg", small().disagg(1, over)),
+            ("fleet.replica", small().fleet(listed)),
+            ("fleet.max_replicas", small().fleet(FleetSpec::autoscale(1, usize::MAX))),
+        ] {
+            expect_invalid(key, scenario.build());
+        }
+        small().replicas(crate::MAX_FLEET_REPLICAS).validate().unwrap();
+    }
+
+    #[test]
+    fn prompts_past_the_smallest_replica_cache_are_invalid_values() {
+        let replica = |gib| ReplicaOverride { npu_mem_gib: Some(gib), ..Default::default() };
+        let fleet = |replicas| FleetSpec { replicas, ..FleetSpec::default() };
+        let both = small().fleet(fleet(vec![replica(2.0), replica(4.0)]));
+        let built = both.build().unwrap();
+        let kv: Vec<_> =
+            built.engine.sims().iter().map(|s| *s.scheduler().kv().config()).collect();
+        assert!(kv[0].total_pages() < kv[1].total_pages());
+        // One token past the smaller cache, well inside the larger one.
+        let prompt = kv[0].total_pages() * kv[0].page_tokens + 1;
+        let message = expect_invalid("workload", both.workload(fixed(prompt, 2)).build());
+        assert!(message.contains(&format!("{prompt}-token prompt")), "{message}");
+        assert!(message.contains(&format!("holds {} pages", kv[0].total_pages())), "{message}");
+        let larger = small().fleet(fleet(vec![replica(4.0)])).workload(fixed(prompt, 2));
+        assert_eq!(larger.run().unwrap().total_completions(), 2);
+    }
+
+    #[test]
+    fn kv_handoffs_past_the_event_horizon_are_invalid_values() {
+        // One transfer's latency sits at the horizon, which each input
+        // check allows; FIFO sharing serializes 32 of them.
+        let mut latency = small().disagg(1, 1);
+        for (key, value) in [("fabric", "single"), ("fabric.sharing", "fifo")] {
+            latency.set(key, value).unwrap();
+        }
+        latency.set("fabric.latency_ns", "1e15").unwrap();
+        latency.validate().unwrap();
+        expect_invalid("fabric.latency_ns", latency.build());
+        // 20,000-token gpt2 prompts at the 1 MB/s floor: 1,000 of them
+        // ship in ~7.4e5 s, 1,400 in ~1.03e6 s.
+        let floor = small().disagg(1, 1).kv_link_gbps(crate::MIN_LINK_GBPS);
+        floor.clone().workload(fixed(20_000, 1_000)).build().unwrap();
+        let message =
+            expect_invalid("kv_link_gbps", floor.workload(fixed(20_000, 1_400)).build());
+        assert!(message.contains("1400 KV handoffs"), "{message}");
+        // A degraded link bounds every transfer, and retries repeat them.
+        let roles = FleetSpec::with_roles(&[ReplicaRole::Prefill, ReplicaRole::Decode]);
+        let mut chaos = small().fleet(roles).workload(fixed(20_000, 1_000));
+        chaos.set("chaos.max_retries", "0").unwrap();
+        chaos.chaos.as_mut().unwrap().link_faults = vec![crate::LinkFaultSpec {
+            link: 0,
+            at_ms: 1.0,
+            recover_ms: None,
+            degrade_to_gbps: crate::MIN_LINK_GBPS,
+        }];
+        chaos.build().unwrap();
+        chaos.set("chaos.max_retries", "1").unwrap();
+        expect_invalid("chaos.link_fault[0].degrade_to_gbps", chaos.build());
     }
 
     #[test]

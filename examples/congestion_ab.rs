@@ -24,7 +24,7 @@
 
 use llmservingsim::core::{
     DisaggCompletion, DisaggReport, Fabric, FabricGraph, FabricTopology, FleetEngine,
-    PairingPolicyKind, RoutingPolicyKind, SimConfig, StaticControl,
+    RoutingPolicyKind, SimConfig, StaticControl,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
@@ -57,12 +57,12 @@ fn run(label: &str, fabric: Fabric) -> DisaggReport {
     configs.resize(4, config.decode_only());
     let control = StaticControl::new(
         RoutingPolicyKind::Sticky.build(0),
-        PairingPolicyKind::Sticky.build(),
+        RoutingPolicyKind::Sticky.build(0),
     );
     let fleet = FleetEngine::with_fabric(configs, fabric, Box::new(control), trace())
         .expect("gpt2 fits a single Table-I NPU")
         .run();
-    let report = DisaggReport::from_fleet(fleet, 2, PairingPolicyKind::Sticky);
+    let report = DisaggReport::from_fleet(fleet, 2, RoutingPolicyKind::Sticky);
     assert_eq!(report.total_completions(), 32, "{label}: every request completes");
     report
 }

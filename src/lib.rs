@@ -47,10 +47,9 @@ pub mod prelude {
     pub use llmss_core::{
         map_op, ClusterReport, DeviceKind, DisaggCompletion, DisaggReport, EngineStack,
         ExecutionEngine, FleetEngine, FleetReport, GraphConverter, KvBucket, KvManage,
-        PairingPolicyKind, ParallelismKind, ParallelismSpec, PercentileSummary, PimMode,
-        ReplicaRole, ReplicaSnapshot, ReportOutput, ReuseCache, RoutingPolicy,
-        RoutingPolicyKind, ServingSimulator, SimConfig, SimReport, Simulate, SloSummary,
-        StaticControl, TtftSplit,
+        ParallelismKind, ParallelismSpec, PercentileSummary, PimMode, ReplicaRole,
+        ReplicaSnapshot, ReportOutput, ReuseCache, RoutingPolicy, RoutingPolicyKind,
+        ServingSimulator, SimConfig, SimReport, Simulate, SloSummary, StaticControl, TtftSplit,
     };
     pub use llmss_model::{
         IterationWorkload, ModelSpec, Op, OpDims, OpKind, Phase, Roofline, SeqSlot,

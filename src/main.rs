@@ -92,8 +92,10 @@ CLUSTER MODE (multi-replica serving behind a router):
 DISAGGREGATED MODE (prefill pool -> KV transfer -> decode pool):
   --disagg PxD          pool sizes, e.g. 2x2 (enables disagg mode)
   --kv-link-gbps F      inter-pool KV-link bandwidth, GB/s      [128]
-  --pairing P           decode-replica pairing at prefill completion:
-                        least-kv | least-outstanding | sticky [least-kv]
+  --pairing P           decode-replica pairing at prefill completion,
+                        in the --routing vocabulary: round-robin |
+                        least-outstanding | least-kv | power-of-two |
+                        sticky                               [least-kv]
 
 FLEET MODE (control planes over heterogeneous fleets; [fleet] table):
   --set fleet=C         control plane: static | flex | autoscale
@@ -105,8 +107,9 @@ FLEET MODE (control planes over heterogeneous fleets; [fleet] table):
   batch_delay_ms, npu_mem_gib) live in the scenario file; see
   examples/scenarios/autoscale.toml.
 
-FLEET SCALING (any multi-replica shape; outputs byte-identical;
-               shards > 1 and shared_cache exclude telemetry):
+FLEET SCALING (every shape, a single replica included; outputs
+               byte-identical; shards > 1 and shared_cache exclude
+               telemetry):
   --shards N            scenario key `shards`: worker threads for
                         windowed fleet stepping (1 = the per-event
                         serial loop)                              [1]

@@ -100,12 +100,29 @@ fn disagg_runs_are_deterministic_under_a_fixed_seed() {
             })
             .collect::<Vec<_>>()
     };
-    for pairing in PairingPolicyKind::ALL {
+    for pairing in RoutingPolicyKind::ALL {
         let run = || run_disagg(scenario(11).disagg(2, 2).pairing(pairing));
         let a = run();
         let b = run();
         assert_eq!(signature(&a), signature(&b), "pairing {pairing} is nondeterministic");
         assert_eq!(a.total_completions(), prefill_heavy().materialize().unwrap().len());
+    }
+}
+
+/// Pairing speaks the routing vocabulary: each of the five policies,
+/// set by its spelling, pairs every handoff, and the report names it as
+/// spelled.
+#[test]
+fn every_routing_policy_pairs_kv_handoffs() {
+    let requests = prefill_heavy().materialize().unwrap().len();
+    for kind in RoutingPolicyKind::ALL {
+        let mut scenario = scenario(5).disagg(2, 2);
+        scenario.set("pairing", kind.as_str()).unwrap();
+        let report = run_disagg(scenario);
+        assert_eq!(report.total_completions(), requests, "pairing {kind}");
+        assert_eq!(report.pairing, kind.as_str());
+        let paired: usize = report.decode_stats().iter().map(|s| s.routed_requests).sum();
+        assert_eq!(paired, requests, "pairing {kind}: every handoff lands on a decode replica");
     }
 }
 

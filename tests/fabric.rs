@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 
 use llmservingsim::core::{
-    DisaggReport, Fabric, FabricGraph, FleetEngine, FlowDone, FlowModel, PairingPolicyKind,
-    ReportOutput, RoutingPolicyKind, SimConfig, StaticControl,
+    DisaggReport, Fabric, FabricGraph, FleetEngine, FlowDone, FlowModel, ReportOutput,
+    RoutingPolicyKind, SimConfig, StaticControl,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
@@ -210,11 +210,11 @@ fn tied_pair(fabric: Fabric) -> DisaggReport {
     let configs = vec![config.clone().prefill_only(), config.decode_only()];
     let control = StaticControl::new(
         RoutingPolicyKind::LeastOutstanding.build(0),
-        PairingPolicyKind::Sticky.build(),
+        RoutingPolicyKind::Sticky.build(0),
     );
     let trace = vec![Request::new(1, 128, 4, 0), Request::new(2, 128, 4, 0)];
     let fleet = FleetEngine::with_fabric(configs, fabric, Box::new(control), trace).unwrap();
-    DisaggReport::from_fleet(fleet.run(), 1, PairingPolicyKind::Sticky)
+    DisaggReport::from_fleet(fleet.run(), 1, RoutingPolicyKind::Sticky)
 }
 
 /// The slow wire that makes the tie's serialization visible.

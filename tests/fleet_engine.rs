@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 
 use llmservingsim::core::{
-    AutoscaleConfig, AutoscaleControl, FleetEngine, FlexPools, FlexPoolsConfig,
-    PairingPolicyKind, ReplicaRole, ReportOutput, RoutingPolicyKind, SimConfig, StaticControl,
+    AutoscaleConfig, AutoscaleControl, FleetEngine, FlexPools, FlexPoolsConfig, ReplicaRole,
+    ReportOutput, RoutingPolicyKind, SimConfig, StaticControl,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
@@ -107,7 +107,7 @@ fn heterogeneous_autoscale_scenario_runs_and_round_trips() {
     // A slot overriding only max_batch still gets a config of its own.
     let mut batch_only = s.clone();
     batch_only.fleet.as_mut().unwrap().replicas[1].npus = None;
-    let Ok(AnySimulator::Fleet { engine, .. }) = batch_only.build() else { panic!("a fleet") };
+    let AnySimulator { engine, .. } = batch_only.build().expect("a fleet");
     let batches: Vec<usize> = engine.slots().iter().map(|r| r.config.max_batch).collect();
     assert_eq!(batches, [s.max_batch, 4]);
     // Lossless round trip through the canonical TOML form.
@@ -380,7 +380,7 @@ fn fleet_static_roles_match_disagg_wrapper() {
         .disagg(2, 1)
         .kv_link_gbps(32.0)
         .routing(RoutingPolicyKind::LeastOutstanding)
-        .pairing(PairingPolicyKind::LeastKvLoad)
+        .pairing(RoutingPolicyKind::LeastKvLoad)
         .workload(spec)
         .run()
         .unwrap();
@@ -390,7 +390,7 @@ fn fleet_static_roles_match_disagg_wrapper() {
     let link = LinkSpec::new(32.0, LinkSpec::cxl().latency_ns);
     let control = StaticControl::new(
         RoutingPolicyKind::LeastOutstanding.build(0),
-        PairingPolicyKind::LeastKvLoad.build(),
+        RoutingPolicyKind::LeastKvLoad.build(0),
     );
     let fleet = FleetEngine::new(configs, vec![link], Box::new(control), trace).unwrap().run();
     assert_eq!(fleet.total_completions(), disagg.total_completions());

@@ -6,8 +6,8 @@
 //! only thing allowed to differ.
 
 use llmservingsim::core::{
-    ClusterReport, DisaggReport, FleetEngine, PairingPolicyKind, RoutingPolicyKind,
-    ServingSimulator, SimConfig, SimReport, StaticControl,
+    ClusterReport, DisaggReport, FleetEngine, RoutingPolicyKind, ServingSimulator, SimConfig,
+    SimReport, StaticControl,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
@@ -68,7 +68,7 @@ fn cluster_bucket1_memoization_is_bit_identical() {
     let cluster = |memo: bool| {
         let control = StaticControl::new(
             RoutingPolicyKind::RoundRobin.build(0),
-            PairingPolicyKind::LeastKvLoad.build(),
+            RoutingPolicyKind::LeastKvLoad.build(0),
         );
         let fleet = FleetEngine::new(
             vec![config(memo); 3],
@@ -100,11 +100,11 @@ fn disagg_bucket1_memoization_is_bit_identical() {
         configs.resize(4, config(memo).decode_only());
         let control = StaticControl::new(
             RoutingPolicyKind::LeastOutstanding.build(0),
-            PairingPolicyKind::LeastKvLoad.build(),
+            RoutingPolicyKind::LeastKvLoad.build(0),
         );
         let fleet =
             FleetEngine::new(configs, vec![LinkSpec::cxl()], Box::new(control), trace.clone());
-        DisaggReport::from_fleet(fleet.unwrap().run(), 2, PairingPolicyKind::LeastKvLoad)
+        DisaggReport::from_fleet(fleet.unwrap().run(), 2, RoutingPolicyKind::LeastKvLoad)
     };
     let memoized = disagg(true);
     let plain = disagg(false);

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use llmservingsim::core::{
-    DeviceKind, DisaggReport, EngineStack, FleetEngine, PairingPolicyKind, RoutingPolicyKind,
-    SimConfig, StaticControl,
+    DeviceKind, DisaggReport, EngineStack, FleetEngine, RoutingPolicyKind, SimConfig,
+    StaticControl,
 };
 use llmservingsim::model::{
     BatchSignature, IterationWorkload, ModelSpec, Op, OpDims, OpKind, Roofline, SeqSlot,
@@ -296,13 +296,13 @@ fn disagg_fleet(
     prefill: Vec<SimConfig>,
     decode: Vec<SimConfig>,
     routing: RoutingPolicyKind,
-    pairing: PairingPolicyKind,
+    pairing: RoutingPolicyKind,
     trace: Vec<Request>,
 ) -> FleetEngine {
     let mut configs: Vec<SimConfig> =
         prefill.into_iter().map(SimConfig::prefill_only).collect();
     configs.extend(decode.into_iter().map(SimConfig::decode_only));
-    let control = StaticControl::new(routing.build(0), pairing.build());
+    let control = StaticControl::new(routing.build(0), pairing.build(0));
     FleetEngine::new(configs, vec![LinkSpec::cxl()], Box::new(control), trace)
         .expect("gpt2 fits a single Table-I NPU")
 }
@@ -316,12 +316,12 @@ proptest! {
     #[test]
     fn kv_transfer_byte_accounting_conserves(
         trace in arb_disagg_trace(),
-        pairing_idx in 0usize..PairingPolicyKind::ALL.len(),
+        pairing_idx in 0usize..RoutingPolicyKind::ALL.len(),
     ) {
         let per_token = ModelSpec::gpt2().kv_bytes_per_token();
         let expected_total: u64 =
             trace.iter().map(|r| r.input_len as u64 * per_token).sum();
-        let pairing = PairingPolicyKind::ALL[pairing_idx];
+        let pairing = RoutingPolicyKind::ALL[pairing_idx];
         let pools = vec![gpt2_replica(); 2];
         let rr = RoutingPolicyKind::RoundRobin;
         let fleet = disagg_fleet(pools.clone(), pools, rr, pairing, trace.clone());
@@ -349,7 +349,7 @@ proptest! {
             vec![gpt2_replica()],
             vec![starved; 2],
             RoutingPolicyKind::LeastOutstanding,
-            PairingPolicyKind::LeastKvLoad,
+            RoutingPolicyKind::LeastKvLoad,
             trace.clone(),
         );
         while sim.step() {

@@ -6,13 +6,15 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use llmservingsim::core::{
-    ClusterReport, DisaggReport, FleetEngine, KvBucket, PairingPolicyKind, ReportOutput,
-    RoutingPolicyKind, ServingSimulator, SimConfig, Simulate, StaticControl,
+    ClusterReport, DisaggReport, FleetEngine, KvBucket, ReportOutput, RoutingPolicyKind,
+    ServingSimulator, SimConfig, Simulate, StaticControl,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
-use llmservingsim::scenario::{Scenario, ScenarioError, Sweep};
-use llmservingsim::sched::{Dataset, TraceGenerator, WorkloadSpec};
+use llmservingsim::scenario::{AnyReport, Scenario, ScenarioError, Sweep};
+use llmservingsim::sched::{
+    BurstyTraceSpec, Dataset, SchedulingPolicy, TraceGenerator, WorkloadSpec,
+};
 
 fn synthetic(requests: usize, rate: f64, seed: u64) -> WorkloadSpec {
     WorkloadSpec::Synthetic { dataset: Dataset::Alpaca, requests, rate_per_s: rate, seed }
@@ -29,25 +31,117 @@ fn deterministic_artifacts(report: &impl ReportOutput) -> Vec<(&'static str, Str
         .collect()
 }
 
+/// The single shape runs as a one-replica static fleet, whose front end
+/// admits each request at its arrival. For every knob that online
+/// admission could disturb, it must write the bytes a bare
+/// `ServingSimulator` writes when it holds the whole trace from t = 0.
 #[test]
 fn scenario_matches_legacy_unified_run_bit_identically() {
-    let scenario = Scenario::model("gpt2")
-        .npus(1)
-        .tensor_parallel()
-        .max_batch(16)
-        .workload(synthetic(32, 40.0, 42));
-    let via_scenario = scenario.run().unwrap();
+    let base = || {
+        Scenario::model("gpt2")
+            .npus(1)
+            .tensor_parallel()
+            .max_batch(16)
+            .workload(synthetic(32, 40.0, 42))
+    };
+    let via_scenario = base().run().unwrap();
 
     // The legacy path: hand-built SimConfig + TraceGenerator.
     let cfg = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel().max_batch(16);
     let trace = TraceGenerator::new(Dataset::Alpaca, 42).rate_per_s(40.0).generate(32);
     let legacy = ServingSimulator::new(cfg, trace).unwrap().run();
-
     assert_eq!(
         deterministic_artifacts(&via_scenario),
         deterministic_artifacts(&legacy),
         "scenario and legacy unified runs must write byte-equal reports"
     );
+
+    let bursty = WorkloadSpec::Bursty {
+        spec: BurstyTraceSpec { bursts: 2, burst_size: 16, ..BurstyTraceSpec::default() },
+    };
+    let cases = [
+        ("batch_delay_ms 3.5", base().batch_delay_ms(3.5)),
+        (
+            "batch_delay_ms 40 at rate 30",
+            base().batch_delay_ms(40.0).workload(synthetic(32, 30.0, 42)),
+        ),
+        ("scheduling request", base().scheduling(SchedulingPolicy::RequestLevel)),
+        ("max_batch 2", base().max_batch(2)),
+        (
+            "gpt3-7b on one 15 GiB NPU",
+            Scenario::model("gpt3-7b").npus(1).tensor_parallel().npu_mem_gib(15.0).workload(
+                WorkloadSpec::Synthetic {
+                    dataset: Dataset::ShareGpt,
+                    requests: 32,
+                    rate_per_s: 100.0,
+                    seed: 42,
+                },
+            ),
+        ),
+        ("kv_manage max", base().kv_max_len()),
+        ("gen_only", base().gen_only(true)),
+        ("pim pool with sub_batch", base().npus(2).pim_pool(2).sub_batch(true)),
+        ("kv_bucket 64", base().kv_bucket(64usize)),
+        ("kv_bucket adaptive", base().kv_bucket(KvBucket::adaptive())),
+        ("reuse off", base().reuse(false)),
+        ("bursty workload", base().workload(bursty)),
+    ];
+    for (name, scenario) in cases {
+        let via_scenario = scenario.run().unwrap();
+        let AnyReport::Single(single) = &via_scenario else { panic!("{name}: not single") };
+        assert!(!single.completions.is_empty(), "{name}: served nothing");
+        if name.starts_with("gpt3-7b") {
+            let evictions: usize = single.iterations.iter().map(|it| it.evictions).sum();
+            assert!(evictions > 0, "{name}: no eviction pressure");
+        }
+        let (cfg, trace) = (scenario.replica_config().unwrap(), scenario.trace().unwrap());
+        let legacy = ServingSimulator::new(cfg, trace).unwrap().run();
+        assert_eq!(
+            deterministic_artifacts(&via_scenario),
+            deterministic_artifacts(&legacy),
+            "{name}: the one-replica fleet and the bare replica must write byte-equal reports"
+        );
+    }
+}
+
+/// The single shape is a one-replica fleet, so the fleet-scaling keys
+/// apply to it: `shards` leaves every report byte unchanged, and
+/// `shared_cache` only adds the shared-tier counters to the summary.
+#[test]
+fn fleet_scaling_keys_apply_to_the_single_shape() {
+    let base = Scenario::model("gpt2")
+        .npus(1)
+        .tensor_parallel()
+        .max_batch(16)
+        .workload(synthetic(32, 40.0, 42));
+    let run_with = |key: &str, value: &str| {
+        let mut scenario = base.clone();
+        scenario.set(key, value).unwrap();
+        deterministic_artifacts(&scenario.run().unwrap())
+    };
+    let plain = deterministic_artifacts(&base.run().unwrap());
+    assert_eq!(run_with("shards", "4"), plain, "shards changed a single-shape report");
+    let shared = run_with("shared_cache", "true");
+    let summary = |artifacts: &[(&str, String)]| {
+        artifacts.iter().find(|(suffix, _)| *suffix == "-summary.json").unwrap().1.clone()
+    };
+    let (before, after) = (summary(&plain), summary(&shared));
+    assert!(!before.contains("shared_hits"), "{before}");
+    assert!(after.contains("\"shared_hits\": 0"), "{after}");
+    let without_shared_tier = after
+        .lines()
+        .filter(|l| !l.contains("shared_hits") && !l.contains("local_iteration_hit_rate"))
+        .map(|l| l.trim_end_matches(','))
+        .collect::<Vec<_>>();
+    let plain_lines = before.lines().map(|l| l.trim_end_matches(',')).collect::<Vec<_>>();
+    assert_eq!(without_shared_tier, plain_lines);
+    let others = |artifacts: Vec<(&'static str, String)>| {
+        artifacts
+            .into_iter()
+            .filter(|(suffix, _)| *suffix != "-summary.json")
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(others(shared), others(plain));
 }
 
 #[test]
@@ -65,7 +159,7 @@ fn scenario_matches_legacy_cluster_run_bit_identically() {
     let cfg = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
     let control = StaticControl::new(
         RoutingPolicyKind::PowerOfTwoChoices.build(7),
-        PairingPolicyKind::LeastKvLoad.build(),
+        RoutingPolicyKind::LeastKvLoad.build(0),
     );
     let trace = TraceGenerator::new(Dataset::Alpaca, 7).rate_per_s(100.0).generate(24);
     let fleet = FleetEngine::new(vec![cfg; 3], Vec::new(), Box::new(control), trace).unwrap();
@@ -81,7 +175,7 @@ fn scenario_matches_legacy_disagg_run_bit_identically() {
         .tensor_parallel()
         .disagg(1, 1)
         .kv_link_gbps(32.0)
-        .pairing(PairingPolicyKind::Sticky)
+        .pairing(RoutingPolicyKind::Sticky)
         .seed(9)
         .workload(synthetic(16, 200.0, 9));
     let via_scenario = scenario.run().unwrap();
@@ -90,13 +184,13 @@ fn scenario_matches_legacy_disagg_run_bit_identically() {
     let cfg = SimConfig::new(ModelSpec::gpt2()).npu_num(1).tensor_parallel();
     let control = StaticControl::new(
         RoutingPolicyKind::RoundRobin.build(9),
-        PairingPolicyKind::Sticky.build(),
+        RoutingPolicyKind::Sticky.build(0),
     );
     let link = LinkSpec::new(32.0, LinkSpec::cxl().latency_ns);
     let trace = TraceGenerator::new(Dataset::Alpaca, 9).rate_per_s(200.0).generate(16);
     let configs = vec![cfg.clone().prefill_only(), cfg.decode_only()];
     let fleet = FleetEngine::new(configs, vec![link], Box::new(control), trace).unwrap();
-    let legacy = DisaggReport::from_fleet(fleet.run(), 1, PairingPolicyKind::Sticky);
+    let legacy = DisaggReport::from_fleet(fleet.run(), 1, RoutingPolicyKind::Sticky);
 
     assert_eq!(deterministic_artifacts(&via_scenario), deterministic_artifacts(&legacy));
 }

@@ -299,6 +299,44 @@ fn runaway_bandwidths_and_times_exit_with_a_typed_message_not_a_panic() {
     }
 }
 
+/// Inputs that used to reach a library panic (exit 101 in a debug
+/// build): a prompt no KV cache can hold, fleet sizes whose sum
+/// overflows, and KV handoffs whose total transfer time runs past the
+/// picosecond clock. Each names its key, and the CLI exits 1.
+#[test]
+fn oversized_inputs_exit_with_a_typed_message_not_a_panic() {
+    let single = scenario_path("quickstart.toml");
+    let cases: [(&[&str], &str); 5] = [
+        (&["workload.dataset=fixed:100000000x1"], "workload: request"),
+        (&["disagg=18446744073709551615x1", "fabric=star4"], "disagg: must be at most"),
+        (&["replicas=18446744073709551615"], "replicas: must be at most"),
+        (
+            &["disagg=1x1", "fabric=single", "fabric.sharing=fifo", "fabric.latency_ns=1e15"],
+            "fabric.latency_ns",
+        ),
+        (
+            &[
+                "disagg=1x1",
+                "kv_link_gbps=1e-3",
+                "workload.dataset=fixed:20000x1",
+                "workload.requests=1400",
+            ],
+            "kv_link_gbps",
+        ),
+    ];
+    for (sets, key) in cases {
+        let mut args = vec!["run", single.as_str()];
+        for set in sets {
+            args.extend(["--set", set]);
+        }
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{sets:?}: {stderr}");
+        assert!(stderr.contains(key), "{sets:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{sets:?}: {stderr}");
+    }
+}
+
 /// A trace file whose arrival lies past the event horizon names its line.
 #[test]
 fn trace_arrivals_past_the_horizon_name_the_line() {

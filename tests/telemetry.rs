@@ -121,6 +121,56 @@ fn trace_exports_match_the_goldens() {
     }
 }
 
+/// The single shape runs behind the fleet front end, so its trace has
+/// the front-end half of every lifecycle, and an iteration's queue depth
+/// counts only requests that have arrived by its start and are not yet
+/// done (a scheduler that held the whole trace from t = 0 used to count
+/// future arrivals too).
+#[test]
+fn single_shape_traces_its_front_end() {
+    let path = format!("{}/examples/scenarios/quickstart.toml", env!("CARGO_MANIFEST_DIR"));
+    let scenario = Scenario::from_path(&path).unwrap();
+    let (events, report) = traced_run(&scenario);
+    assert_eq!(report.shape(), "single");
+    let requests = report.total_completions();
+
+    let (mut arrivals, mut admitted) = (vec![0usize; requests], vec![0usize; requests]);
+    let (mut arrived_at, mut finished_at) = (Vec::new(), Vec::new());
+    for event in &events {
+        match *event {
+            SimEvent::Arrival { t_ps, id, .. } => {
+                arrivals[id as usize] += 1;
+                arrived_at.push(t_ps);
+            }
+            SimEvent::Admitted { id, .. } => admitted[id as usize] += 1,
+            SimEvent::Completed { t_ps, .. } => finished_at.push(t_ps),
+            _ => {}
+        }
+    }
+    assert!(arrivals.iter().all(|&n| n == 1), "one Arrival per request: {arrivals:?}");
+    assert!(admitted.iter().all(|&n| n == 1), "one Admitted per request: {admitted:?}");
+
+    arrived_at.sort_unstable();
+    finished_at.sort_unstable();
+    let mut iterations = 0;
+    for event in &events {
+        if let SimEvent::Iteration { start_ps, queue_depth, .. } = *event {
+            let arrived = arrived_at.partition_point(|&t| t <= start_ps);
+            let done = finished_at.partition_point(|&t| t <= start_ps);
+            assert!(
+                queue_depth <= arrived - done,
+                "iteration at {start_ps} ps queues {queue_depth} of {} present requests",
+                arrived - done
+            );
+            iterations += 1;
+        }
+    }
+    assert!(iterations > 0);
+    let trace = chrome_trace(&events);
+    validate_chrome_trace(&trace).unwrap_or_else(|e| panic!("malformed trace: {e}"));
+    assert_eq!(trace.matches("\"name\": \"queued\"").count(), 19, "queued slices");
+}
+
 /// Checks that every completed request in `events` has a complete
 /// lifecycle — balanced prefill-start/end pairs and exactly one
 /// completion — and, where the shape routes through a front-end (the
