@@ -4,8 +4,8 @@
 //! replica) through homogeneous round-robin clusters of 1, 4, 16, 64,
 //! 256, and 1000 replicas under four stepping modes:
 //!
-//! * `serial` — the legacy one-event-at-a-time loop (the golden path);
-//! * `sharded` — windowed barrier stepping (`--shards 4`);
+//! * `serial` — every window steps inline (`--shards 1`, the default);
+//! * `sharded` — windows step on worker threads (`--shards 4`);
 //! * `shared` — the fleet-wide shared reuse cache at shards=1;
 //! * `sharded+shared` — both together.
 //!
@@ -56,15 +56,14 @@ const REQS_PER_REPLICA: usize = 1000;
 const SMOKE_REQS_PER_REPLICA: usize = 1000;
 /// CI gate: the stacked sharded+shared run must finish within this
 /// fraction of the serial wall on the 64-replica smoke fleet. The gate
-/// binds on the full stack (windowed stepping + shared cache) so it
-/// holds even on single-core hosts, where pure sharding has no thread
-/// parallelism to draw on and only its windowing/locality win shows.
+/// binds on the full stack (worker threads + shared cache) so it holds
+/// even on single-core hosts, where pure sharding has no thread
+/// parallelism to draw on.
 const SMOKE_MAX_WALL_RATIO: f64 = 0.6;
 /// CI gate: pure sharded stepping must never run meaningfully slower
-/// than serial. On a single-core host windowing is roughly
-/// wall-neutral (its thread pool has nothing to draw on, and the
-/// locality win roughly cancels the window bookkeeping), so this is a
-/// drift guard, with slack for wall-clock noise on shared CI runners.
+/// than serial. On a single-core host worker threads are roughly
+/// wall-neutral (the pool has nothing to draw on), so this is a drift
+/// guard, with slack for wall-clock noise on shared CI runners.
 const SMOKE_SHARDED_REGRESSION: f64 = 1.15;
 /// The fleet size the smoke wall/shared-hit gates are evaluated on.
 const SMOKE_GATE_FLEET: usize = 64;

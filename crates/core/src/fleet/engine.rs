@@ -4,23 +4,26 @@
 //! A [`FleetEngine`] owns a vector of replica slots (each a
 //! [`ServingSimulator`] plus a [`ReplicaRole`] and its own
 //! [`SimConfig`]), a set of inter-replica KV-transfer [`LinkSpec`]s, and
-//! a [`ControlPlane`]. It advances whichever event is earliest in
-//! virtual time:
+//! a [`ControlPlane`]. Replicas interact only at *barriers*; each step
+//! either runs a window of replica iterations strictly before the next
+//! barrier or handles that barrier's event:
 //!
 //! * **request arrival** — the control plane inspects load snapshots of
 //!   the replicas whose role accepts arrivals and admits the request
 //!   ([`ControlPlane::admit`]);
-//! * **replica iteration** — the replica with the smallest
-//!   [`next_ready_ps`](ServingSimulator::next_ready_ps) runs one
-//!   iteration; a prefill-role replica's fresh completions queue for KV
-//!   handoff;
+//! * **replica iteration** — a replica whose next iteration starts at
+//!   the barrier runs it alone. Every prefill-role iteration is a
+//!   barrier (it can finish prefills), and its fresh completions queue
+//!   for KV handoff;
 //! * **KV transfer** — finished prefills are committed to the links in
 //!   KV-ready order (FIFO by readiness, never by event-discovery order),
 //!   paired to a decode replica ([`ControlPlane::pair`]), and injected
 //!   there at transfer completion;
 //! * **control tick** — on a configurable virtual-time period the
 //!   control plane sees a [`FleetStats`] view and may flex roles or
-//!   scale the fleet ([`FleetCommand`]), always under drain semantics.
+//!   scale the fleet ([`FleetCommand`]), always under drain semantics;
+//! * **fault** and **fabric event** — chaos transitions and fair-fabric
+//!   flow deliveries.
 //!
 //! A single replica, a routed cluster and a disaggregated deployment are
 //! configurations of this engine (a router is an admission-side
@@ -28,7 +31,6 @@
 //! plus KV-transfer links); flexing and autoscaling are just different
 //! control planes.
 
-// llmss-lint: allow(p001, file, reason = "fleet-engine invariants are asserted, not propagated: a violated invariant is a simulator bug that must halt the run")
 use std::collections::{BTreeMap, VecDeque};
 
 use llmss_net::LinkSpec;
@@ -274,9 +276,8 @@ pub struct FleetEngine {
     /// Fleet-level event sink handle (off by default; replicas carry
     /// their own per-index handles).
     telemetry: Telemetry,
-    /// Worker-thread budget for windowed stepping (1 = inline). Values
-    /// above 1 opt into the windowed path; outcomes are byte-identical
-    /// under any value.
+    /// Worker-thread budget for windows (1 = inline); outcomes are
+    /// byte-identical under any value.
     shards: usize,
     /// The fleet-wide reuse tier, when
     /// [`enable_shared_cache`](Self::enable_shared_cache) armed it.
@@ -440,25 +441,18 @@ impl FleetEngine {
         self.chaos = ChaosState::new(schedule, true, self.sims.len(), self.fabric.link_count());
     }
 
-    /// Sets the worker-thread budget for windowed stepping. Replicas
-    /// only interact at admission, transfer-commit, control-tick,
-    /// fault, and fabric boundaries; with `shards > 1` the engine
-    /// advances every replica runnable strictly before the next such
-    /// barrier in bulk, partitioned across up to `shards` threads
-    /// (capped by the host's parallelism). Virtual-time outcomes are
-    /// byte-identical to the serial loop under any shard count; `1`
-    /// (the default) keeps the per-event serial loop, preserving
-    /// goldens bit for bit. Values of `0` are treated as `1`.
-    ///
-    /// A step taken while telemetry is attached falls back to the serial
-    /// loop: the event trace records the global interleaving, which
-    /// windows do not preserve. (Scenarios reject the combination up
-    /// front.)
+    /// Sets the worker-thread budget of a window: the replicas runnable
+    /// strictly before the next barrier step across up to `shards`
+    /// threads, capped by the host's parallelism, and at one while a
+    /// telemetry sink is attached (the shared sink must record in a
+    /// deterministic order). Only wall-clock time depends on it:
+    /// outcomes are byte-identical under any value. `1` (the default)
+    /// runs windows inline; `0` is treated as `1`.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }
 
-    /// The configured worker-thread budget for windowed stepping.
+    /// The configured worker-thread budget of a window.
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -470,10 +464,6 @@ impl FleetEngine {
     /// N. Fresh entries publish at engine-step boundaries in
     /// replica-index order (first write wins), keeping hit/miss
     /// counters byte-deterministic under any shard count.
-    ///
-    /// Arming the shared cache routes stepping through the windowed
-    /// path even at `shards = 1`, so shard counts never disagree on
-    /// publish timing.
     pub fn enable_shared_cache(&mut self) {
         let shared = self.shared.get_or_insert_with(crate::SharedReuse::new).clone();
         for (sim, slot) in self.sims.iter_mut().zip(&self.slots) {
@@ -674,6 +664,7 @@ impl FleetEngine {
                 }
                 let config = self.slots[template].config.clone();
                 let mut sim = ServingSimulator::from_config(&config, Vec::new())
+                    // llmss-lint: allow(p001, reason = "the template's configuration already built its own replica, and building is deterministic")
                     .expect("the template configuration was already realized once");
                 let index = self.sims.len();
                 sim.set_telemetry(self.telemetry.for_replica(index));
@@ -822,6 +813,7 @@ impl FleetEngine {
             // partition recovers); link faults spend no retry budget.
             let next = self
                 .next_fault_ps()
+                // llmss-lint: allow(p001, reason = "ChaosSchedule::compile rejects a link partition without a recovery event")
                 .expect("a full partition always has a pending recovery event");
             let mut parked = Vec::new();
             while let Some(&std::cmp::Reverse((ready_ps, id, from))) = self.pending.peek() {
@@ -942,6 +934,7 @@ impl FleetEngine {
             let transfer = self
                 .transfers
                 .get_mut(&done.id)
+                // llmss-lint: allow(p001, reason = "commit_ready_transfers records every flow it hands the fabric, and only a delivered transfer's record is ever removed")
                 .expect("every in-flight flow has a committed transfer record");
             transfer.done_ps = done.done_ps;
             transfer.link = done.bottleneck;
@@ -1246,52 +1239,44 @@ impl FleetEngine {
     /// Advances the fleet by one step. Returns `false` when everything
     /// has drained.
     ///
-    /// The default path is the per-event serial loop (`step_serial`).
-    /// With `shards > 1` or the shared reuse cache armed, and no
-    /// telemetry consuming the global event interleaving, the engine
-    /// instead advances a whole *window*: every replica iteration
-    /// strictly before the next cross-replica interaction point
-    /// (arrival, control tick, fault, fabric event, pending KV-transfer
-    /// readiness, or a prefill replica's next completion) runs in bulk,
-    /// partitioned across worker threads when the budget and the host
-    /// allow. Control planes act only at those points, so replicas
-    /// cannot interact inside a window and outcomes are byte-identical
-    /// to the serial loop under any shard count; anything at or past
-    /// the barrier falls back to one serial step.
+    /// A step runs a *window*: every replica iteration that starts
+    /// strictly before the next barrier — an arrival, control tick,
+    /// fault, fabric event, pending KV-transfer readiness, or a prefill
+    /// replica's next iteration — on up to
+    /// [`shards`](Self::set_shards) worker threads. Control planes act
+    /// only at barriers, so replicas cannot interact inside a window and
+    /// outcomes are byte-identical under any shard count. When no
+    /// replica can run before the barrier, the step handles the barrier
+    /// event itself: one tick, fault, transfer commit, fabric event or
+    /// admission, or the one replica iteration at the barrier.
     pub fn step(&mut self) -> bool {
         // Fresh shared-cache entries publish at the top of every step —
         // a virtual-time-determined boundary, identical under any shard
         // count and any thread timing — in replica-index order, so
         // first-write-wins resolves deterministically. Only replicas
         // that stepped since the last publish can hold fresh entries
-        // (`dirty` is ascending: one sorted window or one serial step).
+        // (`dirty` is ascending: one sorted window or one barrier step).
         if self.shared.is_some() {
             for &i in &self.dirty {
                 self.sims[i].publish_shared_reuse();
             }
         }
         self.dirty.clear();
-        if self.windowed_active() {
-            if let Some(barrier) = self.collect_window() {
+        match self.collect_window() {
+            Some(barrier) => {
                 self.run_window(barrier);
-                return true;
+                true
             }
+            None => self.step_barrier(),
         }
-        self.step_serial()
     }
 
-    /// Whether stepping may take the windowed path right now.
-    fn windowed_active(&self) -> bool {
-        (self.shards > 1 || self.shared.is_some()) && !self.telemetry.is_on()
-    }
-
-    /// Computes the next interaction barrier and collects the replicas
-    /// runnable strictly before it into `self.window`. Returns the
-    /// barrier (`None` meaning unbounded: no future interaction point
-    /// exists and runnable replicas may drain completely) when the
-    /// window is non-empty, or `None` overall when no replica can step
-    /// before the barrier — the caller then takes one serial step,
-    /// which handles the barrier event itself (and termination).
+    /// Computes the next barrier and collects the replicas runnable
+    /// strictly before it into `self.window`. Returns the barrier
+    /// (`None` meaning unbounded: no future barrier exists and runnable
+    /// replicas may drain completely) when the window is non-empty, or
+    /// `None` overall when no replica can step before the barrier — the
+    /// caller then handles the barrier event itself (and termination).
     fn collect_window(&mut self) -> Option<Option<TimePs>> {
         let mut barrier = [
             self.arrivals.front().map(|r| r.arrival_ps),
@@ -1305,7 +1290,7 @@ impl FleetEngine {
         .min();
         // Cheap early-out: if the earliest replica event is not strictly
         // before the global barrier, the window is empty (prefill-ready
-        // times below only lower the barrier further) and one serial
+        // times below only lower the barrier further) and the barrier
         // step handles the barrier event. This keeps dense-arrival
         // phases at O(log replicas) per event instead of paying the
         // O(replicas) membership scan just to find nothing runnable.
@@ -1341,8 +1326,8 @@ impl FleetEngine {
             // queues a new pending transfer and moves the commit horizon
             // — so every prefill replica's next event is itself a
             // barrier. (They therefore never step inside windows; linked
-            // fleets advance their prefill side through the serial
-            // fallback.)
+            // fleets advance their prefill side one barrier step at a
+            // time.)
             for (i, slot) in self.slots.iter().enumerate() {
                 if slot.role == ReplicaRole::Prefill {
                     if let Some(t) = self.heap.ready_of(i) {
@@ -1370,11 +1355,10 @@ impl FleetEngine {
     /// settles per-replica bookkeeping in replica-index order.
     fn run_window(&mut self, barrier: Option<TimePs>) {
         let window = std::mem::take(&mut self.window);
-        let workers = if self.shards > 1 {
-            host_parallelism().min(self.shards).min(window.len())
-        } else {
-            1
-        };
+        // One thread while traced: the shared sink must record events in
+        // a deterministic order.
+        let threads = if self.telemetry.is_on() { 1 } else { self.shards };
+        let workers = host_parallelism().min(threads).min(window.len());
         {
             // Disjoint `&mut` access to exactly the windowed simulators:
             // `window` is ascending, so chained `split_at_mut` carves
@@ -1412,37 +1396,50 @@ impl FleetEngine {
             }
         }
         for &idx in &window {
-            #[cfg(feature = "sanitize")]
-            {
-                let now = self.sims[idx].clock_ps();
-                debug_assert!(
-                    now >= self.sanitize_clocks[idx],
-                    "sanitize: replica {idx} virtual clock ran backwards across a window \
-                     ({} -> {now} ps)",
-                    self.sanitize_clocks[idx]
-                );
-                self.sanitize_clocks[idx] = now;
-            }
             debug_assert!(
                 self.slots[idx].role != ReplicaRole::Prefill,
                 "a prefill replica stepped inside a window"
             );
-            if self.shared.is_some() {
-                self.dirty.push(idx);
-            }
-            self.try_apply_pending_role(idx);
-            self.refresh(idx);
+            self.settle(idx);
         }
         self.window = window;
     }
 
-    /// Processes the earliest virtual-time event: fires due control
-    /// ticks, commits any transfer whose KV-ready order is settled,
-    /// advances the fabric when its next flow event is the earliest
-    /// thing in the fleet, then admits one arrival or runs one replica
-    /// iteration (queueing any prefills it finishes). Returns `false`
-    /// when everything has drained.
-    fn step_serial(&mut self) -> bool {
+    /// The bookkeeping after replica `idx` ran iterations, in a window or
+    /// at a barrier: checks its clock against the sanitizer's mirror,
+    /// marks it for the next shared-cache publish, queues the prefills it
+    /// finished for KV handoff, lands a role switch waiting on its drain,
+    /// and re-keys it in the heap.
+    fn settle(&mut self, idx: usize) {
+        #[cfg(feature = "sanitize")]
+        {
+            let now = self.sims[idx].clock_ps();
+            debug_assert!(
+                now >= self.sanitize_clocks[idx],
+                "sanitize: replica {idx} virtual clock ran backwards across a step \
+                 ({} -> {now} ps)",
+                self.sanitize_clocks[idx]
+            );
+            self.sanitize_clocks[idx] = now;
+        }
+        if self.shared.is_some() {
+            self.dirty.push(idx);
+        }
+        if self.slots[idx].role == ReplicaRole::Prefill {
+            self.hand_off_finished_prefills(idx);
+        }
+        self.try_apply_pending_role(idx);
+        self.refresh(idx);
+    }
+
+    /// Handles the barrier event when no replica can run before it:
+    /// fires due control ticks, commits any transfer whose KV-ready order
+    /// is settled, applies a due fault, advances the fabric when its next
+    /// flow event is the earliest thing in the fleet, then admits one
+    /// arrival or runs the one replica iteration at the barrier (queueing
+    /// any prefills it finishes). Returns `false` when everything has
+    /// drained.
+    fn step_barrier(&mut self) -> bool {
         if self.tick_ps.is_some() {
             if let Some(horizon) = self.next_ready_ps() {
                 self.fire_due_ticks(horizon);
@@ -1496,96 +1493,74 @@ impl FleetEngine {
         }
         // Arrivals admit first on ties so the control plane always sees
         // the request before any replica simulates past its arrival time.
-        let admit_arrival = match (next_arrival, next_ready) {
-            (Some(at), Some((rt, _))) => at <= rt,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        match (admit_arrival, next_ready) {
-            (true, _) => {
-                let request = self.arrivals.pop_front().expect("checked above");
-                // Offer only the in-service replicas whose role takes
-                // fresh work and whose warm-up has elapsed.
-                let candidates: Vec<ReplicaSnapshot> = (0..self.sims.len())
-                    .filter(|&i| {
-                        let slot = &self.slots[i];
-                        slot.role.accepts_arrivals()
-                            && slot.in_service()
-                            && slot.active_from_ps <= request.arrival_ps
-                            && self.chaos.down[i].is_none()
-                    })
-                    .map(|i| self.snapshot(i))
-                    .collect();
-                if candidates.is_empty() {
-                    assert!(
-                        self.chaos.armed,
-                        "no replica accepts arrivals for request {} — the control plane \
-                         drained or retired every admission candidate",
-                        request.id
-                    );
-                    self.defer_or_abandon_admission(request);
-                    return true;
-                }
-                let chosen = self.control.admit(&request, &candidates);
-                assert!(
-                    candidates.iter().any(|s| s.index == chosen),
-                    "control plane admitted to replica {chosen}, not one of the {} offered",
-                    candidates.len()
-                );
-                self.assignments.push((request.id, chosen));
-                self.slots[chosen].routed += 1;
-                self.telemetry.emit(|| SimEvent::Arrival {
-                    t_ps: request.arrival_ps,
-                    id: request.id,
-                    input_len: request.input_len,
-                    output_len: request.output_len,
-                });
-                self.telemetry.emit(|| SimEvent::Admitted {
-                    t_ps: request.arrival_ps,
-                    id: request.id,
-                    replica: chosen,
-                });
-                self.sims[chosen].push_request(request);
-                self.refresh(chosen);
-                true
-            }
-            (false, Some((_, idx))) => {
-                self.heap.pop();
-                if self.shared.is_some() {
-                    self.dirty.push(idx);
-                }
-                self.sims[idx].step();
-                #[cfg(feature = "sanitize")]
-                {
-                    let now = self.sims[idx].clock_ps();
-                    debug_assert!(
-                        now >= self.sanitize_clocks[idx],
-                        "sanitize: replica {idx} virtual clock ran backwards \
-                         ({} -> {now} ps)",
-                        self.sanitize_clocks[idx]
-                    );
-                    self.sanitize_clocks[idx] = now;
-                }
-                if self.slots[idx].role == ReplicaRole::Prefill {
-                    self.hand_off_finished_prefills(idx);
-                }
-                self.try_apply_pending_role(idx);
-                self.refresh(idx);
-                true
-            }
-            (false, None) => {
-                // With no arrivals and every replica idle the horizon is
-                // unbounded, so the commit pass above drained the queue —
-                // and the fabric branch above drained any in-flight flow.
-                debug_assert!(self.pending.is_empty(), "drained with transfers still pending");
-                debug_assert_eq!(
-                    self.fabric.in_flight(),
-                    0,
-                    "drained with flows still in the fabric"
-                );
-                false
-            }
+        let due = |r: &mut Request| next_ready.is_none_or(|(rt, _)| r.arrival_ps <= rt);
+        if let Some(request) = self.arrivals.pop_front_if(due) {
+            self.admit(request);
+            return true;
         }
+        let Some((_, idx)) = next_ready else {
+            // With no arrivals and every replica idle the horizon is
+            // unbounded, so the commit pass above drained the queue — and
+            // the fabric branch above drained any in-flight flow.
+            debug_assert!(self.pending.is_empty(), "drained with transfers still pending");
+            debug_assert_eq!(
+                self.fabric.in_flight(),
+                0,
+                "drained with flows still in the fabric"
+            );
+            return false;
+        };
+        self.heap.pop();
+        self.sims[idx].step();
+        self.settle(idx);
+        true
+    }
+
+    /// Admits one arrival: offers it to the in-service replicas whose
+    /// role takes fresh work and whose warm-up has elapsed, or defers it
+    /// when none is live.
+    fn admit(&mut self, request: Request) {
+        let candidates: Vec<ReplicaSnapshot> = (0..self.sims.len())
+            .filter(|&i| {
+                let slot = &self.slots[i];
+                slot.role.accepts_arrivals()
+                    && slot.in_service()
+                    && slot.active_from_ps <= request.arrival_ps
+                    && self.chaos.down[i].is_none()
+            })
+            .map(|i| self.snapshot(i))
+            .collect();
+        if candidates.is_empty() {
+            assert!(
+                self.chaos.armed,
+                "no replica accepts arrivals for request {} — the control plane \
+                 drained or retired every admission candidate",
+                request.id
+            );
+            self.defer_or_abandon_admission(request);
+            return;
+        }
+        let chosen = self.control.admit(&request, &candidates);
+        assert!(
+            candidates.iter().any(|s| s.index == chosen),
+            "control plane admitted to replica {chosen}, not one of the {} offered",
+            candidates.len()
+        );
+        self.assignments.push((request.id, chosen));
+        self.slots[chosen].routed += 1;
+        self.telemetry.emit(|| SimEvent::Arrival {
+            t_ps: request.arrival_ps,
+            id: request.id,
+            input_len: request.input_len,
+            output_len: request.output_len,
+        });
+        self.telemetry.emit(|| SimEvent::Admitted {
+            t_ps: request.arrival_ps,
+            id: request.id,
+            replica: chosen,
+        });
+        self.sims[chosen].push_request(request);
+        self.refresh(chosen);
     }
 
     /// Runs the fleet to completion and assembles the engine-level

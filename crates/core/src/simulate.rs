@@ -2,7 +2,7 @@
 //!
 //! Single-replica serving, multi-replica clusters, and disaggregated
 //! prefill/decode deployments all expose the same lifecycle — push
-//! requests, advance virtual time one event at a time, watch progress,
+//! requests, advance virtual time step by step, watch progress,
 //! finalize into a report. [`Simulate`] names that lifecycle once:
 //!
 //! ```text
@@ -17,13 +17,13 @@ use llmss_sched::{Request, TimePs};
 
 use crate::ReportOutput;
 
-/// A virtual-time serving simulation that can be driven event by event.
+/// A virtual-time serving simulation that can be driven step by step.
 ///
 /// Implementations are *online*: requests may be pushed between steps and
-/// join the simulation at their arrival times. `step` processes exactly
-/// one virtual-time event (one replica iteration, one routing decision,
-/// one transfer commit — whatever is earliest) and returns `false` once
-/// all injected work has drained.
+/// join the simulation at their arrival times. `step` advances virtual
+/// time by one step (for a fleet: the replica iterations before the next
+/// cross-replica barrier, or that barrier's event) and returns `false`
+/// once all injected work has drained.
 ///
 /// # Examples
 ///
@@ -67,8 +67,8 @@ pub trait Simulate {
     /// completion records themselves ship with the final report).
     fn completed_requests(&self) -> usize;
 
-    /// Processes the earliest virtual-time event; returns `false` when
-    /// everything injected has drained.
+    /// Advances virtual time by one step; returns `false` when everything
+    /// injected has drained.
     fn step(&mut self) -> bool;
 
     /// Finalizes into the report, consuming the simulator. Callable at

@@ -32,8 +32,9 @@ use llmss_sched::TimePs;
 ///
 /// Request-lifecycle events carry the request id; replica-scoped events
 /// carry the fleet index (0 for a single-replica run). Events are
-/// emitted in engine-step order, which is deterministic for a fixed
-/// seed — exporters rely on that and never re-sort semantically.
+/// emitted in engine-step order: deterministic for a fixed seed, but not
+/// sorted by time, since a window records its replicas one after the
+/// other. The exporters order what they write themselves.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimEvent {
     /// A request entered the front-end arrival queue.
@@ -368,12 +369,11 @@ impl SimEvent {
 ///
 /// Sinks are attached behind `Arc<Mutex<..>>` so one sink observes
 /// every replica of a fleet; the engine hands each replica a
-/// [`Telemetry`] handle cloned from the same sink. The `Send` bound
-/// keeps [`ServingSimulator`](crate::ServingSimulator) shippable
-/// across shard worker threads (traced runs stay serial — a scenario
-/// rejects `shards > 1` with telemetry on, and the fleet engine steps
-/// serially whenever a sink is attached — but the type must not anchor
-/// the whole simulator to one thread).
+/// [`Telemetry`] handle cloned from the same sink, and steps a traced
+/// fleet's windows on one thread so the sink records in a deterministic
+/// order. The `Send` bound keeps
+/// [`ServingSimulator`](crate::ServingSimulator) shippable across the
+/// worker threads of untraced windows.
 pub trait TraceSink: std::fmt::Debug + Send {
     /// Receives one event.
     fn record(&mut self, event: SimEvent);
@@ -452,11 +452,9 @@ impl Telemetry {
     #[inline]
     pub fn emit(&self, event: impl FnOnce() -> SimEvent) {
         if let Some(sink) = &self.sink {
-            // Traced runs are single-threaded (the fleet engine takes
-            // its serial loop whenever a sink is attached), so a
-            // poisoned lock can only mean a panic already in flight —
-            // keep recording rather than compounding it with a second
-            // panic.
+            // A traced fleet steps on one thread, so a poisoned lock can
+            // only mean a panic already in flight — keep recording rather
+            // than compounding it with a second panic.
             let mut guard = match sink.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),

@@ -146,9 +146,9 @@ pub struct Scenario {
     /// Decode-replica pairing policy (disaggregated shape), in the
     /// routing vocabulary and seeded with `seed`.
     pub pairing: RoutingPolicyKind,
-    /// Worker-thread budget for windowed fleet stepping (1 = the
-    /// per-event serial loop). Outcomes are byte-identical under any
-    /// value, a single replica's included.
+    /// Worker threads a fleet step may run its window of replicas on (1
+    /// = inline; a traced run uses one). Outcomes are byte-identical
+    /// under any value, a single replica's included.
     pub shards: usize,
     /// Whether the replicas share one fleet-wide reuse cache (only
     /// identically configured replicas exchange entries). Timing is
@@ -515,19 +515,8 @@ impl Scenario {
         if self.shards == 0 {
             return invalid(
                 "shards",
-                "the shard count must be at least 1 (1 = the serial loop)".into(),
+                "the shard count must be at least 1 (1 = no worker threads)".into(),
             );
-        }
-        if (self.shards > 1 || self.shared_cache)
-            && self.telemetry.as_ref().is_some_and(TelemetrySpec::enabled)
-        {
-            return Err(ScenarioError::Conflict {
-                message: "shards > 1 or shared_cache and [telemetry] are mutually exclusive: \
-                          both step the fleet in windows, which do not preserve the global \
-                          event interleaving the trace records (trace with shards = 1 and \
-                          no shared_cache)"
-                    .into(),
-            });
         }
         if let Some(chaos) = &self.chaos {
             chaos.validate()?;

@@ -108,11 +108,10 @@ FLEET MODE (control planes over heterogeneous fleets; [fleet] table):
   examples/scenarios/autoscale.toml.
 
 FLEET SCALING (every shape, a single replica included; outputs
-               byte-identical; shards > 1 and shared_cache exclude
-               telemetry):
-  --shards N            scenario key `shards`: worker threads for
-                        windowed fleet stepping (1 = the per-event
-                        serial loop)                              [1]
+               byte-identical; both combine with telemetry):
+  --shards N            scenario key `shards`: worker threads for a
+                        fleet step's window of replicas (a traced run
+                        uses one)                                 [1]
   --shared-cache        scenario key `shared_cache`: homogeneous
                         replicas share one fleet-wide reuse cache
                         (N replicas, one cold miss)

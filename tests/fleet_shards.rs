@@ -41,10 +41,18 @@ fn scenario(name: &str) -> Scenario {
     Scenario::from_path(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// Runs a checked-in scenario with the fleet-scaling keys set (what
-/// `--shards` / `--shared-cache` do).
-fn report_for(name: &str, shards: usize, shared: bool) -> AnyReport {
+/// Runs a checked-in scenario with `overrides` and the fleet-scaling
+/// keys set (what `--set`, `--shards` and `--shared-cache` do).
+fn report_for(
+    name: &str,
+    overrides: &[(&str, &str)],
+    shards: usize,
+    shared: bool,
+) -> AnyReport {
     let mut s = scenario(name);
+    for (key, value) in overrides {
+        s.set(key, value).unwrap_or_else(|e| panic!("{name}: {key}={value}: {e}"));
+    }
     s.set("shards", &shards.to_string()).unwrap();
     s.set("shared_cache", &shared.to_string()).unwrap();
     s.run().unwrap_or_else(|e| panic!("{name}: {e}"))
@@ -65,25 +73,35 @@ fn artifact<'a>(artifacts: &'a [(&'static str, String)], suffix: &str) -> &'a st
 
 /// Every artifact of every multi-replica shape is byte-identical under
 /// any shard count — cluster, disagg, and a tick-driven autoscale
-/// fleet. (Multi-replica artifacts carry no host-time columns, so the
-/// full set is compared.)
+/// fleet. The 2x2 disagg cases pair KV handoffs by decode load, which
+/// a window advances up to the handoff's KV-ready barrier before the
+/// pairing reads it. (Multi-replica artifacts carry no host-time
+/// columns, so the full set is compared.)
 #[test]
 fn sharded_runs_are_byte_identical_across_shapes() {
-    for name in ["cluster_small", "cluster_routing", "disagg_small", "autoscale"] {
-        let serial = report_for(name, 1, false).artifacts();
+    let cases: [(&str, &[(&str, &str)]); 6] = [
+        ("cluster_small", &[]),
+        ("cluster_routing", &[]),
+        ("disagg_small", &[]),
+        ("autoscale", &[]),
+        ("disagg_vs_unified", &[("disagg", "2x2"), ("pairing", "least-kv")]),
+        ("disagg_vs_unified", &[("disagg", "2x2"), ("pairing", "least-outstanding")]),
+    ];
+    for (name, overrides) in cases {
+        let inline = report_for(name, overrides, 1, false).artifacts();
         for shards in [2, 4, 7] {
-            let sharded = report_for(name, shards, false).artifacts();
-            assert_eq!(serial, sharded, "{name} drifted from serial at shards={shards}");
+            let sharded = report_for(name, overrides, shards, false).artifacts();
+            assert_eq!(inline, sharded, "{name} {overrides:?} drifted at shards={shards}");
         }
     }
 }
 
 /// A sharded run still reproduces the pre-refactor golden byte for byte
 /// — sharding composes with the engine-equivalence guarantee, not just
-/// with today's serial output.
+/// with today's single-thread output.
 #[test]
 fn sharded_cluster_report_matches_pre_sharding_golden() {
-    let report = report_for("cluster_small", 4, false);
+    let report = report_for("cluster_small", &[], 4, false);
     let artifacts = report.artifacts();
     assert_eq!(
         artifact(&artifacts, "-cluster.tsv"),
@@ -98,8 +116,8 @@ fn sharded_cluster_report_matches_pre_sharding_golden() {
 /// summary (counters included) is invariant across shard counts.
 #[test]
 fn shared_cache_preserves_timing_and_splits_hit_accounting() {
-    let serial = report_for("cluster_routing", 1, false);
-    let shared = report_for("cluster_routing", 1, true);
+    let serial = report_for("cluster_routing", &[], 1, false);
+    let shared = report_for("cluster_routing", &[], 1, true);
 
     let serial_arts = serial.artifacts();
     let shared_arts = shared.artifacts();
@@ -138,7 +156,7 @@ fn shared_cache_preserves_timing_and_splits_hit_accounting() {
     // The publish discipline pins counter totals: shard counts change
     // thread assignment, never which lookups hit.
     for shards in [2, 4, 7] {
-        let arts = report_for("cluster_routing", shards, true).artifacts();
+        let arts = report_for("cluster_routing", &[], shards, true).artifacts();
         assert_eq!(shared_arts, arts, "shared-cache run drifted at shards={shards}");
     }
 }
@@ -330,9 +348,8 @@ fn fleet_scaling_keys_round_trip_and_stay_absent_by_default() {
 }
 
 /// Validation, under either spelling and on any shape: zero shards is
-/// invalid, and the fleet-scaling keys conflict with telemetry
-/// (windowed stepping preserves no global event interleaving for a
-/// tracer to observe).
+/// invalid, and the fleet-scaling keys combine with telemetry (a traced
+/// fleet steps its windows on one thread).
 #[test]
 fn fleet_scaling_validation() {
     let telemetry = TelemetrySpec { trace: Some("auto".into()), ..TelemetrySpec::default() };
@@ -345,12 +362,13 @@ fn fleet_scaling_validation() {
             let mut s = scenario(name);
             s.set(shards, "4").unwrap();
             s.telemetry = Some(telemetry.clone());
-            assert!(matches!(s.validate(), Err(ScenarioError::Conflict { .. })));
+            s.validate().unwrap_or_else(|e| panic!("{name}: {shards}=4 with telemetry: {e}"));
 
             let mut s = scenario(name);
             s.set(shared_cache, "true").unwrap();
             s.telemetry = Some(telemetry.clone());
-            assert!(matches!(s.validate(), Err(ScenarioError::Conflict { .. })));
+            s.validate()
+                .unwrap_or_else(|e| panic!("{name}: {shared_cache} with telemetry: {e}"));
         }
     }
 }

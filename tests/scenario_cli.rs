@@ -186,19 +186,28 @@ fn run_overrides_win_over_file_fields() {
 
 #[test]
 fn conflicting_flags_exit_with_a_typed_message_not_a_panic() {
+    let args = ["--disagg", "2x2", "--replicas", "4"];
+    let out = bin().args(args).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{args:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("mutually exclusive"), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+
+    // Tracing combines with worker threads and with the shared cache.
+    let dir = tempdir("traced-scaling");
     let (cluster, single) =
         (scenario_path("cluster_small.toml"), scenario_path("quickstart.toml"));
-    for args in [
-        &["--disagg", "2x2", "--replicas", "4"][..],
-        &["run", &cluster, "--shards", "4", "--trace"],
-        &["run", &single, "--shared-cache", "--trace"],
+    for (tag, scenario, flag) in [
+        ("cluster", &cluster, &["--shards", "4"][..]),
+        ("single", &single, &["--shared-cache"]),
     ] {
-        let out = bin().args(args).output().unwrap();
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("mutually exclusive"), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let prefix = dir.join(tag).to_string_lossy().into_owned();
+        let mut args = vec!["run", scenario.as_str(), "--trace", "--output", &prefix];
+        args.extend_from_slice(flag);
+        run_ok(&args);
+        assert!(dir.join(format!("{tag}-trace.json")).exists(), "{args:?}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

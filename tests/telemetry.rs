@@ -97,26 +97,34 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// The exports of two checked-in scenarios are pinned byte for byte:
-/// `disagg_fabric` draws request slices, iteration slices, flow arrows,
-/// link counters and track metadata; `chaos` adds the instant events
-/// (control commands, a replica fault, its recovery and retries).
+fn checked_in(name: &str) -> Scenario {
+    let path = format!("{}/examples/scenarios/{name}.toml", env!("CARGO_MANIFEST_DIR"));
+    Scenario::from_path(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The exports of two checked-in scenarios are pinned byte for byte, at
+/// every shard count: `disagg_fabric` draws request slices, iteration
+/// slices, flow arrows, link counters and track metadata; `chaos` adds
+/// the instant events (control commands, a replica fault, its recovery
+/// and retries).
 #[test]
 fn trace_exports_match_the_goldens() {
     for (name, timeline) in [("disagg_fabric", true), ("chaos", false)] {
-        let path = format!("{}/examples/scenarios/{name}.toml", env!("CARGO_MANIFEST_DIR"));
-        let scenario = Scenario::from_path(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let (events, _) = traced_run(&scenario);
-        assert!(
-            chrome_trace(&events) == golden(&format!("{name}-trace.json")),
-            "{name}-trace.json drifted from the golden"
-        );
-        if timeline {
-            assert_eq!(
-                timeline_tsv(&events, &TimelineConfig::default()),
-                golden(&format!("{name}-timeline.tsv")),
-                "{name}-timeline.tsv drifted from the golden"
+        for shards in ["1", "2", "4"] {
+            let mut scenario = checked_in(name);
+            scenario.set("shards", shards).unwrap();
+            let (events, _) = traced_run(&scenario);
+            assert!(
+                chrome_trace(&events) == golden(&format!("{name}-trace.json")),
+                "{name}-trace.json drifted from the golden at shards={shards}"
             );
+            if timeline {
+                assert_eq!(
+                    timeline_tsv(&events, &TimelineConfig::default()),
+                    golden(&format!("{name}-timeline.tsv")),
+                    "{name}-timeline.tsv drifted from the golden at shards={shards}"
+                );
+            }
         }
     }
 }
