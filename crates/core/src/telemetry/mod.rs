@@ -76,7 +76,8 @@ pub enum SimEvent {
         prompt_tokens: usize,
         /// Tokens generated this iteration.
         gen_tokens: usize,
-        /// Requests still queued after batch formation.
+        /// Requests that had arrived by the iteration's start and were
+        /// still queued after batch formation.
         queue_depth: usize,
         /// KV pages in use after batch formation.
         kv_used_pages: usize,

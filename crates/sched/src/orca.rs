@@ -292,9 +292,13 @@ impl Scheduler {
         self.config.mode = mode;
     }
 
-    /// Requests waiting for admission.
+    /// Requests waiting for admission that have arrived by the current
+    /// clock. Requests pushed ahead of their arrival (a KV handoff still
+    /// on the wire) are not counted yet.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        // `pending` is sorted by `(arrival, id)`: the arrived ones are a
+        // prefix.
+        self.pending.partition_point(|r| r.arrival_ps <= self.clock_ps)
     }
 
     /// Current scheduler clock.

@@ -130,53 +130,82 @@ fn trace_exports_match_the_goldens() {
 }
 
 /// The single shape runs behind the fleet front end, so its trace has
-/// the front-end half of every lifecycle, and an iteration's queue depth
-/// counts only requests that have arrived by its start and are not yet
-/// done (a scheduler that held the whole trace from t = 0 used to count
-/// future arrivals too).
+/// the front-end half of every lifecycle. On every shape an iteration's
+/// queue depth counts only requests that have reached its replica by
+/// its start: no future arrivals, and no KV handoffs still on the wire.
 #[test]
 fn single_shape_traces_its_front_end() {
-    let path = format!("{}/examples/scenarios/quickstart.toml", env!("CARGO_MANIFEST_DIR"));
-    let scenario = Scenario::from_path(&path).unwrap();
-    let (events, report) = traced_run(&scenario);
+    let (events, report) = traced_run(&checked_in("quickstart"));
     assert_eq!(report.shape(), "single");
     let requests = report.total_completions();
 
     let (mut arrivals, mut admitted) = (vec![0usize; requests], vec![0usize; requests]);
-    let (mut arrived_at, mut finished_at) = (Vec::new(), Vec::new());
     for event in &events {
         match *event {
-            SimEvent::Arrival { t_ps, id, .. } => {
-                arrivals[id as usize] += 1;
-                arrived_at.push(t_ps);
-            }
+            SimEvent::Arrival { id, .. } => arrivals[id as usize] += 1,
             SimEvent::Admitted { id, .. } => admitted[id as usize] += 1,
-            SimEvent::Completed { t_ps, .. } => finished_at.push(t_ps),
             _ => {}
         }
     }
     assert!(arrivals.iter().all(|&n| n == 1), "one Arrival per request: {arrivals:?}");
     assert!(admitted.iter().all(|&n| n == 1), "one Admitted per request: {admitted:?}");
+    let trace = chrome_trace(&events);
+    validate_chrome_trace(&trace).unwrap_or_else(|e| panic!("malformed trace: {e}"));
+    assert_eq!(trace.matches("\"name\": \"queued\"").count(), 19, "queued slices");
 
-    arrived_at.sort_unstable();
-    finished_at.sort_unstable();
+    assert_queue_depth_counts_waiting_requests("quickstart", &events);
+    for name in ["disagg_fabric", "disagg_vs_unified", "disagg_small"] {
+        assert_queue_depth_counts_waiting_requests(name, &traced_run(&checked_in(name)).0);
+    }
+}
+
+/// Checks, per replica, that no iteration's `queue_depth` exceeds the
+/// requests that had reached that replica by the iteration's start
+/// (`Admitted` to it, or a KV handoff's `TransferEnd` on it) and had
+/// not started there yet (their first `PrefillStart` or `DecodeStart`
+/// on it).
+fn assert_queue_depth_counts_waiting_requests(name: &str, events: &[SimEvent]) {
+    use std::collections::BTreeMap;
+
+    let mut reached: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+    let mut first_start: BTreeMap<(usize, u64), u64> = BTreeMap::new();
+    for event in events {
+        match *event {
+            SimEvent::Admitted { t_ps, replica, .. }
+            | SimEvent::TransferEnd { t_ps, to: replica, .. } => {
+                reached.entry(replica).or_default().push(t_ps)
+            }
+            SimEvent::PrefillStart { t_ps, id, replica }
+            | SimEvent::DecodeStart { t_ps, id, replica } => {
+                let first = first_start.entry((replica, id)).or_insert(t_ps);
+                *first = (*first).min(t_ps);
+            }
+            _ => {}
+        }
+    }
+    let mut started: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+    for ((replica, _), t_ps) in first_start {
+        started.entry(replica).or_default().push(t_ps);
+    }
+    for times in reached.values_mut().chain(started.values_mut()) {
+        times.sort_unstable();
+    }
+    let by = |times: &BTreeMap<usize, Vec<u64>>, replica: usize, t: u64| {
+        times.get(&replica).map_or(0, |ts| ts.partition_point(|&s| s <= t))
+    };
     let mut iterations = 0;
-    for event in &events {
-        if let SimEvent::Iteration { start_ps, queue_depth, .. } = *event {
-            let arrived = arrived_at.partition_point(|&t| t <= start_ps);
-            let done = finished_at.partition_point(|&t| t <= start_ps);
+    for event in events {
+        if let SimEvent::Iteration { replica, start_ps, queue_depth, .. } = *event {
+            let waiting = by(&reached, replica, start_ps) - by(&started, replica, start_ps);
             assert!(
-                queue_depth <= arrived - done,
-                "iteration at {start_ps} ps queues {queue_depth} of {} present requests",
-                arrived - done
+                queue_depth <= waiting,
+                "{name}: replica {replica}'s iteration at {start_ps} ps queues \
+                 {queue_depth} of {waiting} waiting requests"
             );
             iterations += 1;
         }
     }
-    assert!(iterations > 0);
-    let trace = chrome_trace(&events);
-    validate_chrome_trace(&trace).unwrap_or_else(|e| panic!("malformed trace: {e}"));
-    assert_eq!(trace.matches("\"name\": \"queued\"").count(), 19, "queued slices");
+    assert!(iterations > 0, "{name}: no iteration traced");
 }
 
 /// Checks that every completed request in `events` has a complete
