@@ -8,7 +8,9 @@
 //! * **admission** ([`admit`](ControlPlane::admit)): which replica serves
 //!   a fresh arrival (the classic router decision);
 //! * **pairing** ([`pair`](ControlPlane::pair)): which decode-role
-//!   replica receives a finished prefill's KV cache;
+//!   replica receives a finished prefill's KV cache (both decisions read
+//!   a lazy [`Candidates`] view, which captures a load snapshot only for
+//!   the candidates a policy reads);
 //! * **reconfiguration** ([`on_tick`](ControlPlane::on_tick)): zero or
 //!   more [`FleetCommand`]s — role switches and scale up/down — computed
 //!   from a [`FleetStats`] view of the whole fleet at each control tick.
@@ -23,7 +25,7 @@
 
 use llmss_sched::{Request, TimePs};
 
-use super::route::{ReplicaRole, ReplicaSnapshot, RoutingPolicy};
+use super::route::{Candidates, ReplicaRole, ReplicaSnapshot, RoutingPolicy};
 
 /// One replica's entry in the fleet-wide [`FleetStats`] view.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,7 +149,12 @@ pub enum FleetCommand {
 /// A plane sees the fleet at three points only: each admission, each KV
 /// pairing, and each control tick. It has no per-iteration or
 /// per-completion hook, which is what lets the engine step replicas in
-/// bulk between those points.
+/// bulk between those points. Admission and pairing offer a lazy
+/// [`Candidates`] view: the engine filters the eligible replicas'
+/// indices and captures a [`ReplicaSnapshot`] only when the plane (or
+/// its routing policy) asks for one, so a decision that reads no load
+/// costs the same at any fleet size. Control ticks see the whole fleet
+/// as [`FleetStats`].
 ///
 /// Implementations must be deterministic functions of their construction
 /// parameters and the observed event sequence, so fleet runs reproduce
@@ -159,16 +166,17 @@ pub trait ControlPlane: std::fmt::Debug {
 
     /// Routes one fresh arrival over the offered candidates (non-empty;
     /// replicas whose role accepts arrivals and are in service). Must
-    /// return the [`ReplicaSnapshot::index`] of one candidate.
-    fn admit(&mut self, request: &Request, candidates: &[ReplicaSnapshot]) -> usize;
+    /// return the fleet index ([`Candidates::replica`]) of one
+    /// candidate.
+    fn admit(&mut self, request: &Request, candidates: &Candidates<'_>) -> usize;
 
     /// Picks the decode-side replica for a finished prefill's KV handoff
     /// (candidates: in-service decode-role replicas). Must return the
-    /// [`ReplicaSnapshot::index`] of one candidate. Only called on
-    /// fleets with prefill-role replicas; the default takes the first
-    /// candidate.
-    fn pair(&mut self, _request: &Request, candidates: &[ReplicaSnapshot]) -> usize {
-        candidates[0].index
+    /// fleet index ([`Candidates::replica`]) of one candidate. Only
+    /// called on fleets with prefill-role replicas; the default takes the
+    /// first candidate and captures no snapshot.
+    fn pair(&mut self, _request: &Request, candidates: &Candidates<'_>) -> usize {
+        candidates.replica(0)
     }
 
     /// The control tick period in virtual time, if this plane wants
@@ -206,11 +214,11 @@ impl ControlPlane for StaticControl {
         self.router.name().to_owned()
     }
 
-    fn admit(&mut self, request: &Request, candidates: &[ReplicaSnapshot]) -> usize {
+    fn admit(&mut self, request: &Request, candidates: &Candidates<'_>) -> usize {
         self.router.route(request, candidates)
     }
 
-    fn pair(&mut self, request: &Request, candidates: &[ReplicaSnapshot]) -> usize {
+    fn pair(&mut self, request: &Request, candidates: &Candidates<'_>) -> usize {
         self.pairer.route(request, candidates)
     }
 }
@@ -282,11 +290,11 @@ impl ControlPlane for FlexPools {
         format!("flex+{}", self.router.name())
     }
 
-    fn admit(&mut self, request: &Request, candidates: &[ReplicaSnapshot]) -> usize {
+    fn admit(&mut self, request: &Request, candidates: &Candidates<'_>) -> usize {
         self.router.route(request, candidates)
     }
 
-    fn pair(&mut self, request: &Request, candidates: &[ReplicaSnapshot]) -> usize {
+    fn pair(&mut self, request: &Request, candidates: &Candidates<'_>) -> usize {
         self.pairer.route(request, candidates)
     }
 
@@ -429,7 +437,7 @@ impl ControlPlane for AutoscaleControl {
         format!("autoscale+{}", self.router.name())
     }
 
-    fn admit(&mut self, request: &Request, candidates: &[ReplicaSnapshot]) -> usize {
+    fn admit(&mut self, request: &Request, candidates: &Candidates<'_>) -> usize {
         self.router.route(request, candidates)
     }
 

@@ -8,9 +8,10 @@
 //! either runs a window of replica iterations strictly before the next
 //! barrier or handles that barrier's event:
 //!
-//! * **request arrival** — the control plane inspects load snapshots of
-//!   the replicas whose role accepts arrivals and admits the request
-//!   ([`ControlPlane::admit`]);
+//! * **request arrival** — the control plane reads a lazy
+//!   [`Candidates`] view of the replicas whose role accepts arrivals,
+//!   capturing load snapshots only where its policy looks, and admits
+//!   the request ([`ControlPlane::admit`]);
 //! * **replica iteration** — a replica whose next iteration starts at
 //!   the barrier runs it alone. Every prefill-role iteration is a
 //!   barrier (it can finish prefills), and its fresh completions queue
@@ -44,7 +45,7 @@ use crate::{ConfigError, ServingSimulator, SimConfig, Simulate};
 use super::control::{ControlPlane, FleetCommand, FleetStats, ReplicaStatus};
 use super::heap::ReadyHeap;
 use super::report::{FleetReplica, FleetReport};
-use super::route::{ReplicaRole, ReplicaSnapshot};
+use super::route::{Candidates, ReplicaRole, ReplicaSnapshot};
 
 /// One committed KV handoff, in fleet-global replica indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +82,32 @@ impl FleetTransfer {
         }
         Some((self.done_ps - self.ready_ps) as f64 / self.nominal_ps as f64)
     }
+}
+
+/// Deterministic counts of the fleet loop's own work — where the engine
+/// spends its steps, windows, threads and snapshots
+/// ([`FleetEngine::work`]). No report or artifact includes them. Each
+/// count depends only on the run's inputs and, for the two thread
+/// counts, on the host's parallelism, which caps a window's threads;
+/// never on thread timing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FleetWork {
+    /// Steps that handled a barrier event, the final drained step
+    /// included.
+    pub barrier_steps: u64,
+    /// Steps that ran a window.
+    pub windows: u64,
+    /// Replicas stepped inside windows, summed over windows.
+    pub window_members: u64,
+    /// Windows that started helper threads.
+    pub threaded_windows: u64,
+    /// Helper threads started, summed over windows (the thread that
+    /// calls [`FleetEngine::step`] is not counted).
+    pub helper_threads: u64,
+    /// Replica snapshots captured: through the [`Candidates`] views of
+    /// admissions and pairings, and one per replica for each control
+    /// tick's [`FleetStats`].
+    pub snapshots: u64,
 }
 
 /// Per-replica engine metadata: everything about a slot that is not the
@@ -285,6 +312,12 @@ pub struct FleetEngine {
     /// Scratch: replica indices runnable inside the current window
     /// (kept on the engine to reuse its allocation across windows).
     window: Vec<usize>,
+    /// Scratch: the replica indices offered to the current admission or
+    /// pairing (kept on the engine to reuse its allocation, like
+    /// `window`).
+    offered: Vec<usize>,
+    /// The fleet loop's work counters.
+    work: FleetWork,
     /// Replicas that ran iterations since the last publish point —
     /// exactly the set whose `fresh` shared-cache buffers can be
     /// non-empty. Publishing walks only these (ascending), not the
@@ -418,6 +451,8 @@ impl FleetEngine {
             shards: 1,
             shared: None,
             window: Vec::new(),
+            offered: Vec::new(),
+            work: FleetWork::default(),
             dirty: Vec::new(),
             prefill_slots: slots.iter().filter(|s| s.role == ReplicaRole::Prefill).count(),
             chaos,
@@ -441,20 +476,30 @@ impl FleetEngine {
         self.chaos = ChaosState::new(schedule, true, self.sims.len(), self.fabric.link_count());
     }
 
-    /// Sets the worker-thread budget of a window: the replicas runnable
-    /// strictly before the next barrier step across up to `shards`
-    /// threads, capped by the host's parallelism, and at one while a
-    /// telemetry sink is attached (the shared sink must record in a
-    /// deterministic order). Only wall-clock time depends on it:
-    /// outcomes are byte-identical under any value. `1` (the default)
-    /// runs windows inline; `0` is treated as `1`.
+    /// Sets the thread budget of a window: the replicas runnable strictly
+    /// before the next barrier step on up to `shards` threads, the
+    /// calling thread included, capped by the host's parallelism, and at
+    /// one while a telemetry sink is attached (the shared sink must
+    /// record in a deterministic order). A window starts helper threads
+    /// only when every thread, the calling one included, gets at least
+    /// two members, so windows of one to three replicas always step
+    /// inline. Only wall-clock time depends on it: outcomes are
+    /// byte-identical under any value. `1` (the default) runs every
+    /// window inline; `0` is treated as `1`.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }
 
-    /// The configured worker-thread budget of a window.
+    /// The configured thread budget of a window.
     pub fn shards(&self) -> usize {
         self.shards
+    }
+
+    /// The fleet loop's work so far: barrier steps, windows and their
+    /// members, threaded windows and helper threads, and replica
+    /// snapshots captured ([`FleetWork`]).
+    pub fn work(&self) -> FleetWork {
+        self.work
     }
 
     /// Arms the fleet-wide shared reuse cache: every replica keeps its
@@ -541,7 +586,7 @@ impl FleetEngine {
     /// (an arrival to admit, a replica iteration, or a pending KV
     /// transfer), or `None` when the fleet has fully drained.
     pub fn next_ready_ps(&self) -> Option<TimePs> {
-        let replica_ready = self.heap.min_live().map(|(t, _)| t);
+        let replica_ready = self.heap.peek().map(|(t, _)| t);
         let arrival = self.arrivals.front().map(|r| r.arrival_ps);
         let transfer = self.pending.peek().map(|&std::cmp::Reverse((t, _, _))| t);
         let fabric = self.fabric.next_event_ps();
@@ -564,10 +609,6 @@ impl FleetEngine {
     pub fn completed_requests(&self) -> usize {
         let total: usize = self.sims.iter().map(|s| s.scheduler().completions().len()).sum();
         total - self.handoffs_total
-    }
-
-    fn snapshot(&self, index: usize) -> ReplicaSnapshot {
-        ReplicaSnapshot::capture(&self.sims[index], index, self.slots[index].role)
     }
 
     /// Re-keys `replica` in the heap after a mutation.
@@ -593,7 +634,7 @@ impl FleetEngine {
                 };
                 let fault = self.chaos.down[i];
                 ReplicaStatus {
-                    snapshot: self.snapshot(i),
+                    snapshot: ReplicaSnapshot::capture(&self.sims[i], i, slot.role),
                     home_role: slot.home_role,
                     pending_role: slot.pending_role,
                     active_from_ps: slot.active_from_ps,
@@ -732,6 +773,7 @@ impl FleetEngine {
         while self.next_tick_ps <= horizon {
             let now = self.next_tick_ps;
             let stats = self.stats(now);
+            self.work.snapshots += stats.replicas.len() as u64;
             self.telemetry.emit(|| SimEvent::Tick {
                 t_ps: now,
                 live_replicas: self.slots.iter().filter(|s| !s.retiring).count(),
@@ -836,17 +878,7 @@ impl FleetEngine {
             let request = self.requests[&id];
             let bytes = request.input_len as u64 * self.kv_bytes_per_token;
 
-            let candidates: Vec<ReplicaSnapshot> = (0..self.sims.len())
-                .filter(|&i| {
-                    let slot = &self.slots[i];
-                    slot.role == ReplicaRole::Decode
-                        && slot.in_service()
-                        && slot.active_from_ps <= ready_ps
-                        && self.chaos.down[i].is_none()
-                })
-                .map(|i| self.snapshot(i))
-                .collect();
-            if candidates.is_empty() {
+            let Some(chosen) = self.choose(&request, ready_ps, Decision::Pair) else {
                 assert!(
                     self.chaos.armed,
                     "no decode replica available for the KV handoff of request {id}"
@@ -855,13 +887,7 @@ impl FleetEngine {
                 // re-enter the commit pass on a later step.
                 self.defer_or_abandon_pairing(ready_ps, id, from);
                 return;
-            }
-            let chosen = self.control.pair(&request, &candidates);
-            assert!(
-                candidates.iter().any(|s| s.index == chosen),
-                "control plane paired replica {chosen}, not one of the {} offered",
-                candidates.len()
-            );
+            };
             self.slots[chosen].paired += 1;
             #[cfg(feature = "sanitize")]
             {
@@ -1242,13 +1268,14 @@ impl FleetEngine {
     /// A step runs a *window*: every replica iteration that starts
     /// strictly before the next barrier — an arrival, control tick,
     /// fault, fabric event, pending KV-transfer readiness, or a prefill
-    /// replica's next iteration — on up to
-    /// [`shards`](Self::set_shards) worker threads. Control planes act
-    /// only at barriers, so replicas cannot interact inside a window and
-    /// outcomes are byte-identical under any shard count. When no
-    /// replica can run before the barrier, the step handles the barrier
-    /// event itself: one tick, fault, transfer commit, fabric event or
-    /// admission, or the one replica iteration at the barrier.
+    /// replica's next iteration — on up to [`shards`](Self::set_shards)
+    /// threads, helpers starting only when each thread gets at least two
+    /// replicas. Control planes act only at barriers, so replicas cannot
+    /// interact inside a window and outcomes are byte-identical under
+    /// any shard count. When no replica can run before the barrier, the
+    /// step handles the barrier event itself: one tick, fault, transfer
+    /// commit, fabric event or admission, or the one replica iteration
+    /// at the barrier.
     pub fn step(&mut self) -> bool {
         // Fresh shared-cache entries publish at the top of every step —
         // a virtual-time-determined boundary, identical under any shard
@@ -1353,12 +1380,27 @@ impl FleetEngine {
     /// Advances every replica in `self.window` through all of its
     /// iterations strictly before `barrier`, then re-keys the heap and
     /// settles per-replica bookkeeping in replica-index order.
+    ///
+    /// The calling thread steps members itself. Helper threads start
+    /// only when every thread, the calling one included, gets at least
+    /// two members: the window runs on `min(shards, host parallelism,
+    /// members / 2)` threads (one while traced), so windows of one to
+    /// three members step inline. All threads take members one at a
+    /// time from one shared queue, which balances members of uneven
+    /// cost; windowed replicas share no state, so which thread steps
+    /// which member never changes an outcome.
     fn run_window(&mut self, barrier: Option<TimePs>) {
         let window = std::mem::take(&mut self.window);
         // One thread while traced: the shared sink must record events in
         // a deterministic order.
         let threads = if self.telemetry.is_on() { 1 } else { self.shards };
-        let workers = host_parallelism().min(threads).min(window.len());
+        let workers = host_parallelism().min(threads).min(window.len() / 2).max(1);
+        self.work.windows += 1;
+        self.work.window_members += window.len() as u64;
+        if workers > 1 {
+            self.work.threaded_windows += 1;
+            self.work.helper_threads += (workers - 1) as u64;
+        }
         {
             // Disjoint `&mut` access to exactly the windowed simulators:
             // `window` is ascending, so chained `split_at_mut` carves
@@ -1372,26 +1414,24 @@ impl FleetEngine {
                 rest = tail;
                 base = i + 1;
             }
-            if workers <= 1 {
+            if workers == 1 {
                 for sim in picked {
                     step_to_barrier(sim, barrier);
                 }
             } else {
-                // Round-robin partition: deterministic, and irrelevant
-                // to outcomes — windowed replicas share no state.
-                let mut shards: Vec<Vec<&mut ServingSimulator>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (j, sim) in picked.into_iter().enumerate() {
-                    shards[j % workers].push(sim);
-                }
+                let queue = std::sync::Mutex::new(picked.into_iter());
+                // The lock is held only while taking the next member.
+                let drain = || loop {
+                    let next =
+                        queue.lock().unwrap_or_else(std::sync::PoisonError::into_inner).next();
+                    let Some(sim) = next else { break };
+                    step_to_barrier(sim, barrier);
+                };
                 std::thread::scope(|scope| {
-                    for shard in shards {
-                        scope.spawn(move || {
-                            for sim in shard {
-                                step_to_barrier(sim, barrier);
-                            }
-                        });
+                    for _ in 1..workers {
+                        scope.spawn(drain);
                     }
+                    drain();
                 });
             }
         }
@@ -1440,6 +1480,7 @@ impl FleetEngine {
     /// any prefills it finishes). Returns `false` when everything has
     /// drained.
     fn step_barrier(&mut self) -> bool {
+        self.work.barrier_steps += 1;
         if self.tick_ps.is_some() {
             if let Some(horizon) = self.next_ready_ps() {
                 self.fire_due_ticks(horizon);
@@ -1451,7 +1492,7 @@ impl FleetEngine {
         // before the fault still commit first (the commit horizon is
         // capped at `fault - 1`).
         if let Some(ft) = self.next_fault_ps() {
-            let beats_replica = self.heap.min_live().is_none_or(|(rt, _)| ft <= rt);
+            let beats_replica = self.heap.peek().is_none_or(|(rt, _)| ft <= rt);
             let beats_arrival = self.arrivals.front().is_none_or(|r| ft <= r.arrival_ps);
             let beats_fabric = self.fabric.next_event_ps().is_none_or(|t| ft <= t);
             if beats_replica && beats_arrival && beats_fabric {
@@ -1520,17 +1561,7 @@ impl FleetEngine {
     /// role takes fresh work and whose warm-up has elapsed, or defers it
     /// when none is live.
     fn admit(&mut self, request: Request) {
-        let candidates: Vec<ReplicaSnapshot> = (0..self.sims.len())
-            .filter(|&i| {
-                let slot = &self.slots[i];
-                slot.role.accepts_arrivals()
-                    && slot.in_service()
-                    && slot.active_from_ps <= request.arrival_ps
-                    && self.chaos.down[i].is_none()
-            })
-            .map(|i| self.snapshot(i))
-            .collect();
-        if candidates.is_empty() {
+        let Some(chosen) = self.choose(&request, request.arrival_ps, Decision::Admit) else {
             assert!(
                 self.chaos.armed,
                 "no replica accepts arrivals for request {} — the control plane \
@@ -1539,13 +1570,7 @@ impl FleetEngine {
             );
             self.defer_or_abandon_admission(request);
             return;
-        }
-        let chosen = self.control.admit(&request, &candidates);
-        assert!(
-            candidates.iter().any(|s| s.index == chosen),
-            "control plane admitted to replica {chosen}, not one of the {} offered",
-            candidates.len()
-        );
+        };
         self.assignments.push((request.id, chosen));
         self.slots[chosen].routed += 1;
         self.telemetry.emit(|| SimEvent::Arrival {
@@ -1561,6 +1586,46 @@ impl FleetEngine {
         });
         self.sims[chosen].push_request(request);
         self.refresh(chosen);
+    }
+
+    /// Offers `request` to the replicas that can take it at `now` — in
+    /// service, warmed up, not faulted, and in a role that takes fresh
+    /// arrivals (admission) or KV handoffs (pairing) — and returns the
+    /// control plane's choice, or `None` when no replica qualifies. The
+    /// plane reads a lazy [`Candidates`] view over a reused index buffer,
+    /// so only the snapshots it asks for are captured.
+    fn choose(&mut self, request: &Request, now: TimePs, decision: Decision) -> Option<usize> {
+        self.offered.clear();
+        self.offered.extend((0..self.sims.len()).filter(|&i| {
+            let slot = &self.slots[i];
+            let takes = match decision {
+                Decision::Admit => slot.role.accepts_arrivals(),
+                Decision::Pair => slot.role == ReplicaRole::Decode,
+            };
+            takes
+                && slot.in_service()
+                && slot.active_from_ps <= now
+                && self.chaos.down[i].is_none()
+        }));
+        if self.offered.is_empty() {
+            return None;
+        }
+        let candidates = Candidates::fleet(&self.offered, &self.sims, &self.slots);
+        let chosen = match decision {
+            Decision::Admit => self.control.admit(request, &candidates),
+            Decision::Pair => self.control.pair(request, &candidates),
+        };
+        self.work.snapshots += candidates.captured() as u64;
+        assert!(
+            self.offered.binary_search(&chosen).is_ok(),
+            "control plane {} replica {chosen}, not one of the {} offered",
+            match decision {
+                Decision::Admit => "admitted to",
+                Decision::Pair => "paired",
+            },
+            self.offered.len()
+        );
+        Some(chosen)
     }
 
     /// Runs the fleet to completion and assembles the engine-level
@@ -1607,6 +1672,15 @@ impl FleetEngine {
             resilience,
         }
     }
+}
+
+/// The two control-plane decisions that pick a replica.
+#[derive(Debug, Clone, Copy)]
+enum Decision {
+    /// A fresh arrival's replica ([`ControlPlane::admit`]).
+    Admit,
+    /// A finished prefill's decode replica ([`ControlPlane::pair`]).
+    Pair,
 }
 
 /// The host's thread budget, probed once. `available_parallelism`

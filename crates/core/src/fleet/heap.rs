@@ -13,13 +13,15 @@ use std::collections::BinaryHeap;
 use llmss_sched::TimePs;
 
 /// A min-heap of replica ready-times with lazy invalidation: every
-/// mutation re-keys the replica under a fresh stamp, and stale entries
-/// are discarded on peek. A `ready` mirror keeps the latest value per
-/// replica, so [`min_live`](Self::min_live) answers without mutating
-/// heap state (the `&self` observability path `next_ready_ps` needs).
+/// mutation re-keys the replica under a fresh stamp, and a stale entry
+/// is discarded as soon as it reaches the top. The top is therefore
+/// always live, so [`peek`](Self::peek) takes `&self` and answers in
+/// O(1). A `ready` mirror keeps the latest value per replica for the
+/// window collector's membership scan ([`ready_of`](Self::ready_of)).
 #[derive(Debug, Default)]
 pub struct ReadyHeap {
-    /// `(ready time, replica, stamp)` entries, earliest first.
+    /// `(ready time, replica, stamp)` entries, earliest first; the top
+    /// entry, if any, is live.
     heap: BinaryHeap<Reverse<(TimePs, usize, u64)>>,
     /// Latest stamp per replica; heap entries with older stamps are stale.
     stamps: Vec<u64>,
@@ -61,50 +63,29 @@ impl ReadyHeap {
         if let Some(t) = ready {
             self.heap.push(Reverse((t, replica, self.counter)));
         }
+        self.drop_stale_top();
     }
 
-    /// The earliest live entry, discarding stale ones.
-    pub fn peek(&mut self) -> Option<(TimePs, usize)> {
-        while let Some(&Reverse((t, idx, stamp))) = self.heap.peek() {
-            if self.stamps[idx] == stamp {
-                #[cfg(feature = "sanitize")]
-                debug_assert!(
-                    self.min_live() == Some((t, idx)),
-                    "sanitize: ReadyHeap mirror drift — heap answers ({t}, {idx}), \
-                     mirror answers {:?}",
-                    self.min_live()
-                );
-                return Some((t, idx));
-            }
-            self.heap.pop();
-        }
+    /// The earliest live entry, in O(1).
+    pub fn peek(&self) -> Option<(TimePs, usize)> {
+        let top = self.heap.peek().map(|&Reverse((t, idx, _))| (t, idx));
         #[cfg(feature = "sanitize")]
-        debug_assert!(
-            self.min_live().is_none(),
-            "sanitize: ReadyHeap drained but mirror still lists {:?}",
-            self.min_live()
+        debug_assert_eq!(
+            top,
+            self.min_live(),
+            "sanitize: ReadyHeap mirror drift — the heap's top disagrees with the mirror"
         );
-        None
+        top
     }
 
     /// Removes and returns the earliest live entry. The popped replica
-    /// goes idle in the mirror too, so [`min_live`](Self::min_live)
-    /// never resurrects an entry that no longer exists in the heap.
+    /// goes idle in the mirror too, so the mirror never lists an entry
+    /// that no longer exists in the heap.
     pub fn pop(&mut self) -> Option<(TimePs, usize)> {
-        let live = self.peek();
-        if let Some((_, idx)) = live {
-            self.heap.pop();
-            self.ready[idx] = None;
-        }
-        live
-    }
-
-    /// The earliest live ready-time without touching heap state — an
-    /// O(replicas) scan of the mirror, for `&self` observability paths.
-    /// Ties resolve to the lowest replica index, matching
-    /// [`peek`](Self::peek)'s time-then-index ordering.
-    pub fn min_live(&self) -> Option<(TimePs, usize)> {
-        self.ready.iter().enumerate().filter_map(|(i, r)| r.map(|t| (t, i))).min()
+        let Reverse((t, idx, _)) = self.heap.pop()?;
+        self.ready[idx] = None;
+        self.drop_stale_top();
+        Some((t, idx))
     }
 
     /// The live ready-time of one replica (`None` = parked/idle) — the
@@ -112,6 +93,26 @@ impl ReadyHeap {
     /// replicas runnable before a barrier without disturbing the heap.
     pub fn ready_of(&self, replica: usize) -> Option<TimePs> {
         self.ready[replica]
+    }
+
+    /// Restores the live-top invariant: discards stale entries until the
+    /// top is live or the heap is empty.
+    fn drop_stale_top(&mut self) {
+        while let Some(&Reverse((_, idx, stamp))) = self.heap.peek() {
+            if self.stamps[idx] == stamp {
+                return;
+            }
+            self.heap.pop();
+        }
+    }
+
+    /// The earliest live ready-time by an O(replicas) scan of the
+    /// mirror: the sanitizer's cross-check of [`peek`](Self::peek). Ties
+    /// resolve to the lowest replica index, matching the heap's
+    /// time-then-index ordering.
+    #[cfg(any(test, feature = "sanitize"))]
+    fn min_live(&self) -> Option<(TimePs, usize)> {
+        self.ready.iter().enumerate().filter_map(|(i, r)| r.map(|t| (t, i))).min()
     }
 }
 

@@ -20,16 +20,17 @@
 //! ```
 //!
 //! * [`FleetEngine`] — the event loop: replica slots, KV-transfer links,
-//!   control ticks, drain-safe reconfiguration.
+//!   control ticks, drain-safe reconfiguration, and [`FleetWork`]
+//!   counters of its own work.
 //! * [`ControlPlane`] — the policy brain: admission (routing), pairing
 //!   (KV handoff targets), and reconfiguration ([`FleetCommand`]).
 //!   Shipped planes: [`StaticControl`], [`FlexPools`],
 //!   [`AutoscaleControl`].
 //! * [`ReadyHeap`] — the lazy-invalidation min-heap of replica
 //!   ready-times.
-//! * [`RoutingPolicy`] / [`RoutingPolicyKind`] / [`ReplicaSnapshot`] /
-//!   [`ReplicaRole`] — the router vocabulary, which decode pairing
-//!   speaks too.
+//! * [`RoutingPolicy`] / [`RoutingPolicyKind`] / [`Candidates`] /
+//!   [`ReplicaSnapshot`] / [`ReplicaRole`] — the router vocabulary, which
+//!   decode pairing speaks too.
 //! * [`FleetReport`] — what every run finishes as. The cluster and
 //!   disaggregated shapes render it through their own views,
 //!   [`ClusterReport`] and [`DisaggReport`].
@@ -48,10 +49,10 @@ pub use control::{
     FlexPoolsConfig, ReplicaStatus, StaticControl,
 };
 pub use disagg::{DisaggCompletion, DisaggReport, TtftSplit};
-pub use engine::{FleetEngine, FleetParts, FleetTransfer, ReplicaSlot};
+pub use engine::{FleetEngine, FleetParts, FleetTransfer, FleetWork, ReplicaSlot};
 pub use heap::ReadyHeap;
 pub use report::{FleetReplica, FleetReport, ReplicaStats};
 pub use route::{
-    LeastKvLoad, LeastOutstanding, PowerOfTwoChoices, ReplicaRole, ReplicaSnapshot, RoundRobin,
-    RoutingPolicy, RoutingPolicyKind, Sticky,
+    Candidates, LeastKvLoad, LeastOutstanding, PowerOfTwoChoices, ReplicaRole, ReplicaSnapshot,
+    RoundRobin, RoutingPolicy, RoutingPolicyKind, Sticky,
 };

@@ -1,18 +1,25 @@
-//! Replica roles, load snapshots, and pluggable routing policies.
+//! Replica roles, load snapshots, candidate views, and pluggable routing
+//! policies.
 //!
 //! The [`FleetEngine`] and its control planes speak the router's
 //! vocabulary: the router runs at request-arrival time and sees only what
 //! a real front-end would —
 //! per-replica queue depth, KV-cache pressure, and completion counts
 //! ([`ReplicaSnapshot`]) — never the future of the trace or the internals
-//! of an iteration in flight.
+//! of an iteration in flight. It reads them through a lazy
+//! [`Candidates`] view, which captures a snapshot only when asked.
 //!
 //! [`FleetEngine`]: crate::FleetEngine
+
+use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use llmss_sched::{Request, SchedulerMode, TimePs};
+
+use super::engine::ReplicaSlot;
+use crate::ServingSimulator;
 
 /// The serving role a replica plays in the fleet.
 ///
@@ -125,26 +132,117 @@ impl ReplicaSnapshot {
     }
 }
 
+/// The replicas offered to one admission or pairing decision: a lazy
+/// view over the fleet.
+///
+/// The view holds the candidates' fleet indices and captures a
+/// [`ReplicaSnapshot`] only when a policy asks for one, so a policy
+/// that reads no load costs the same at any fleet size: round-robin and
+/// sticky routing capture no snapshot, power-of-two-choices captures
+/// two, and the least-loaded policies capture one per candidate.
+/// Candidates are addressed by position `0..len()`; the engine offers
+/// them in ascending fleet-index order. A view is never empty when a
+/// policy sees it.
+#[derive(Debug)]
+pub struct Candidates<'a> {
+    source: Source<'a>,
+    /// Snapshots handed out so far.
+    captured: Cell<usize>,
+}
+
+/// Where a [`Candidates`] view reads its replicas from.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    /// Live replicas, captured on demand: `indices[k]` is the fleet
+    /// index of candidate `k`.
+    Fleet { indices: &'a [usize], sims: &'a [ServingSimulator], slots: &'a [ReplicaSlot] },
+    /// Snapshots captured up front.
+    Snapshots(&'a [ReplicaSnapshot]),
+}
+
+impl<'a> Candidates<'a> {
+    /// A view of the fleet replicas `indices` (ascending), captured from
+    /// `sims` with the roles in `slots` when a policy asks.
+    pub(super) fn fleet(
+        indices: &'a [usize],
+        sims: &'a [ServingSimulator],
+        slots: &'a [ReplicaSlot],
+    ) -> Self {
+        Self { source: Source::Fleet { indices, sims, slots }, captured: Cell::new(0) }
+    }
+
+    /// A view of snapshots captured up front (for policies driven
+    /// outside an engine, and for tests). Each candidate is named by its
+    /// snapshot's [`index`](ReplicaSnapshot::index).
+    pub fn from_snapshots(snapshots: &'a [ReplicaSnapshot]) -> Self {
+        Self { source: Source::Snapshots(snapshots), captured: Cell::new(0) }
+    }
+
+    /// Number of candidates.
+    pub fn len(&self) -> usize {
+        match self.source {
+            Source::Fleet { indices, .. } => indices.len(),
+            Source::Snapshots(snapshots) => snapshots.len(),
+        }
+    }
+
+    /// Whether no replica is offered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The fleet index of candidate `k`, without capturing a snapshot.
+    pub fn replica(&self, k: usize) -> usize {
+        match self.source {
+            Source::Fleet { indices, .. } => indices[k],
+            Source::Snapshots(snapshots) => snapshots[k].index,
+        }
+    }
+
+    /// Captures what a front-end can observe about candidate `k` now.
+    pub fn snapshot(&self, k: usize) -> ReplicaSnapshot {
+        self.captured.set(self.captured.get() + 1);
+        match self.source {
+            Source::Fleet { indices, sims, slots } => {
+                let i = indices[k];
+                ReplicaSnapshot::capture(&sims[i], i, slots[i].role)
+            }
+            Source::Snapshots(snapshots) => snapshots[k],
+        }
+    }
+
+    /// Captures every candidate's snapshot, in candidate order.
+    pub fn snapshots(&self) -> impl Iterator<Item = ReplicaSnapshot> + '_ {
+        (0..self.len()).map(|k| self.snapshot(k))
+    }
+
+    /// How many snapshots this view has captured so far.
+    pub fn captured(&self) -> usize {
+        self.captured.get()
+    }
+}
+
 /// A pluggable request-routing policy.
 ///
-/// `route` returns the cluster index of the replica that should serve
-/// `request`; the cluster simulator injects the request there. The same
-/// trait drives decode-replica *pairing* in disaggregated serving, where
-/// the candidate set is the decode pool. Policies may keep state
+/// `route` returns the fleet index of the replica that should serve
+/// `request`; the engine injects the request there. The same trait
+/// drives decode-replica *pairing* in disaggregated serving, where the
+/// candidate set is the decode pool. Policies may keep state
 /// (round-robin cursors, RNGs) — hence `&mut self` — but must be
 /// deterministic functions of their construction seed and the observed
-/// snapshot sequence, so that cluster runs reproduce exactly.
+/// snapshot sequence, so that fleet runs reproduce exactly.
 pub trait RoutingPolicy: std::fmt::Debug {
     /// Human-readable policy name (used in reports and TSV output).
     fn name(&self) -> &'static str;
 
     /// Chooses a replica for `request`.
     ///
-    /// `replicas` is never empty but may be a *subset* of the fleet (for
-    /// example, only the replicas whose role accepts arrivals).
-    /// Implementations must return the [`ReplicaSnapshot::index`] of one
-    /// of the provided snapshots — never a bare position in the slice.
-    fn route(&mut self, request: &Request, replicas: &[ReplicaSnapshot]) -> usize;
+    /// `candidates` is never empty but may be a *subset* of the fleet
+    /// (for example, only the replicas whose role accepts arrivals).
+    /// Implementations must return the fleet index of one candidate
+    /// ([`Candidates::replica`]) — never a bare position in the view —
+    /// and should capture only the snapshots they read.
+    fn route(&mut self, request: &Request, candidates: &Candidates<'_>) -> usize;
 }
 
 /// The built-in policies, as a value (CLI flags, config files, sweeps).
@@ -240,10 +338,10 @@ impl RoutingPolicy for RoundRobin {
         "round-robin"
     }
 
-    fn route(&mut self, _request: &Request, replicas: &[ReplicaSnapshot]) -> usize {
+    fn route(&mut self, _request: &Request, candidates: &Candidates<'_>) -> usize {
         // The candidate set may be a filtered subset of the fleet, so the
-        // cursor indexes the slice but the *snapshot* names the replica.
-        let chosen = replicas[self.next % replicas.len()].index;
+        // cursor indexes the view but the view names the replica.
+        let chosen = candidates.replica(self.next % candidates.len());
         self.next = self.next.wrapping_add(1);
         chosen
     }
@@ -266,9 +364,9 @@ impl RoutingPolicy for LeastOutstanding {
         "least-outstanding"
     }
 
-    fn route(&mut self, _request: &Request, replicas: &[ReplicaSnapshot]) -> usize {
+    fn route(&mut self, _request: &Request, candidates: &Candidates<'_>) -> usize {
         // llmss-lint: allow(p001, reason = "routing is never invoked on an empty fleet")
-        replicas.iter().min_by(|a, b| less_loaded(a, b)).expect("non-empty").index
+        candidates.snapshots().min_by(less_loaded).expect("non-empty").index
     }
 }
 
@@ -284,9 +382,9 @@ impl RoutingPolicy for LeastKvLoad {
         "least-kv"
     }
 
-    fn route(&mut self, _request: &Request, replicas: &[ReplicaSnapshot]) -> usize {
-        replicas
-            .iter()
+    fn route(&mut self, _request: &Request, candidates: &Candidates<'_>) -> usize {
+        candidates
+            .snapshots()
             .min_by(|a, b| {
                 a.kv_used_pages
                     .cmp(&b.kv_used_pages)
@@ -317,15 +415,16 @@ impl RoutingPolicy for PowerOfTwoChoices {
         "power-of-two"
     }
 
-    fn route(&mut self, _request: &Request, replicas: &[ReplicaSnapshot]) -> usize {
-        let n = replicas.len();
+    fn route(&mut self, _request: &Request, candidates: &Candidates<'_>) -> usize {
+        let n = candidates.len();
         if n == 1 {
-            return replicas[0].index;
+            return candidates.replica(0);
         }
         let first = self.rng.gen_range(0..n);
         // Offset sampling guarantees the second probe is distinct.
         let second = (first + self.rng.gen_range(1..n)) % n;
-        std::cmp::min_by(&replicas[first], &replicas[second], |a, b| less_loaded(a, b)).index
+        std::cmp::min_by(candidates.snapshot(first), candidates.snapshot(second), less_loaded)
+            .index
     }
 }
 
@@ -343,8 +442,8 @@ impl RoutingPolicy for Sticky {
         "sticky"
     }
 
-    fn route(&mut self, request: &Request, replicas: &[ReplicaSnapshot]) -> usize {
-        replicas[(request.id % replicas.len() as u64) as usize].index
+    fn route(&mut self, request: &Request, candidates: &Candidates<'_>) -> usize {
+        candidates.replica((request.id % candidates.len() as u64) as usize)
     }
 }
 
@@ -369,11 +468,16 @@ mod tests {
         Request::new(id, 16, 4, 0)
     }
 
+    /// Routes `request` over pre-captured snapshots.
+    fn route(p: &mut dyn RoutingPolicy, request: &Request, snaps: &[ReplicaSnapshot]) -> usize {
+        p.route(request, &Candidates::from_snapshots(snaps))
+    }
+
     #[test]
     fn round_robin_cycles() {
         let mut p = RoundRobin::new();
         let snaps = [snap(0, 9, 0), snap(1, 0, 0), snap(2, 5, 0)];
-        let picks: Vec<usize> = (0..6).map(|i| p.route(&req(i), &snaps)).collect();
+        let picks: Vec<usize> = (0..6).map(|i| route(&mut p, &req(i), &snaps)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
@@ -382,14 +486,14 @@ mod tests {
         let mut p = LeastOutstanding;
         let snaps = [snap(0, 4, 10), snap(1, 2, 90), snap(2, 2, 30)];
         // Replicas 1 and 2 tie on queue depth; 2 has the lower KV load.
-        assert_eq!(p.route(&req(0), &snaps), 2);
+        assert_eq!(route(&mut p, &req(0), &snaps), 2);
     }
 
     #[test]
     fn least_kv_prefers_low_memory_pressure() {
         let mut p = LeastKvLoad;
         let snaps = [snap(0, 1, 80), snap(1, 9, 10), snap(2, 0, 50)];
-        assert_eq!(p.route(&req(0), &snaps), 1);
+        assert_eq!(route(&mut p, &req(0), &snaps), 1);
     }
 
     #[test]
@@ -397,7 +501,7 @@ mod tests {
         let snaps: Vec<ReplicaSnapshot> = (0..8).map(|i| snap(i, i, 0)).collect();
         let run = || {
             let mut p = PowerOfTwoChoices::new(7);
-            (0..64).map(|i| p.route(&req(i), &snaps)).collect::<Vec<usize>>()
+            (0..64).map(|i| route(&mut p, &req(i), &snaps)).collect::<Vec<usize>>()
         };
         let a = run();
         assert_eq!(a, run(), "same seed must reproduce the same choices");
@@ -410,19 +514,19 @@ mod tests {
     #[test]
     fn p2c_single_replica_is_total() {
         let mut p = PowerOfTwoChoices::new(1);
-        assert_eq!(p.route(&req(0), &[snap(0, 3, 3)]), 0);
+        assert_eq!(route(&mut p, &req(0), &[snap(0, 3, 3)]), 0);
         // A filtered single-candidate set must still return the snapshot
         // index, not a slice position.
-        assert_eq!(p.route(&req(1), &[snap(5, 3, 3)]), 5);
+        assert_eq!(route(&mut p, &req(1), &[snap(5, 3, 3)]), 5);
     }
 
     #[test]
     fn sticky_ignores_load_and_follows_request_id() {
         let mut p = Sticky;
         let snaps = [snap(0, 100, 100), snap(1, 0, 0), snap(2, 50, 50)];
-        assert_eq!(p.route(&req(4), &snaps), 1, "4 % 3 == 1 despite replica 1's load");
-        assert_eq!(p.route(&req(4), &snaps), 1, "same id always lands the same place");
-        assert_eq!(p.route(&req(5), &snaps), 2);
+        assert_eq!(route(&mut p, &req(4), &snaps), 1, "4 % 3 == 1 despite replica 1's load");
+        assert_eq!(route(&mut p, &req(4), &snaps), 1, "same id always lands the same place");
+        assert_eq!(route(&mut p, &req(5), &snaps), 2);
     }
 
     #[test]
@@ -434,13 +538,34 @@ mod tests {
         for kind in RoutingPolicyKind::ALL {
             let mut p = kind.build(9);
             for id in 0..16 {
-                let chosen = p.route(&req(id), &subset);
+                let chosen = route(p.as_mut(), &req(id), &subset);
                 assert!(
                     chosen == 2 || chosen == 5,
                     "{kind} returned {chosen}, not a snapshot index"
                 );
             }
         }
+    }
+
+    #[test]
+    fn policies_capture_only_the_snapshots_they_read() {
+        let snaps: Vec<ReplicaSnapshot> = (0..8).map(|i| snap(i, i, 0)).collect();
+        let expected = [
+            (RoutingPolicyKind::RoundRobin, 0),
+            (RoutingPolicyKind::Sticky, 0),
+            (RoutingPolicyKind::PowerOfTwoChoices, 2),
+            (RoutingPolicyKind::LeastOutstanding, 8),
+            (RoutingPolicyKind::LeastKvLoad, 8),
+        ];
+        for (kind, captures) in expected {
+            let candidates = Candidates::from_snapshots(&snaps);
+            kind.build(3).route(&req(1), &candidates);
+            assert_eq!(candidates.captured(), captures, "{kind}");
+        }
+        // A lone candidate needs no load comparison at all.
+        let lone = Candidates::from_snapshots(&snaps[..1]);
+        assert_eq!(RoutingPolicyKind::PowerOfTwoChoices.build(3).route(&req(1), &lone), 0);
+        assert_eq!(lone.captured(), 0);
     }
 
     #[test]

@@ -65,12 +65,12 @@ pub use fabric::{
     LinkUsage, NamedLink, RouteSpec,
 };
 pub use fleet::{
-    AutoscaleConfig, AutoscaleControl, ClusterReport, ControlPlane, DisaggCompletion,
-    DisaggReport, FleetCommand, FleetEngine, FleetParts, FleetReplica, FleetReport, FleetStats,
-    FleetTransfer, FlexPools, FlexPoolsConfig, LeastKvLoad, LeastOutstanding,
-    PowerOfTwoChoices, ReadyHeap, ReplicaRole, ReplicaSlot, ReplicaSnapshot, ReplicaStats,
-    ReplicaStatus, RoundRobin, RoutingPolicy, RoutingPolicyKind, StaticControl, Sticky,
-    TtftSplit,
+    AutoscaleConfig, AutoscaleControl, Candidates, ClusterReport, ControlPlane,
+    DisaggCompletion, DisaggReport, FleetCommand, FleetEngine, FleetParts, FleetReplica,
+    FleetReport, FleetStats, FleetTransfer, FleetWork, FlexPools, FlexPoolsConfig, LeastKvLoad,
+    LeastOutstanding, PowerOfTwoChoices, ReadyHeap, ReplicaRole, ReplicaSlot, ReplicaSnapshot,
+    ReplicaStats, ReplicaStatus, RoundRobin, RoutingPolicy, RoutingPolicyKind, StaticControl,
+    Sticky, TtftSplit,
 };
 pub use mapping::{map_op, DeviceKind, PimMode};
 pub use report::{

@@ -109,9 +109,11 @@ FLEET MODE (control planes over heterogeneous fleets; [fleet] table):
 
 FLEET SCALING (every shape, a single replica included; outputs
                byte-identical; both combine with telemetry):
-  --shards N            scenario key `shards`: worker threads for a
-                        fleet step's window of replicas (a traced run
-                        uses one)                                 [1]
+  --shards N            scenario key `shards`: threads for a fleet
+                        step's window of replicas, the calling one
+                        included; a window starts helper threads only
+                        when each thread gets two replicas (a traced
+                        run uses one)                             [1]
   --shared-cache        scenario key `shared_cache`: homogeneous
                         replicas share one fleet-wide reuse cache
                         (N replicas, one cold miss)

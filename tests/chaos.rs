@@ -2,7 +2,7 @@
 //!
 //! * **Dead replicas take no work** — admission and KV pairing skip a
 //!   crashed replica for as long as it is down (the regression that
-//!   motivated `ReadyHeap::min_live` skipping dead slots).
+//!   motivated parking a crashed replica in the `ReadyHeap`).
 //! * **Conservation** — under arbitrary fault schedules every arrived
 //!   request either completes or is abandoned with a recorded reason;
 //!   nothing is silently lost or duplicated (property test).

@@ -9,12 +9,15 @@
 //!   autoscaling respects its `min..max` bounds (property tests).
 //! * **Sweep runner** — parallel sweeps are byte-identical to serial
 //!   ones, and named metric selections shape the TSV.
+//! * **Work counters** — admission captures only the snapshots its
+//!   routing policy reads, and windows too small to give every thread
+//!   two members start no helper thread.
 
 use proptest::prelude::*;
 
 use llmservingsim::core::{
-    AutoscaleConfig, AutoscaleControl, FleetEngine, FlexPools, FlexPoolsConfig, ReplicaRole,
-    ReportOutput, RoutingPolicyKind, SimConfig, StaticControl,
+    AutoscaleConfig, AutoscaleControl, FleetEngine, FleetWork, FlexPools, FlexPoolsConfig,
+    ReplicaRole, ReportOutput, RoutingPolicyKind, SimConfig, Simulate, StaticControl,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
@@ -468,4 +471,63 @@ fn flex_scenario_via_builder_runs() {
         .unwrap();
     assert_eq!(report.shape(), "fleet");
     assert_eq!(report.total_completions(), 12);
+}
+
+/// Runs a static cluster of `replicas` GPT-2 replicas that admits with
+/// `routing`, returning its work counters and its admission count.
+fn cluster_work(
+    replicas: usize,
+    routing: RoutingPolicyKind,
+    requests: usize,
+) -> (FleetWork, usize) {
+    let trace = bursty_trace(&BurstyTraceSpec {
+        bursts: 2,
+        burst_size: requests / 2,
+        seed: 11,
+        ..BurstyTraceSpec::default()
+    });
+    let mut fleet = FleetEngine::new(
+        vec![gpt2_replica(); replicas],
+        Vec::new(),
+        Box::new(StaticControl::new(routing.build(5), RoutingPolicyKind::LeastKvLoad.build(0))),
+        trace,
+    )
+    .expect("gpt2 fits a single Table-I NPU");
+    while fleet.step() {}
+    (fleet.work(), fleet.assignments().len())
+}
+
+/// Round-robin admission reads no replica's load, so a 64-replica
+/// cluster captures no snapshot at all; every admission is a barrier
+/// step.
+#[test]
+fn round_robin_admission_captures_no_snapshot() {
+    let (work, admitted) = cluster_work(64, RoutingPolicyKind::RoundRobin, 128);
+    assert_eq!(admitted, 128);
+    assert_eq!(work.snapshots, 0, "{work:?}");
+    assert!(work.barrier_steps > admitted as u64, "{work:?}");
+}
+
+/// Load-aware admission captures exactly the snapshots its policy reads:
+/// least-outstanding one per candidate per admission, power-of-two two
+/// per admission.
+#[test]
+fn load_aware_admission_captures_the_snapshots_it_reads() {
+    let (work, admitted) = cluster_work(8, RoutingPolicyKind::LeastOutstanding, 24);
+    assert_eq!(work.snapshots, 8 * admitted as u64, "{work:?}");
+    let (work, admitted) = cluster_work(8, RoutingPolicyKind::PowerOfTwoChoices, 24);
+    assert_eq!(work.snapshots, 2 * admitted as u64, "{work:?}");
+}
+
+/// `cluster_small` has three replicas, so no window can give two threads
+/// two members each: at `shards = 4` it steps every window inline.
+#[test]
+fn small_windows_start_no_helper_thread() {
+    let mut s = scenario("cluster_small");
+    s.set("shards", "4").unwrap();
+    let mut sim = s.build().unwrap();
+    while sim.step() {}
+    let work = sim.engine.work();
+    assert!(work.windows > 0, "{work:?}");
+    assert_eq!((work.threaded_windows, work.helper_threads), (0, 0), "{work:?}");
 }

@@ -3,7 +3,8 @@
 //! * **Shard-count invariance** — `--shards N` changes wall-clock
 //!   strategy only: every artifact a run emits must be byte-identical
 //!   under any shard count, on every multi-replica shape (cluster,
-//!   disagg, `[fleet]` with autoscale and flex control planes).
+//!   disagg, `[fleet]` with autoscale and flex control planes), and on a
+//!   fleet wide enough that its windows do start helper threads.
 //! * **Shared-cache semantics** — arming [`SharedReuse`] never changes
 //!   simulated timing (the shared tier memoizes outcomes the local tier
 //!   would have recomputed identically); it only converts local misses
@@ -17,8 +18,8 @@
 use proptest::prelude::*;
 
 use llmservingsim::core::{
-    FleetEngine, FlexPools, FlexPoolsConfig, ReportOutput, RoutingPolicyKind, SimConfig,
-    StaticControl,
+    FleetEngine, FleetWork, FlexPools, FlexPoolsConfig, ReportOutput, RoutingPolicyKind,
+    SimConfig, Simulate, StaticControl,
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
@@ -58,6 +59,24 @@ fn report_for(
     s.run().unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
+/// As [`report_for`] without the shared cache, stepping the engine by
+/// hand to read its work counters before the run finalizes.
+fn artifacts_and_work(
+    name: &str,
+    overrides: &[(&str, &str)],
+    shards: usize,
+) -> (Vec<(&'static str, String)>, FleetWork) {
+    let mut s = scenario(name);
+    for (key, value) in overrides {
+        s.set(key, value).unwrap_or_else(|e| panic!("{name}: {key}={value}: {e}"));
+    }
+    s.set("shards", &shards.to_string()).unwrap();
+    let mut sim = s.build().unwrap_or_else(|e| panic!("{name}: {e}"));
+    while sim.step() {}
+    let work = sim.engine.work();
+    (sim.finalize().artifacts(), work)
+}
+
 /// The two spellings of the fleet-scaling keys: the top-level keys and
 /// the `fleet.*` input alias.
 const SPELLINGS: [(&str, &str); 2] =
@@ -92,6 +111,31 @@ fn sharded_runs_are_byte_identical_across_shapes() {
         for shards in [2, 4, 7] {
             let sharded = report_for(name, overrides, shards, false).artifacts();
             assert_eq!(inline, sharded, "{name} {overrides:?} drifted at shards={shards}");
+        }
+    }
+}
+
+/// A window starts helper threads only when every thread gets two
+/// members, so the small fleets above step almost every window inline.
+/// `cluster_small` at 16 replicas has 15 windows of four to seven
+/// members: on a multi-core host its sharded runs do start helper
+/// threads (the work counters show it), and every artifact stays
+/// byte-identical.
+#[test]
+fn threaded_windows_are_byte_identical() {
+    let wide: &[(&str, &str)] = &[("replicas", "16")];
+    let (inline, work) = artifacts_and_work("cluster_small", wide, 1);
+    assert_eq!(work.helper_threads, 0, "shards = 1 steps every window inline");
+    assert!(work.windows > 0, "the fleet must step in windows");
+    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    for shards in [2, 4, 7] {
+        let (sharded, work) = artifacts_and_work("cluster_small", wide, shards);
+        assert_eq!(inline, sharded, "16-replica cluster_small drifted at shards={shards}");
+        if host >= 2 {
+            assert!(
+                work.threaded_windows > 0 && work.helper_threads >= work.threaded_windows,
+                "no window started a helper thread at shards={shards}: {work:?}"
+            );
         }
     }
 }
@@ -248,7 +292,7 @@ proptest! {
     /// run, whatever the fleet size, trace shape, or shard count.
     #[test]
     fn random_fleets_are_shard_invariant(
-        replicas in 2usize..6,
+        replicas in 2usize..12,
         shards in 2usize..8,
         burst_size in 4usize..12,
         bursts in 1usize..3,
