@@ -19,7 +19,10 @@ pub const GENESYS_QUANTUM: u64 = 64;
 
 /// Runs the GeneSys-like baseline over one iteration's full op list.
 pub fn simulate_iteration(config: &NpuConfig, workload: &IterationWorkload) -> BaselineReport {
-    // llmss-lint: allow(d002, reason = "baseline harness reports its own host wall cost alongside simulated cycles")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "baseline harness reports its own host wall cost alongside simulated cycles"
+    )]
     let t0 = Instant::now();
     let compiler = NpuCompiler::new(config.clone());
     let mut cycles = 0u64;

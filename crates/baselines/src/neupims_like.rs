@@ -27,7 +27,10 @@ pub fn simulate_iteration(
     pim_config: &PimConfig,
     workload: &IterationWorkload,
 ) -> BaselineReport {
-    // llmss-lint: allow(d002, reason = "baseline harness reports its own host wall cost alongside simulated cycles")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "baseline harness reports its own host wall cost alongside simulated cycles"
+    )]
     let t0 = Instant::now();
     let compiler = NpuCompiler::new(npu_config.clone());
     let mut cycles = 0u64;

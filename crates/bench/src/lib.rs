@@ -5,7 +5,8 @@
 //! rows as TSV under `evaluation/` (mirroring the artifact's layout), plus
 //! a human-readable summary on stdout.
 
-// llmss-lint: allow(p001, file, reason = "the bench harness aborts on fixture or I/O failure by design")
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -20,6 +21,7 @@ use llmss_sched::{IterationBatch, Request};
 
 /// A static cluster: `replicas` copies of `config` behind round-robin
 /// routing, with no KV links.
+#[expect(clippy::expect_used, reason = "the figure configs are fixed, and each fits its NPUs")]
 pub fn cluster_fleet(config: SimConfig, replicas: usize, trace: Vec<Request>) -> FleetEngine {
     let control = StaticControl::new(
         RoutingPolicyKind::RoundRobin.build(0),
@@ -33,6 +35,7 @@ pub fn cluster_fleet(config: SimConfig, replicas: usize, trace: Vec<Request>) ->
 /// `decode` decode-role copies of `config` (fleet indices `0..P`, then
 /// `P..P+D`) behind least-outstanding routing and least-KV pairing, with
 /// KV handoffs over `fabric`.
+#[expect(clippy::expect_used, reason = "the figure configs are fixed, and each fits its NPUs")]
 pub fn disagg_fleet(
     config: SimConfig,
     prefill: usize,
@@ -100,6 +103,7 @@ pub fn run_single_iteration(
     wall.converter = convert_total.saturating_sub(wall.engine);
 
     let t1 = Instant::now();
+    #[expect(clippy::expect_used, reason = "an inconsistent graph is a converter bug")]
     let outcome = simulate_graph(&graph, &topology).expect("valid graph");
     wall.network = t1.elapsed();
 
@@ -188,6 +192,10 @@ pub fn aligned_throughput(
 pub fn eval_dir(sub: &str) -> PathBuf {
     let root = if quick_mode() { "evaluation-quick" } else { "evaluation" };
     let dir = Path::new(root).join(sub);
+    #[expect(
+        clippy::expect_used,
+        reason = "a figure binary aborts when it cannot write its output"
+    )]
     std::fs::create_dir_all(&dir).expect("create evaluation directory");
     dir
 }
@@ -199,6 +207,10 @@ pub fn eval_dir(sub: &str) -> PathBuf {
 /// Panics on I/O failure.
 pub fn write_tsv(dir: &Path, name: &str, content: &str) {
     let path = dir.join(name);
+    #[expect(
+        clippy::expect_used,
+        reason = "a figure binary aborts when it cannot write its output"
+    )]
     std::fs::write(&path, content).expect("write TSV");
     println!("  wrote {}", path.display());
 }

@@ -1,6 +1,8 @@
 //! Simulation configuration (the artifact's 16 CLI parameters).
 
-use llmss_model::ModelSpec;
+use std::hash::Hasher;
+
+use llmss_model::{FnvHasher, ModelSpec};
 use llmss_net::{LinkSpec, TimePs, Topology};
 use llmss_npu::NpuConfig;
 use llmss_pim::PimConfig;
@@ -274,7 +276,7 @@ impl std::error::Error for ConfigError {}
 ///     .tensor_parallel();
 /// assert_eq!(cfg.parallelism().unwrap().tp, 4);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// The model to serve.
     pub model: ModelSpec,
@@ -368,14 +370,9 @@ impl SimConfig {
     /// which covers all fields (the struct is not serde-serializable)
     /// and stays stable for a fixed configuration within one build.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x1000_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        let mut hasher = FnvHasher::default();
+        hasher.write(format!("{self:?}").as_bytes());
+        hasher.finish()
     }
 
     /// Sets the number of NPUs.
@@ -431,10 +428,14 @@ impl SimConfig {
     ///
     /// Panics on invalid parameters (zero width, inverted adaptive
     /// range, out-of-range target, empty window).
+    #[expect(
+        clippy::panic,
+        reason = "documented panic: an invalid bucket spec is a caller bug in this builder API"
+    )]
     pub fn kv_bucket(mut self, bucket: impl Into<KvBucket>) -> Self {
         let bucket = bucket.into();
         if let Err(e) = bucket.validate() {
-            panic!("{e}"); // llmss-lint: allow(p001, reason = "documented panic: an invalid bucket spec is a caller bug in this builder API")
+            panic!("{e}");
         }
         self.kv_bucket = bucket;
         self

@@ -375,7 +375,10 @@ impl GraphConverter {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one decoder block is lowered from the graph, the stack, the batch, its nodes, its stage and the scratch buffers"
+    )]
     fn emit_block(
         &self,
         graph: &mut ExecGraph,
@@ -576,7 +579,11 @@ impl GraphConverter {
                     op.kind.label(),
                 ));
             }
-            return last.expect("attention trio emitted"); // llmss-lint: allow(p001, reason = "the attention lowering emits its trio unconditionally just above")
+            #[expect(
+                clippy::expect_used,
+                reason = "the attention lowering emits its trio unconditionally just above"
+            )]
+            return last.expect("attention trio emitted");
         }
 
         // PIM-pool offload: Q to PIM, Score there, scores back for softmax,

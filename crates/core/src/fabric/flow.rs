@@ -18,7 +18,6 @@
 //! integrals conserve bytes exactly (up to float epsilon) — a property
 //! the repo's proptests pin.
 
-// llmss-lint: allow(p001, file, reason = "flow bookkeeping asserts its own conservation invariants; a violation is a model bug, not a user error")
 use llmss_net::LinkSpec;
 use llmss_sched::TimePs;
 use std::collections::BTreeMap;
@@ -232,14 +231,17 @@ impl FlowModel {
     /// Panics if `t` is before the model's clock.
     pub fn advance(&mut self, t: TimePs) -> Vec<FlowDone> {
         self.advance_to(t);
-        let delivered: Vec<u64> = self
+        let delivered: Vec<(u64, TimePs)> = self
             .flows
             .iter()
-            .filter(|(_, f)| f.done_ps.is_some_and(|d| d <= t))
-            .map(|(&id, _)| id)
+            .filter_map(|(&id, f)| f.done_ps.filter(|&d| d <= t).map(|d| (id, d)))
             .collect();
         let mut out = Vec::with_capacity(delivered.len());
-        for id in delivered {
+        for (id, done_ps) in delivered {
+            #[expect(
+                clippy::expect_used,
+                reason = "the ids were just collected from the flow map"
+            )]
             let f = self.flows.remove(&id).expect("collected above");
             #[cfg(feature = "sanitize")]
             {
@@ -256,7 +258,7 @@ impl FlowModel {
             out.push(FlowDone {
                 id,
                 start_ps: f.start_ps,
-                done_ps: f.done_ps.expect("filtered on done"),
+                done_ps,
                 nominal_ps: f.nominal_ps,
                 bottleneck: f.bottleneck,
                 bytes: f.bytes,
@@ -372,6 +374,10 @@ impl FlowModel {
                 }
             }
             // The most-contended link: smallest equal share.
+            #[expect(
+                clippy::expect_used,
+                reason = "`start` refuses an empty path, so every unfrozen flow loads a link"
+            )]
             let (bottleneck, share) = load
                 .iter()
                 .enumerate()
@@ -388,6 +394,10 @@ impl FlowModel {
                 if !crosses {
                     continue;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "unfrozen ids come from the flow map, and recompute removes no flow"
+                )]
                 let f = self.flows.get_mut(&id).expect("active flow");
                 f.rate = share;
                 f.bottleneck = bottleneck;

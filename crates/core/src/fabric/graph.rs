@@ -350,6 +350,10 @@ impl FabricGraph {
     /// dedicated link exists), or an explicit graph without a route for
     /// the pair — all configuration errors that must fail loudly, not
     /// silently misroute a transfer.
+    #[expect(
+        clippy::panic,
+        reason = "explicit route tables are validated complete at construction"
+    )]
     pub fn path(&self, from: usize, to: usize) -> Vec<usize> {
         assert!(
             from < self.endpoints && to < self.endpoints,
@@ -388,7 +392,6 @@ impl FabricGraph {
             RouteTable::Explicit(table) => table
                 .get(&(from, to))
                 .unwrap_or_else(|| {
-                    // llmss-lint: allow(p001, reason = "explicit route tables are validated complete at construction")
                     panic!("the explicit fabric declares no route for {from} -> {to}")
                 })
                 .clone(),
@@ -404,11 +407,15 @@ impl FabricGraph {
     /// serialization at the narrowest hop — the nominal the contention
     /// metric compares achieved transfers against.
     pub fn nominal_ps(&self, path: &[usize], bytes: u64) -> llmss_sched::TimePs {
+        #[expect(
+            clippy::expect_used,
+            reason = "routes are validated non-empty at construction"
+        )]
         let narrowest = path
             .iter()
             .map(|&l| &self.links[l].spec)
             .min_by(|a, b| a.bw_gbps.total_cmp(&b.bw_gbps))
-            .expect("paths are non-empty"); // llmss-lint: allow(p001, reason = "routes are validated non-empty at construction")
+            .expect("paths are non-empty");
         self.path_latency_ps(path).saturating_add(narrowest.serialize_ps(bytes))
     }
 }
@@ -455,7 +462,7 @@ mod tests {
         assert_eq!(g.links().len(), 6);
         // Both directions share the unordered pair's link; every pair
         // distinct.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for a in 0..4 {
             for b in 0..4 {
                 if a == b {

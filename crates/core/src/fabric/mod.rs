@@ -174,13 +174,17 @@ impl Fabric {
             FabricMode::Fifo { links } => {
                 // Earliest-free link, lowest index on ties (a single
                 // link degenerates to the classic shared-FIFO wire).
+                #[expect(
+                    clippy::expect_used,
+                    reason = "commit only books transfers whose path has a live link"
+                )]
                 let link = links
                     .iter()
                     .enumerate()
                     .filter(|(_, l)| !l.down)
                     .min_by_key(|(i, l)| (l.free_ps, *i))
                     .map(|(i, _)| i)
-                    .expect("a transfer committed with every link partitioned"); // llmss-lint: allow(p001, reason = "commit only books transfers whose path has a live link")
+                    .expect("a transfer committed with every link partitioned");
                 let start_ps = ready_ps.max(links[link].free_ps);
                 let nominal_ps = links[link].spec.transfer_ps(bytes);
                 let done_ps = start_ps + nominal_ps;
@@ -318,7 +322,11 @@ impl Fabric {
         assert!(gbps.is_finite() && gbps >= 0.0, "link {link} given invalid bandwidth {gbps}");
         match &mut self.mode {
             FabricMode::Fifo { links } => {
-                let l = links.get_mut(link).expect("link index inside the fabric"); // llmss-lint: allow(p001, reason = "link indices come from the fabric's own route table")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "link indices come from the fabric's own route table"
+                )]
+                let l = links.get_mut(link).expect("link index inside the fabric");
                 if gbps > 0.0 {
                     l.spec.bw_gbps = gbps;
                     l.down = false;

@@ -511,8 +511,16 @@ impl FleetEngine {
     /// counters byte-deterministic under any shard count.
     pub fn enable_shared_cache(&mut self) {
         let shared = self.shared.get_or_insert_with(crate::SharedReuse::new).clone();
+        // Homogeneous fleets repeat one config: fingerprint each run of
+        // equal configs once.
+        let mut previous: Option<(&SimConfig, u64)> = None;
         for (sim, slot) in self.sims.iter_mut().zip(&self.slots) {
-            sim.attach_shared_reuse(shared.clone(), slot.config.fingerprint());
+            let fingerprint = match previous {
+                Some((config, fingerprint)) if *config == slot.config => fingerprint,
+                _ => slot.config.fingerprint(),
+            };
+            previous = Some((&slot.config, fingerprint));
+            sim.attach_shared_reuse(shared.clone(), fingerprint);
         }
     }
 
@@ -704,8 +712,11 @@ impl FleetEngine {
                     return;
                 }
                 let config = self.slots[template].config.clone();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the template's configuration already built its own replica, and building is deterministic"
+                )]
                 let mut sim = ServingSimulator::from_config(&config, Vec::new())
-                    // llmss-lint: allow(p001, reason = "the template's configuration already built its own replica, and building is deterministic")
                     .expect("the template configuration was already realized once");
                 let index = self.sims.len();
                 sim.set_telemetry(self.telemetry.for_replica(index));
@@ -853,9 +864,12 @@ impl FleetEngine {
             // No link can carry KV right now. Park every due transfer at
             // the next fault transition (schedule validation guarantees a
             // partition recovers); link faults spend no retry budget.
+            #[expect(
+                clippy::expect_used,
+                reason = "ChaosSchedule::compile rejects a link partition without a recovery event"
+            )]
             let next = self
                 .next_fault_ps()
-                // llmss-lint: allow(p001, reason = "ChaosSchedule::compile rejects a link partition without a recovery event")
                 .expect("a full partition always has a pending recovery event");
             let mut parked = Vec::new();
             while let Some(&std::cmp::Reverse((ready_ps, id, from))) = self.pending.peek() {
@@ -957,10 +971,13 @@ impl FleetEngine {
     /// record (delivery time + bottleneck link).
     fn deliver_fabric_events(&mut self, t: TimePs) {
         for done in self.fabric.advance(t) {
+            #[expect(
+                clippy::expect_used,
+                reason = "commit_ready_transfers records every flow it hands the fabric, and only a delivered transfer's record is ever removed"
+            )]
             let transfer = self
                 .transfers
                 .get_mut(&done.id)
-                // llmss-lint: allow(p001, reason = "commit_ready_transfers records every flow it hands the fabric, and only a delivered transfer's record is ever removed")
                 .expect("every in-flight flow has a committed transfer record");
             transfer.done_ps = done.done_ps;
             transfer.link = done.bottleneck;

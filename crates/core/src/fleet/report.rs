@@ -520,8 +520,12 @@ impl FleetReport {
                 .collect();
             let downtime: Vec<Value> =
                 res.downtime.iter().map(|&d| Value::Float(d as f64 / 1e12)).collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "only reached when the resilience section exists"
+            )]
             let (slo_in_fault, slo_clear) =
-                self.slo_by_fault_window().expect("resilience is present"); // llmss-lint: allow(p001, reason = "only reached when the resilience section exists")
+                self.slo_by_fault_window().expect("resilience is present");
             fields.push((
                 "resilience",
                 obj(vec![

@@ -365,7 +365,7 @@ impl RoutingPolicy for LeastOutstanding {
     }
 
     fn route(&mut self, _request: &Request, candidates: &Candidates<'_>) -> usize {
-        // llmss-lint: allow(p001, reason = "routing is never invoked on an empty fleet")
+        #[expect(clippy::expect_used, reason = "routing is never invoked on an empty fleet")]
         candidates.snapshots().min_by(less_loaded).expect("non-empty").index
     }
 }
@@ -383,6 +383,7 @@ impl RoutingPolicy for LeastKvLoad {
     }
 
     fn route(&mut self, _request: &Request, candidates: &Candidates<'_>) -> usize {
+        #[expect(clippy::expect_used, reason = "routing is never invoked on an empty fleet")]
         candidates
             .snapshots()
             .min_by(|a, b| {
@@ -391,7 +392,7 @@ impl RoutingPolicy for LeastKvLoad {
                     .then(a.outstanding_requests.cmp(&b.outstanding_requests))
                     .then(a.index.cmp(&b.index))
             })
-            .expect("non-empty") // llmss-lint: allow(p001, reason = "routing is never invoked on an empty fleet")
+            .expect("non-empty")
             .index
     }
 }

@@ -35,6 +35,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod chaos;
 mod config;
@@ -86,5 +87,5 @@ pub use simulate::Simulate;
 pub use stack::EngineStack;
 pub use telemetry::{
     chrome_trace, filter_events, timeline_tsv, validate_chrome_trace, MemorySink, SimEvent,
-    Telemetry, TimelineConfig, TraceSink,
+    Telemetry, TimelineConfig,
 };

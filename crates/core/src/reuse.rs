@@ -28,9 +28,12 @@
 //! keys on the hottest path in the simulator, where SipHash is wasted
 //! defense.
 
+use std::hash::Hasher;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use llmss_model::{BatchSignature, FnvHashMap, OpSignature, SigLayout, SignatureBuilder};
+use llmss_model::{
+    BatchSignature, FnvHashMap, FnvHasher, OpSignature, SigLayout, SignatureBuilder,
+};
 use llmss_net::{SimOutcome, TimePs};
 use llmss_sched::IterationBatch;
 use serde::{Deserialize, Serialize};
@@ -65,13 +68,10 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// shared maps by `(config fingerprint ⊕ bucket)` makes cross-bucket
 /// aliasing structurally impossible.
 fn bucket_fingerprint(base: u64, kv_bucket: u32) -> u64 {
-    const FNV_PRIME: u64 = 0x1000_0000_01b3;
-    let mut hash = base;
-    for byte in kv_bucket.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    let mut hasher = FnvHasher::default();
+    hasher.write_u64(base);
+    hasher.write_u32(kv_bucket);
+    hasher.finish()
 }
 
 /// The cross-replica shared reuse tier: one iteration-outcome map and

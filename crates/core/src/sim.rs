@@ -186,7 +186,11 @@ impl ServingSimulator {
     /// Panics if the generated execution graph is inconsistent with the
     /// topology (a bug, not a user error).
     pub fn step(&mut self) -> bool {
-        let t0 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "WallBreakdown measures host wall time (Figure 9), never simulated time"
+        )]
+        let t0 = Instant::now();
         let Some(batch) = self.scheduler.next_batch() else {
             return false;
         };
@@ -213,7 +217,11 @@ impl ServingSimulator {
         self.record_iteration(&batch, &iteration);
         self.emit_iteration(&batch, iteration.makespan_ps, false);
 
-        let t1 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "WallBreakdown measures host wall time (Figure 9), never simulated time"
+        )]
+        let t1 = Instant::now();
         self.scheduler.complete_iteration(iteration.makespan_ps);
         self.emit_completions();
         self.wall.scheduler += sched_elapsed + t1.elapsed();
@@ -227,7 +235,11 @@ impl ServingSimulator {
     /// converter and network parts of the wall breakdown.
     fn simulate_miss(&mut self, batch: &llmss_sched::IterationBatch) -> IterationOutcome {
         let engine_before = self.stack.engine_wall();
-        let t0 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "WallBreakdown measures host wall time (Figure 9), never simulated time"
+        )]
+        let t0 = Instant::now();
         let folds = self.converter.convert_folded_into(batch, &mut self.stack, &mut self.graph);
         let skipped_ops: usize = folds.iter().map(BlockRun::skipped_ops).sum();
         let convert_total = t0.elapsed();
@@ -235,11 +247,19 @@ impl ServingSimulator {
         self.wall.engine += engine_elapsed;
         self.wall.converter += convert_total.saturating_sub(engine_elapsed);
 
-        let t1 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "WallBreakdown measures host wall time (Figure 9), never simulated time"
+        )]
+        let t1 = Instant::now();
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: an inconsistent graph is a converter bug, not a user error"
+        )]
         let folded = self
             .des
             .simulate_folded(&self.graph, &self.topology, folds)
-            .expect("converter emits valid graphs") // llmss-lint: allow(p001, reason = "documented panic: an inconsistent graph is a converter bug, not a user error")
+            .expect("converter emits valid graphs")
             .map(|outcome| IterationOutcome::capture(outcome, self.graph.len() + skipped_ops));
         self.wall.network += t1.elapsed();
         folded.unwrap_or_else(|| {
@@ -254,15 +274,27 @@ impl ServingSimulator {
     /// counts its lookups once.
     fn simulate_unfolded(&mut self, batch: &llmss_sched::IterationBatch) -> IterationOutcome {
         let counted = self.stack.reuse_stats();
-        let t0 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "WallBreakdown measures host wall time (Figure 9), never simulated time"
+        )]
+        let t0 = Instant::now();
         self.converter.convert_into(batch, &mut self.stack, &mut self.graph);
         self.wall.converter += t0.elapsed();
         self.stack.restore_reuse_stats(counted);
-        let t1 = Instant::now(); // llmss-lint: allow(d002, reason = "WallBreakdown measures host wall time (Figure 9), never simulated time")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "WallBreakdown measures host wall time (Figure 9), never simulated time"
+        )]
+        let t1 = Instant::now();
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: an inconsistent graph is a converter bug, not a user error"
+        )]
         let outcome = self
             .des
             .simulate(&self.graph, &self.topology)
-            .expect("converter emits valid graphs"); // llmss-lint: allow(p001, reason = "documented panic: an inconsistent graph is a converter bug, not a user error")
+            .expect("converter emits valid graphs");
         let iteration = IterationOutcome::capture(outcome, self.graph.len());
         self.wall.network += t1.elapsed();
         iteration

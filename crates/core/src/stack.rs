@@ -88,14 +88,18 @@ impl EngineStack {
     /// Panics if `device` is [`DeviceKind::Pim`] but the stack has no PIM
     /// engine, or if the target engine does not support the operator.
     pub fn price(&mut self, op: &Op, device: DeviceKind) -> TimePs {
+        #[expect(
+            clippy::expect_used,
+            reason = "stack construction attaches a PIM engine whenever PIM ops can be scheduled"
+        )]
         let engine: &mut Box<dyn ExecutionEngine> = match device {
             DeviceKind::Npu => &mut self.npu,
-            DeviceKind::Pim => self.pim.as_mut().expect("no PIM engine in this stack"), // llmss-lint: allow(p001, reason = "stack construction attaches a PIM engine whenever PIM ops can be scheduled")
+            DeviceKind::Pim => self.pim.as_mut().expect("no PIM engine in this stack"),
         };
         let wall = &mut self.engine_wall;
         self.cache.price(device, &op.signature(), op.kind.is_attention(), || {
             assert!(engine.supports(op), "engine {} cannot execute {op}", engine.name());
-            // llmss-lint: allow(d002, reason = "engine_wall measures host wall time for the Figure 9 breakdown, never simulated time")
+            #[expect(clippy::disallowed_methods, reason = "engine_wall measures host wall time for the Figure 9 breakdown, never simulated time")]
             let t0 = Instant::now();
             let ps = engine.execute(op);
             *wall += t0.elapsed();

@@ -10,8 +10,7 @@
 //!   attached — the default — the closure is never evaluated and the
 //!   whole call inlines to a branch on a `None`, so the untraced path
 //!   costs nothing and all existing goldens stay byte-identical.
-//! * A [`TraceSink`] receives typed [`SimEvent`]s. The bundled
-//!   [`MemorySink`] just accumulates them; exporters
+//! * A [`MemorySink`] accumulates the typed [`SimEvent`]s; exporters
 //!   ([`chrome_trace`], [`timeline_tsv`]) are pure post-processors
 //!   over the captured `Vec<SimEvent>`, which makes byte-determinism
 //!   trivial: same seed, same events, same bytes.
@@ -366,21 +365,13 @@ impl SimEvent {
     }
 }
 
-/// A receiver for [`SimEvent`]s.
+/// The event sink: accumulates events in memory for post-run export.
 ///
-/// Sinks are attached behind `Arc<Mutex<..>>` so one sink observes
+/// A sink is attached behind `Arc<Mutex<..>>` so one sink observes
 /// every replica of a fleet; the engine hands each replica a
 /// [`Telemetry`] handle cloned from the same sink, and steps a traced
 /// fleet's windows on one thread so the sink records in a deterministic
-/// order. The `Send` bound keeps
-/// [`ServingSimulator`](crate::ServingSimulator) shippable across the
-/// worker threads of untraced windows.
-pub trait TraceSink: std::fmt::Debug + Send {
-    /// Receives one event.
-    fn record(&mut self, event: SimEvent);
-}
-
-/// The bundled sink: accumulates events in memory for post-run export.
+/// order.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Vec<SimEvent>,
@@ -403,19 +394,13 @@ impl MemorySink {
     }
 }
 
-impl TraceSink for MemorySink {
-    fn record(&mut self, event: SimEvent) {
-        self.events.push(event);
-    }
-}
-
 /// The handle hot paths hold: either off (`Default`) — in which case
 /// [`emit`](Self::emit) compiles to a branch on `None` and the event
 /// closure is never evaluated — or a shared sink plus the replica index
 /// the holder observes from.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
+    sink: Option<Arc<Mutex<MemorySink>>>,
     replica: usize,
 }
 
@@ -426,7 +411,7 @@ impl Telemetry {
     }
 
     /// A handle recording into `sink`, scoped to replica 0.
-    pub fn new(sink: Arc<Mutex<dyn TraceSink>>) -> Self {
+    pub fn new(sink: Arc<Mutex<MemorySink>>) -> Self {
         Self { sink: Some(sink), replica: 0 }
     }
 
@@ -460,7 +445,7 @@ impl Telemetry {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            guard.record(event());
+            guard.events.push(event());
         }
     }
 }

@@ -216,7 +216,11 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
                 }
             }
             SimEvent::LinkShare { from_ps, to_ps, link, bytes, .. } => {
-                let slot = links.iter().position(|(n, _)| n == link).unwrap(); // llmss-lint: allow(p001, reason = "LinkShare events only name links announced by the preamble pass above")
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "LinkShare events only name links announced by the preamble pass above"
+                )]
+                let slot = links.iter().position(|(n, _)| n == link).unwrap();
                 let span = to_ps.saturating_sub(*from_ps);
                 if span == 0 {
                     windows[at(*from_ps)].link_bytes[slot] += bytes;

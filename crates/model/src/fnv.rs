@@ -8,7 +8,11 @@
 //! is fully offline, so this is vendored in-tree rather than pulled from
 //! crates.io.
 
-// llmss-lint: allow(d001, file, reason = "definition site of the FnvHashMap/FnvHashSet aliases every other simulation crate must use instead of the std containers")
+#![expect(
+    clippy::disallowed_types,
+    reason = "definition site of the FnvHashMap/FnvHashSet aliases every other simulation crate must use instead of the std containers"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

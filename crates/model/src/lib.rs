@@ -29,13 +29,13 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod fnv;
 mod graph;
 mod ops;
 mod phase;
 mod roofline;
-mod serialize;
 mod signature;
 mod spec;
 
@@ -44,6 +44,5 @@ pub use graph::IterationWorkload;
 pub use ops::{Op, OpDims, OpKind, OpSignature};
 pub use phase::{Phase, SeqSlot};
 pub use roofline::{analyze, Roofline, RooflinePoint};
-pub use serialize::{from_json, to_json, GraphFormatError};
 pub use signature::{BatchSignature, SigLayout, SignatureBuilder};
 pub use spec::{FfnActivation, ModelSpec};

@@ -118,6 +118,10 @@ impl NpuCompiler {
         let d = sig.dims;
         let candidates = enumerate_candidates(&self.config, d.m, d.k, d.n, sig.elem_bytes);
         let evaluated = candidates.len();
+        #[expect(
+            clippy::expect_used,
+            reason = "candidate enumeration always yields at least one tiling"
+        )]
         let (tile, cycles) = candidates
             .into_iter()
             .map(|t| {
@@ -125,10 +129,10 @@ impl NpuCompiler {
                 (t, cost)
             })
             .min_by(|a, b| a.1.cmp(&b.1).then_with(|| cmp_tile(&a.0, &b.0)))
-            .expect("candidate set is never empty"); // llmss-lint: allow(p001, reason = "candidate enumeration always yields at least one tiling")
-                                                     // Skinny GEMMs (all m rows fit in the array) may beat the tiled
-                                                     // schedule by streaming the weight matrix once; the compiler picks
-                                                     // whichever mode the cost model favors.
+            .expect("candidate set is never empty");
+        // Skinny GEMMs (all m rows fit in the array) may beat the tiled
+        // schedule by streaming the weight matrix once; the compiler picks
+        // whichever mode the cost model favors.
         if d.m <= self.config.systolic_rows {
             let stream = simulate_gemv_stream(&self.config, &sig);
             if stream.cycles < cycles {
@@ -178,7 +182,11 @@ fn estimate_tile_cost(config: &NpuConfig, sig: &OpSignature, tile: &TileChoice) 
 pub fn simulate_codelet(config: &NpuConfig, codelet: &Codelet) -> crate::SimResult {
     match codelet.unit {
         ExecUnit::Systolic => {
-            let tile = codelet.tile.as_ref().expect("systolic codelets carry a tile"); // llmss-lint: allow(p001, reason = "the compiler attaches a tile to every systolic codelet")
+            #[expect(
+                clippy::expect_used,
+                reason = "the compiler attaches a tile to every systolic codelet"
+            )]
+            let tile = codelet.tile.as_ref().expect("systolic codelets carry a tile");
             simulate_matmul(config, &codelet.signature, tile)
         }
         ExecUnit::GemvStream => simulate_gemv_stream(config, &codelet.signature),

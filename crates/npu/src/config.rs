@@ -102,7 +102,10 @@ impl NpuConfig {
 
     /// Serializes the configuration to JSON.
     pub fn to_json(&self) -> String {
-        // llmss-lint: allow(p001, reason = "serializing to an in-memory String cannot fail")
+        #[expect(
+            clippy::expect_used,
+            reason = "serializing to an in-memory String cannot fail"
+        )]
         serde_json::to_string_pretty(self).expect("config serialization is infallible")
     }
 

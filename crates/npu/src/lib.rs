@@ -27,6 +27,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod compiler;
 mod config;

@@ -90,23 +90,6 @@ impl PimConfig {
         (cycles as f64 * self.ps_per_cycle()).round() as u64
     }
 
-    /// Parses a configuration from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string if the JSON is malformed or invalid.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let cfg: Self = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
-    /// Serializes the configuration to JSON.
-    pub fn to_json(&self) -> String {
-        // llmss-lint: allow(p001, reason = "serializing to an in-memory String cannot fail")
-        serde_json::to_string_pretty(self).expect("config serialization is infallible")
-    }
-
     /// Checks structural validity.
     ///
     /// # Errors
@@ -154,12 +137,6 @@ mod tests {
         let c = PimConfig::table1();
         assert_eq!(c.total_banks(), 512);
         assert_eq!(c.bankgroups_per_channel(), 8);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let c = PimConfig::table1();
-        assert_eq!(PimConfig::from_json(&c.to_json()).unwrap(), c);
     }
 
     #[test]

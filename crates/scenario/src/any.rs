@@ -70,7 +70,11 @@ impl Simulate for AnySimulator {
             ServingShape::Single => {
                 // The one replica's report, without the fleet-level join.
                 let mut replicas = self.engine.into_parts().replicas;
-                let replica = replicas.pop().expect("a fleet has a replica"); // llmss-lint: allow(p001, reason = "FleetEngine::new refuses an empty fleet")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "FleetEngine::new refuses an empty fleet"
+                )]
+                let replica = replicas.pop().expect("a fleet has a replica");
                 AnyReport::Single(replica.report)
             }
             ServingShape::Cluster { .. } => {

@@ -8,7 +8,7 @@ use llmss_core::{
 };
 use llmss_model::ModelSpec;
 use llmss_net::LinkSpec;
-use llmss_sched::{Request, SchedulingPolicy, Workload, WorkloadSpec, EVENT_HORIZON_PS};
+use llmss_sched::{Request, SchedulingPolicy, WorkloadSpec, EVENT_HORIZON_PS};
 use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::codec::{parse, parse_opt, read_table, Table};
@@ -1136,7 +1136,10 @@ impl Scenario {
 
     /// Serializes as a TOML scenario file (the canonical on-disk form).
     pub fn to_toml(&self) -> String {
-        // llmss-lint: allow(p001, reason = "to_value builds a table whose arrays hold no null, the only values emit rejects")
+        #[expect(
+            clippy::expect_used,
+            reason = "to_value builds a table whose arrays hold no null, the only values emit rejects"
+        )]
         toml::emit(&self.to_value()).expect("scenario values are TOML-expressible")
     }
 

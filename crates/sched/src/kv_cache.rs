@@ -239,7 +239,11 @@ impl KvCache {
         let victim = self.order.iter().rev().copied().find(|id| {
             Some(*id) != except && self.entries.get(id).is_some_and(|e| !e.on_host)
         })?;
-        let entry = self.entries.get_mut(&victim).expect("victim exists"); // llmss-lint: allow(p001, reason = "the victim id was just drawn from the resident set")
+        #[expect(
+            clippy::expect_used,
+            reason = "the victim id was just drawn from the resident set"
+        )]
+        let entry = self.entries.get_mut(&victim).expect("victim exists");
         entry.on_host = true;
         let pages = entry.pages;
         self.free_pages += pages;

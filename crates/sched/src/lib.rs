@@ -5,9 +5,9 @@
 //!
 //! * [`Request`] / [`TraceGenerator`] — synthetic ShareGPT/Alpaca-like
 //!   request traces with Poisson arrivals, plus the artifact's TSV format.
-//! * [`Workload`] / [`WorkloadSpec`] — pluggable traffic sources as
-//!   declarative values (synthetic, bursty, trace file), so front-ends
-//!   take a workload instead of dispatching on CLI strings.
+//! * [`WorkloadSpec`] — traffic sources as declarative values
+//!   (synthetic, bursty, trace file), so front-ends take a workload
+//!   instead of dispatching on CLI strings.
 //! * [`Scheduler`] — Orca-style iteration-level scheduling that re-forms
 //!   the batch each iteration, admits by KV-memory availability, and
 //!   evicts/reloads KV pages under pressure (vLLM-style demand paging via
@@ -36,6 +36,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod batch;
 mod dataset;
@@ -51,4 +52,4 @@ pub use kv_cache::{KvCache, KvCacheConfig, KvError, KvPolicy, KvTransfer};
 pub use memory::MemoryModel;
 pub use orca::{LostWork, Scheduler, SchedulerConfig, SchedulerMode, SchedulingPolicy};
 pub use request::{Completion, Request, RequestState, TimePs, EVENT_HORIZON_PS};
-pub use workload::{bursty_trace, BurstyTraceSpec, Workload, WorkloadError, WorkloadSpec};
+pub use workload::{bursty_trace, BurstyTraceSpec, WorkloadError, WorkloadSpec};

@@ -9,7 +9,6 @@
 //! A request-level policy (classic static batching: the batch runs until
 //! *all* members finish) is included as the contrast Orca §6.1 draws.
 
-// llmss-lint: allow(p001, file, reason = "queue fronts are checked non-empty by the scheduler state machine immediately before popping")
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
@@ -439,7 +438,7 @@ impl Scheduler {
             match self.kv.reload(front.req.id) {
                 Ok(t) => {
                     reloads.push(t);
-                    let mut seq = self.evicted.pop_front().expect("front exists");
+                    let Some(mut seq) = self.evicted.pop_front() else { break };
                     seq.state = RequestState::Generating;
                     self.active.push(seq);
                 }
@@ -474,7 +473,7 @@ impl Scheduler {
                     );
                     break;
                 }
-                let req = self.pending.pop_front().expect("front exists");
+                let Some(req) = self.pending.pop_front() else { break };
                 // In decode-only mode the prompt KV just reserved by
                 // `try_admit` models the cache shipped from a prefill
                 // pool: the sequence skips prefill and decodes directly
@@ -518,7 +517,7 @@ impl Scheduler {
         if let Some(front) = self.evicted.front() {
             match self.kv.reload(front.req.id) {
                 Ok(t) => {
-                    let mut seq = self.evicted.pop_front().expect("front exists");
+                    let mut seq = self.evicted.pop_front()?;
                     seq.state = RequestState::Generating;
                     let slot = SeqSlot::decode(seq.req.id, seq.kv_tokens(self.config.mode));
                     self.active.push(seq);

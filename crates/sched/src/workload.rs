@@ -1,5 +1,4 @@
-//! Pluggable traffic sources: the [`Workload`] trait and the declarative
-//! [`WorkloadSpec`] value behind it.
+//! Traffic sources: the declarative [`WorkloadSpec`] value.
 //!
 //! Every front-end used to dispatch on CLI strings to decide where its
 //! requests came from; a workload is now a *value* that any driver can
@@ -20,7 +19,7 @@
 //! # Examples
 //!
 //! ```
-//! use llmss_sched::{Dataset, Workload, WorkloadSpec};
+//! use llmss_sched::{Dataset, WorkloadSpec};
 //!
 //! let spec = WorkloadSpec::Synthetic {
 //!     dataset: Dataset::Alpaca,
@@ -246,34 +245,6 @@ impl std::fmt::Display for WorkloadError {
 
 impl std::error::Error for WorkloadError {}
 
-/// A pluggable traffic source: anything that can be materialized into a
-/// request trace, sorted by arrival time.
-///
-/// Implemented by the declarative [`WorkloadSpec`], by the concrete
-/// generators ([`TraceGenerator`], [`BurstyTraceSpec`]), and by plain
-/// request vectors — so drivers take *values*, not CLI-string dispatch.
-pub trait Workload: std::fmt::Debug {
-    /// Materializes the full request trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError`] when the source cannot produce a trace
-    /// (unreadable/malformed file, out-of-range parameter).
-    fn materialize(&self) -> Result<Vec<Request>, WorkloadError>;
-}
-
-impl Workload for BurstyTraceSpec {
-    fn materialize(&self) -> Result<Vec<Request>, WorkloadError> {
-        Ok(bursty_trace(self))
-    }
-}
-
-impl Workload for Vec<Request> {
-    fn materialize(&self) -> Result<Vec<Request>, WorkloadError> {
-        Ok(self.clone())
-    }
-}
-
 /// The declarative, serializable traffic source of a scenario: the
 /// `[workload]` table of a scenario file.
 ///
@@ -472,8 +443,14 @@ impl WorkloadSpec {
     }
 }
 
-impl Workload for WorkloadSpec {
-    fn materialize(&self) -> Result<Vec<Request>, WorkloadError> {
+impl WorkloadSpec {
+    /// Materializes the full request trace, sorted by arrival time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WorkloadError`] when the source cannot produce a trace
+    /// (unreadable/malformed file, out-of-range parameter).
+    pub fn materialize(&self) -> Result<Vec<Request>, WorkloadError> {
         self.validate()?;
         match self {
             WorkloadSpec::Synthetic { dataset, requests, rate_per_s, seed } => within_horizon(
@@ -658,7 +635,7 @@ mod tests {
             .windows(2)
             .map(|w| w[1].arrival_ps - w[0].arrival_ps)
             .collect();
-        let distinct: std::collections::HashSet<_> = gaps.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = gaps.iter().collect();
         assert!(distinct.len() > 3, "gaps look deterministic: {gaps:?}");
         let other = bursty_trace(&BurstyTraceSpec { seed: 4, ..spec });
         assert_ne!(a, other, "different seeds must differ");

@@ -32,6 +32,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use llmss_baselines as baselines;
 pub use llmss_core as core;
@@ -62,6 +63,6 @@ pub mod prelude {
     };
     pub use llmss_sched::{
         bursty_trace, BurstyTraceSpec, Dataset, KvCache, KvCacheConfig, Request, Scheduler,
-        SchedulerConfig, TraceGenerator, Workload, WorkloadSpec,
+        SchedulerConfig, TraceGenerator, WorkloadSpec,
     };
 }

@@ -22,7 +22,7 @@ use llmservingsim::core::{
     chrome_trace, filter_events, timeline_tsv, MemorySink, ReportOutput, SimEvent, Telemetry,
 };
 use llmservingsim::scenario::{Scenario, Sweep};
-use llmservingsim::sched::{trace_to_tsv, Workload, WorkloadSpec};
+use llmservingsim::sched::{trace_to_tsv, WorkloadSpec};
 
 const USAGE: &str = "\
 llmservingsim — HW/SW co-simulation for LLM inference serving

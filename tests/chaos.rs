@@ -11,7 +11,7 @@
 //! * **Pure extension** — arming chaos with an empty schedule changes
 //!   nothing but the presence of an all-zero resilience section.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
@@ -220,7 +220,7 @@ proptest! {
         engine.set_chaos(schedule);
         let report = engine.run();
         let res = report.resilience.as_ref().expect("chaos runs report resilience");
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for c in &report.completions {
             prop_assert!(seen.insert(c.id), "request {} completed twice", c.id);
         }

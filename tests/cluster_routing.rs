@@ -90,7 +90,7 @@ fn different_policies_actually_route_differently() {
         .iter()
         .map(|&kind| cluster(4, kind, 11, bursty.clone()).assignments)
         .collect();
-    let distinct: std::collections::HashSet<_> = assignments.iter().collect();
+    let distinct: std::collections::BTreeSet<_> = assignments.iter().collect();
     assert!(distinct.len() >= 3, "policies collapsed to {} behaviors", distinct.len());
 }
 

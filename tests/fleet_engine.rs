@@ -357,7 +357,7 @@ proptest! {
     ) {
         let trace = phase_shift_trace(prefill_n, decode_n, 3.0, seed);
         let report = flex_fleet(trace, 300_000_000, 1).run();
-        let transfers: std::collections::HashMap<u64, _> =
+        let transfers: std::collections::BTreeMap<u64, _> =
             report.transfers.iter().cloned().collect();
         for c in &report.completions {
             let t = transfers[&c.id];

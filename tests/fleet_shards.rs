@@ -284,6 +284,26 @@ fn hetero_fleet(replicas: usize, trace: Vec<Request>) -> FleetEngine {
         .expect("gpt2 fits a single Table-I NPU")
 }
 
+/// A config between two equal ones keeps its own fingerprint: in an
+/// `A, A, B, A` fleet of identical requests, each replica trailing the
+/// one before it, the last A reads outcomes the first A published while
+/// the lone B reads none.
+#[test]
+fn a_lone_config_between_equal_ones_shares_nothing() {
+    let a = gpt2_replica();
+    let b = gpt2_replica().max_batch(64);
+    let trace: Vec<Request> =
+        (0..4).map(|i| Request::new(i, 64, 16, i * 50_000_000_000)).collect();
+    let mut fleet =
+        FleetEngine::new(vec![a.clone(), a.clone(), b, a], Vec::new(), static_control(), trace)
+            .expect("gpt2 fits a single Table-I NPU");
+    fleet.enable_shared_cache();
+    let hits: Vec<u64> =
+        fleet.run().replicas.iter().map(|r| r.report.reuse.shared_hits).collect();
+    assert!(hits[3] > 0, "equal configs must share outcomes: {hits:?}");
+    assert_eq!(hits[2], 0, "the B replica read another config's outcomes: {hits:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
