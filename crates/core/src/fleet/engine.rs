@@ -1411,7 +1411,7 @@ impl FleetEngine {
         // One thread while traced: the shared sink must record events in
         // a deterministic order.
         let threads = if self.telemetry.is_on() { 1 } else { self.shards };
-        let workers = host_parallelism().min(threads).min(window.len() / 2).max(1);
+        let workers = crate::host_parallelism().min(threads).min(window.len() / 2).max(1);
         self.work.windows += 1;
         self.work.window_members += window.len() as u64;
         if workers > 1 {
@@ -1698,16 +1698,6 @@ enum Decision {
     Admit,
     /// A finished prefill's decode replica ([`ControlPlane::pair`]).
     Pair,
-}
-
-/// The host's thread budget, probed once. `available_parallelism`
-/// reads cgroup limits from the filesystem on Linux, far too slow to
-/// call per window.
-fn host_parallelism() -> usize {
-    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    })
 }
 
 /// Advances one replica through every iteration strictly before

@@ -89,3 +89,13 @@ pub use telemetry::{
     chrome_trace, filter_events, timeline_tsv, validate_chrome_trace, MemorySink, SimEvent,
     Telemetry, TimelineConfig,
 };
+
+/// The host's thread budget, probed once. `available_parallelism`
+/// reads cgroup limits from the filesystem on Linux, far too slow to
+/// call per fleet window or trace export.
+pub(crate) fn host_parallelism() -> usize {
+    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CACHED.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
+}

@@ -23,14 +23,30 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
+use llmss_model::FnvHashMap;
 use llmss_sched::TimePs;
 use serde::Value;
-use serde_json::PrettyWriter;
+use serde_json::{push_uint, PrettyWriter};
 
 use crate::json;
 
 use super::SimEvent;
+
+/// Sorted entries per render chunk: the unit the threads claim and the
+/// caller splices. Small enough that both trace goldens span several
+/// chunks and that a helper descheduled mid-chunk holds back only that
+/// chunk.
+const CHUNK: usize = 192;
+
+/// The depth of the `traceEvents` array inside the document.
+const EVENTS_DEPTH: usize = 2;
+
+/// Output bytes reserved per written object (a Chrome trace entry runs
+/// about 250 bytes).
+const ENTRY_BYTES: usize = 256;
 
 /// One trace event, kept typed until it is written, plus its
 /// deterministic sort key `(ts, pid, tid, longest first, rank)`.
@@ -75,6 +91,44 @@ enum Slice<'a> {
     Flow { id: u64, bytes: u64 },
 }
 
+/// An entry's place in the trace: its sort key, then its push index,
+/// so an unstable sort of keys orders equal entries as a stable sort of
+/// the entries would. A pid or tid (`0`, or `n + 1` for a 64-bit `n`)
+/// is held as a carry bit and its low 64 bits, which order the same
+/// way, so a key takes 40 bytes instead of an entry's 112.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    ts_ps: TimePs,
+    pid_carry: bool,
+    pid: u64,
+    tid_carry: bool,
+    tid: u64,
+    dur_ps: Reverse<TimePs>,
+    rank: u8,
+    /// The entry's push index. 32 bits index any trace that can be
+    /// written: 2^32 entries would be a terabyte of JSON.
+    index: u32,
+}
+
+impl Key {
+    fn new(e: &Entry<'_>, index: usize) -> Self {
+        // Track ids lie in 0..=2^64: above that, `as` would wrap.
+        let split = |id: i128| (id > i128::from(u64::MAX), id as u64);
+        let (pid_carry, pid) = split(e.pid);
+        let (tid_carry, tid) = split(e.tid);
+        Key {
+            ts_ps: e.ts_ps,
+            pid_carry,
+            pid,
+            tid_carry,
+            tid,
+            dur_ps: Reverse(e.dur_ps),
+            rank: e.rank,
+            index: u32::try_from(index).unwrap_or(u32::MAX),
+        }
+    }
+}
+
 /// Everything captured about one request's lifecycle.
 #[derive(Default)]
 struct Life {
@@ -95,6 +149,31 @@ struct Life {
 /// Picoseconds as the trace's microsecond timestamps.
 fn us(t: TimePs) -> f64 {
     t as f64 / 1e6
+}
+
+/// Writes a picosecond time as the microsecond number `float(us(t))`
+/// writes. For `100 <= t < 10^15` that is the exact decimal `t / 10^6`,
+/// written from `t`'s digits (see [`PrettyWriter::decimal`]); below 100
+/// ps `{:?}` switches to an exponent (`1e-6`), and from 10^15 ps on the
+/// float drops digits, so those go through the float.
+fn write_us(w: &mut PrettyWriter<'_>, t: TimePs) {
+    if (100..1_000_000_000_000_000).contains(&t) {
+        w.decimal(t, 6);
+    } else {
+        w.float(us(t));
+    }
+}
+
+/// `prefix`, `n` in decimal and `suffix`, assembled in `name`.
+fn numbered<'n>(name: &'n mut String, prefix: &str, n: i128, suffix: &str) -> &'n str {
+    name.clear();
+    name.push_str(prefix);
+    match u64::try_from(n) {
+        Ok(n) => push_uint(name, n),
+        Err(_) => name.push_str(&n.to_string()),
+    }
+    name.push_str(suffix);
+    name
 }
 
 fn slice(
@@ -125,7 +204,29 @@ fn counter(t_ps: TimePs, link: &str, util: f64, rank: u8) -> Entry<'_> {
 
 /// Renders the captured events as a Chrome Trace Event Format JSON
 /// document (the `traceEvents` object form).
+///
+/// The track-name metadata comes first, then every other entry ordered
+/// by `(ts, pid, tid, longest slice first, rank)`, which also makes `ts`
+/// monotonic per track; entries with equal keys keep the order they
+/// were collected in (event order, then request lifecycles by id).
+/// Timestamps and durations are microseconds, spelled as `{:?}` spells
+/// `ps as f64 / 1e6`: the exact decimal for `100 <= ps < 10^15`.
+///
+/// When the host has two or more cores (`available_parallelism`) and
+/// the trace spans at least two chunks of 192 sorted entries, one scoped
+/// helper thread renders chunks alongside the caller: each takes the
+/// next unclaimed chunk, and the caller splices the helper's text in
+/// order, so the output is the same bytes either way. Memory beyond the
+/// output stays at two chunk buffers.
 pub fn chrome_trace(events: &[SimEvent]) -> String {
+    render(events, crate::host_parallelism() >= 2)
+}
+
+/// [`chrome_trace`], with the helper thread allowed or not.
+pub(crate) fn render(events: &[SimEvent], helper: bool) -> String {
+    // Lifecycles by request id, in a B-tree of small nodes: one table
+    // that doubles as it grows (a `Vec` or a hash map) raised the peak
+    // RSS of a 3k-request export by 2-4 MB.
     let mut lives: BTreeMap<u64, Life> = BTreeMap::new();
     let mut entries: Vec<Entry<'_>> = Vec::new();
     // Tracks, collected as they appear; their display names follow
@@ -133,8 +234,9 @@ pub fn chrome_trace(events: &[SimEvent]) -> String {
     let mut processes: BTreeSet<i128> = BTreeSet::new();
     let mut threads: BTreeSet<(i128, i128)> = BTreeSet::new();
     // Per-link counter bookkeeping, in first-seen order: name and last
-    // interval end.
+    // interval end, indexed by name.
     let mut links: Vec<(&str, TimePs)> = Vec::new();
+    let mut link_of: FnvHashMap<&str, usize> = FnvHashMap::default();
 
     for e in events {
         match e {
@@ -189,10 +291,11 @@ pub fn chrome_trace(events: &[SimEvent]) -> String {
             }
             SimEvent::LinkShare { from_ps, to_ps, link, bw_gbps, bytes } => {
                 processes.insert(0);
-                match links.iter_mut().find(|(name, _)| name == link) {
-                    Some((_, end)) => *end = *to_ps,
-                    None => links.push((link, *to_ps)),
-                }
+                let slot = *link_of.entry(link.as_str()).or_insert_with(|| {
+                    links.push((link, 0));
+                    links.len() - 1
+                });
+                links[slot].1 = *to_ps;
                 let window = to_ps.saturating_sub(*from_ps);
                 let cap_bytes = bw_gbps / 1000.0 * window as f64;
                 let util = if cap_bytes > 0.0 { bytes / cap_bytes } else { 0.0 };
@@ -250,22 +353,121 @@ pub fn chrome_trace(events: &[SimEvent]) -> String {
         entries.push(counter(end, link, 0.0, 1));
     }
 
-    for (&id, life) in &lives {
-        render_life(id, life, &mut entries, &mut processes, &mut threads);
+    // Consumed, so its nodes are freed before the output is allocated.
+    for (id, life) in lives {
+        render_life(id, &life, &mut entries, &mut processes, &mut threads);
     }
+    write_trace(&entries, &processes, &threads, helper)
+}
 
-    // Metadata first, then the event stream ordered by (ts, track,
-    // longest-slice-first) — which also makes ts monotonic per track.
-    entries.sort_by_key(|e| (e.ts_ps, e.pid, e.tid, Reverse(e.dur_ps), e.rank));
-    let mut out = String::new();
+/// Sorts the entries and writes the document: the track-name metadata,
+/// then the entries in trace order, on the caller's thread alone or,
+/// when `helper` is set, shared with one helper thread.
+fn write_trace(
+    entries: &[Entry<'_>],
+    processes: &BTreeSet<i128>,
+    threads: &BTreeSet<(i128, i128)>,
+    helper: bool,
+) -> String {
+    // The entries' push indices in trace order. The keys are dropped
+    // before the output is allocated, so only this list outlives them.
+    let order: Vec<u32> = {
+        let mut keys: Vec<Key> =
+            entries.iter().enumerate().map(|(i, e)| Key::new(e, i)).collect();
+        keys.sort_unstable();
+        keys.iter().map(|k| k.index).collect()
+    };
+    let objects = order.len() + 2 * processes.len() + threads.len();
+    let mut out = String::with_capacity(ENTRY_BYTES * objects + 64);
     let mut w = PrettyWriter::new(&mut out);
     w.begin_object().key("traceEvents").begin_array();
-    write_metadata(&mut w, &processes, &threads);
-    for entry in &entries {
-        write_entry(&mut w, entry);
+    write_metadata(&mut w, processes, threads);
+    if !helper || order.len() <= CHUNK {
+        write_chunk(&mut w, entries, &order);
+        w.end_array().end_object();
+        return out;
     }
-    w.end_array().end_object();
+    // The first chunk goes through the writer that opened the array,
+    // which knows whether the array holds an entry yet (metadata); every
+    // later chunk continues a filled array.
+    let (first, rest) = order.split_at(CHUNK);
+    write_chunk(&mut w, entries, first);
+    write_pipelined(&mut out, entries, rest);
+    PrettyWriter::continuing(&mut out, EVENTS_DEPTH).end_array().end_object();
     out
+}
+
+/// Appends the entries at `order`'s indices to the `traceEvents` array
+/// in `out`, chunk by chunk, with one scoped helper thread. Both threads
+/// claim chunks in trace order from one counter, so whichever is free
+/// takes the next; the caller writes its chunks straight into `out` and
+/// splices the helper's, which arrive in the order it claimed them.
+fn write_pipelined(out: &mut String, entries: &[Entry<'_>], order: &[u32]) {
+    let chunks = order.len().div_ceil(CHUNK);
+    let chunk = |i: usize| &order[i * CHUNK..order.len().min((i + 1) * CHUNK)];
+    // Hands out chunk indices and publishes nothing else: the text
+    // travels through the channel.
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let (to_caller, rendered) = mpsc::channel::<String>();
+        let (to_helper, spare) = mpsc::channel::<String>();
+        // Two buffers circulate between the threads, so the helper runs
+        // at most two chunks ahead of the splice.
+        for _ in 0..2 {
+            let _ = to_helper.send(String::with_capacity(CHUNK * ENTRY_BYTES));
+        }
+        let next = &next;
+        scope.spawn(move || {
+            // A buffer first, then a chunk: every chunk the helper claims
+            // is rendered and sent without waiting on the caller.
+            while let Ok(mut buf) = spare.recv() {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= chunks {
+                    return;
+                }
+                buf.clear();
+                write_chunk(
+                    &mut PrettyWriter::continuing(&mut buf, EVENTS_DEPTH),
+                    entries,
+                    chunk(i),
+                );
+                if to_caller.send(buf).is_err() {
+                    return;
+                }
+            }
+        });
+        let mut done = 0;
+        while done < chunks {
+            let mine = next.fetch_add(1, Ordering::Relaxed);
+            // Every chunk from `done` up to the caller's claim is the
+            // helper's, claimed in this order.
+            while done < mine.min(chunks) {
+                match rendered.recv() {
+                    Ok(buf) => {
+                        out.push_str(&buf);
+                        // The helper is gone once it has claimed past the end.
+                        let _ = to_helper.send(buf);
+                    }
+                    // A helper that stopped early (a panic, which the scope
+                    // re-raises) left this chunk unsent.
+                    Err(_) => write_chunk(
+                        &mut PrettyWriter::continuing(out, EVENTS_DEPTH),
+                        entries,
+                        chunk(done),
+                    ),
+                }
+                done += 1;
+            }
+            if mine < chunks {
+                write_chunk(
+                    &mut PrettyWriter::continuing(out, EVENTS_DEPTH),
+                    entries,
+                    chunk(mine),
+                );
+                done = mine + 1;
+            }
+        }
+    });
 }
 
 /// Writes the track names: `fabric` (pid 0) and `replica r` (pid
@@ -277,6 +479,7 @@ fn write_metadata(
     processes: &BTreeSet<i128>,
     threads: &BTreeSet<(i128, i128)>,
 ) {
+    let mut name = String::new();
     for &pid in processes {
         w.begin_object();
         w.key("name").str("process_name");
@@ -285,7 +488,7 @@ fn write_metadata(
         w.key("args").begin_object().key("name");
         match pid {
             0 => w.str("fabric"),
-            _ => w.str_fmt(format_args!("replica {}", pid - 1)),
+            _ => w.str(numbered(&mut name, "replica ", pid - 1, "")),
         };
         w.end_object().end_object();
         w.begin_object();
@@ -303,23 +506,35 @@ fn write_metadata(
         w.key("tid").int(tid);
         w.key("args").begin_object().key("name");
         match (pid, tid) {
-            (0, _) => w.str_fmt(format_args!("flow {}", tid - 1)),
+            (0, _) => w.str(numbered(&mut name, "flow ", tid - 1, "")),
             (_, 0) => w.str("iterations"),
-            _ => w.str_fmt(format_args!("req {}", tid - 1)),
+            _ => w.str(numbered(&mut name, "req ", tid - 1, "")),
         };
         w.end_object().end_object();
     }
 }
 
-fn write_entry(w: &mut PrettyWriter<'_>, e: &Entry<'_>) {
+/// Writes the entries at `order`'s indices, in order.
+fn write_chunk(w: &mut PrettyWriter<'_>, entries: &[Entry<'_>], order: &[u32]) {
+    let mut name = String::new();
+    for &index in order {
+        write_entry(w, &entries[index as usize], &mut name);
+    }
+}
+
+/// Writes one entry; `name` is scratch space for assembling its name.
+fn write_entry(w: &mut PrettyWriter<'_>, e: &Entry<'_>, name: &mut String) {
     w.begin_object().key("name");
     match &e.kind {
-        Kind::Slice(slice) => write_slice(w, e, slice),
+        Kind::Slice(slice) => write_slice(w, e, slice, name),
         Kind::Counter { link, util } => {
-            w.str_fmt(format_args!("util {link}"));
+            name.clear();
+            name.push_str("util ");
+            name.push_str(link);
+            w.str(name);
             w.key("ph").str("C");
             w.key("pid").int(e.pid);
-            w.key("ts").float(us(e.ts_ps));
+            write_us(w.key("ts"), e.ts_ps);
             w.key("args").begin_object().key("util").float(*util).end_object();
         }
         Kind::Instant(name) => {
@@ -327,7 +542,7 @@ fn write_entry(w: &mut PrettyWriter<'_>, e: &Entry<'_>) {
             w.key("ph").str("i");
             w.key("pid").int(e.pid);
             w.key("tid").int(e.tid);
-            w.key("ts").float(us(e.ts_ps));
+            write_us(w.key("ts"), e.ts_ps);
             w.key("s").str("t");
         }
         Kind::FlowStart { id, bytes } => {
@@ -351,17 +566,17 @@ fn write_arrow(w: &mut PrettyWriter<'_>, e: &Entry<'_>, ph: &str, id: u64) {
     w.key("id").int(i128::from(id));
     w.key("pid").int(e.pid);
     w.key("tid").int(e.tid);
-    w.key("ts").float(us(e.ts_ps));
+    write_us(w.key("ts"), e.ts_ps);
 }
 
 /// A slice's fields after its `name` key: its name, timing and args.
-fn write_slice(w: &mut PrettyWriter<'_>, e: &Entry<'_>, slice: &Slice<'_>) {
+fn write_slice(w: &mut PrettyWriter<'_>, e: &Entry<'_>, slice: &Slice<'_>, name: &mut String) {
     let timing = |w: &mut PrettyWriter<'_>| {
         w.key("ph").str("X");
         w.key("pid").int(e.pid);
         w.key("tid").int(e.tid);
-        w.key("ts").float(us(e.ts_ps));
-        w.key("dur").float(us(e.dur_ps));
+        write_us(w.key("ts"), e.ts_ps);
+        write_us(w.key("dur"), e.dur_ps);
     };
     match *slice {
         Slice::Iteration(&SimEvent::Iteration {
@@ -376,11 +591,14 @@ fn write_slice(w: &mut PrettyWriter<'_>, e: &Entry<'_>, slice: &Slice<'_>) {
             memo_hit,
             ..
         }) => {
-            w.str_fmt(format_args!(
-                "{prefill_slots}p+{}d/{}t",
-                batch_size.saturating_sub(prefill_slots),
-                prompt_tokens + gen_tokens
-            ));
+            name.clear();
+            push_uint(name, prefill_slots as u64);
+            name.push_str("p+");
+            push_uint(name, batch_size.saturating_sub(prefill_slots) as u64);
+            name.push_str("d/");
+            push_uint(name, (prompt_tokens + gen_tokens) as u64);
+            name.push('t');
+            w.str(name);
             timing(w);
             w.key("args").begin_object();
             w.key("index").int(i128::from(index));
@@ -397,7 +615,7 @@ fn write_slice(w: &mut PrettyWriter<'_>, e: &Entry<'_>, slice: &Slice<'_>) {
         // Iteration slices are only built from iteration events.
         Slice::Iteration(_) => {}
         Slice::Request { id, leg, lens } => {
-            w.str_fmt(format_args!("req {id}{leg}"));
+            w.str(numbered(name, "req ", i128::from(id), leg));
             timing(w);
             if let Some((input, output)) = lens {
                 w.key("args").begin_object();
@@ -406,12 +624,12 @@ fn write_slice(w: &mut PrettyWriter<'_>, e: &Entry<'_>, slice: &Slice<'_>) {
                 w.end_object();
             }
         }
-        Slice::Phase(name) => {
-            w.str(name);
+        Slice::Phase(phase) => {
+            w.str(phase);
             timing(w);
         }
         Slice::Flow { id, bytes } => {
-            w.str_fmt(format_args!("flow {id}"));
+            w.str(numbered(name, "flow ", i128::from(id), ""));
             timing(w);
             w.key("args").begin_object().key("bytes").int(i128::from(bytes)).end_object();
         }
@@ -621,16 +839,19 @@ pub fn validate_chrome_trace(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn handoff_events() -> Vec<SimEvent> {
+    /// One request handed off from replica `from` to `from + 1`, with
+    /// every event stamped `t0` ps or later.
+    fn handoff_at(id: u64, t0: TimePs, from: usize) -> Vec<SimEvent> {
+        let to = from + 1;
         vec![
-            SimEvent::Arrival { t_ps: 0, id: 1, input_len: 8, output_len: 4 },
-            SimEvent::Admitted { t_ps: 0, id: 1, replica: 0 },
-            SimEvent::PrefillStart { t_ps: 10, id: 1, replica: 0 },
+            SimEvent::Arrival { t_ps: t0, id, input_len: 8, output_len: 4 },
+            SimEvent::Admitted { t_ps: t0, id, replica: from },
+            SimEvent::PrefillStart { t_ps: t0 + 10, id, replica: from },
             SimEvent::Iteration {
-                replica: 0,
+                replica: from,
                 index: 0,
-                start_ps: 10,
-                end_ps: 50,
+                start_ps: t0 + 10,
+                end_ps: t0 + 50,
                 batch_size: 1,
                 prefill_slots: 1,
                 prompt_tokens: 8,
@@ -640,39 +861,36 @@ mod tests {
                 kv_total_pages: 8,
                 memo_hit: false,
             },
-            SimEvent::PrefillEnd { t_ps: 50, id: 1, replica: 0 },
+            SimEvent::PrefillEnd { t_ps: t0 + 50, id, replica: from },
             SimEvent::Completed {
-                t_ps: 50,
-                id: 1,
-                replica: 0,
-                arrival_ps: 0,
-                first_token_ps: 50,
+                t_ps: t0 + 50,
+                id,
+                replica: from,
+                arrival_ps: t0,
+                first_token_ps: t0 + 50,
                 input_len: 8,
                 output_len: 1,
             },
-            SimEvent::TransferQueued { t_ps: 50, id: 1, from: 0 },
-            SimEvent::TransferStart {
-                t_ps: 50,
-                id: 1,
-                from: 0,
-                to: 1,
-                bytes: 64,
-                nominal_ps: 20,
-            },
-            SimEvent::FlowStart { t_ps: 50, id: 1, bytes: 64 },
-            SimEvent::FlowEnd { t_ps: 70, id: 1 },
-            SimEvent::TransferEnd { t_ps: 70, id: 1, from: 0, to: 1 },
-            SimEvent::DecodeStart { t_ps: 80, id: 1, replica: 1 },
+            SimEvent::TransferQueued { t_ps: t0 + 50, id, from },
+            SimEvent::TransferStart { t_ps: t0 + 50, id, from, to, bytes: 64, nominal_ps: 20 },
+            SimEvent::FlowStart { t_ps: t0 + 50, id, bytes: 64 },
+            SimEvent::FlowEnd { t_ps: t0 + 70, id },
+            SimEvent::TransferEnd { t_ps: t0 + 70, id, from, to },
+            SimEvent::DecodeStart { t_ps: t0 + 80, id, replica: to },
             SimEvent::Completed {
-                t_ps: 120,
-                id: 1,
-                replica: 1,
-                arrival_ps: 70,
-                first_token_ps: 80,
+                t_ps: t0 + 120,
+                id,
+                replica: to,
+                arrival_ps: t0 + 70,
+                first_token_ps: t0 + 80,
                 input_len: 8,
                 output_len: 4,
             },
         ]
+    }
+
+    fn handoff_events() -> Vec<SimEvent> {
+        handoff_at(1, 0, 0)
     }
 
     #[test]
@@ -690,6 +908,108 @@ mod tests {
     fn export_is_deterministic() {
         let events = handoff_events();
         assert_eq!(chrome_trace(&events), chrome_trace(&events));
+    }
+
+    /// The timestamp text is what `{:?}` prints for `ps as f64 / 1e6`:
+    /// exhaustively below 2 s, around every power of ten, at the top of
+    /// the range and on a seeded sample of every magnitude.
+    #[test]
+    fn timestamp_text_matches_the_float() {
+        let check = |t: TimePs| {
+            let mut text = String::new();
+            write_us(&mut PrettyWriter::new(&mut text), t);
+            assert_eq!(text, format!("{:?}", t as f64 / 1e6), "t = {t} ps");
+        };
+        (0..2_000_000).for_each(check);
+        for p in (0..=19).map(|k| 10u64.pow(k)) {
+            (p.saturating_sub(1_000)..=p.saturating_add(1_000)).for_each(check);
+        }
+        check(u64::MAX);
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..200_000 {
+            let r = splitmix64(&mut state);
+            check(r >> (r % 64));
+        }
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Hundreds of handed-off requests (about 20 chunks of entries) with
+    /// the edges of every fast path: request id `u64::MAX` (tid 2^64),
+    /// timestamps under 100 ps and from 10^15 ps on, NaN and infinite
+    /// link utilization, and instant names that need escapes.
+    fn many_chunks() -> Vec<SimEvent> {
+        let mut events = Vec::new();
+        for i in 0..400u64 {
+            let id = if i == 7 { u64::MAX } else { i };
+            let t0 = match i {
+                0..=2 => 0,
+                390.. => 1_000_000_000_000_000 + i * 3_000,
+                _ => i * 7_919_000,
+            };
+            let from = 2 * (i % 3) as usize;
+            events.extend(handoff_at(id, t0, from));
+            events.push(SimEvent::LinkShare {
+                from_ps: t0 + 50,
+                to_ps: t0 + 70,
+                link: format!("r{from}->r{}", from + 1),
+                bw_gbps: 32.0,
+                bytes: 40.0 + i as f64,
+            });
+        }
+        for bytes in [f64::NAN, f64::INFINITY] {
+            events.push(SimEvent::LinkShare {
+                from_ps: 90,
+                to_ps: 95,
+                link: "trunk".into(),
+                bw_gbps: 16.0,
+                bytes,
+            });
+        }
+        events.push(SimEvent::Command { t_ps: 30, command: "say \"hi\" \\ o\nk".into() });
+        events.push(SimEvent::RequestAbandoned {
+            t_ps: 2_000_000_000_000_000,
+            id: u64::MAX,
+            reason: "\"quoted\"\n\\path".into(),
+        });
+        events
+    }
+
+    #[test]
+    fn helper_thread_changes_no_byte() {
+        let events = many_chunks();
+        let serial = render(&events, false);
+        validate_chrome_trace(&serial).unwrap();
+        // Which thread takes which chunk varies from run to run.
+        for _ in 0..8 {
+            let pipelined = render(&events, true);
+            assert!(serial == pipelined, "the pipelined render differs from the serial one");
+        }
+        validate_chrome_trace(&render(&events, true)).unwrap();
+        let sorted =
+            serial.matches("\"ph\": ").count() - serial.matches("\"ph\": \"M\"").count();
+        assert!(sorted > 10 * CHUNK, "only {sorted} sorted entries");
+        for text in [
+            "\"tid\": 18446744073709551616",
+            "\"ts\": 1e-5",
+            "\"ts\": 1000000001.17,",
+            "\"util\": null",
+            "\"name\": \"cmd say \\\"hi\\\" \\\\ o\\nk\"",
+        ] {
+            assert!(serial.contains(text), "missing {text}");
+        }
+    }
+
+    /// A sort key stays a fraction of an entry.
+    #[test]
+    fn sort_key_is_at_most_40_bytes() {
+        assert!(std::mem::size_of::<Key>() <= 40, "{}", std::mem::size_of::<Key>());
     }
 
     #[test]

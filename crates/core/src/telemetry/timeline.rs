@@ -24,6 +24,8 @@
 //! Like the Chrome exporter this is a pure function of the event list:
 //! same seed, same bytes.
 
+use std::collections::BTreeSet;
+
 use llmss_model::FnvHashMap;
 use llmss_sched::TimePs;
 
@@ -81,10 +83,14 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
 
     // Pass 1: discover the horizon, the replica and link tables, the
     // fleet-level arrival times, and each request's handoff bookkeeping
-    // record (excluded from completion counts).
+    // record (excluded from completion counts). Each table is indexed
+    // as it grows, so a fleet of thousands of replicas or links costs
+    // one lookup per event.
     let mut end_ps: TimePs = 0;
-    let mut replicas: Vec<usize> = Vec::new();
-    let mut links: Vec<(String, f64)> = Vec::new();
+    let mut replicas: BTreeSet<usize> = BTreeSet::new();
+    // Links in first-seen order, with their slots by name.
+    let mut links: Vec<(&str, f64)> = Vec::new();
+    let mut link_slot: FnvHashMap<&str, usize> = FnvHashMap::default();
     let mut arrival_of: FnvHashMap<u64, TimePs> = FnvHashMap::default();
     let mut queued_of: FnvHashMap<u64, (usize, TimePs)> = FnvHashMap::default();
     for e in events {
@@ -100,25 +106,20 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
             SimEvent::TransferQueued { id, from, t_ps } => {
                 queued_of.insert(*id, (*from, *t_ps));
             }
-            SimEvent::Iteration { replica, .. } if !replicas.contains(replica) => {
-                replicas.push(*replica);
+            SimEvent::Iteration { replica, .. }
+            | SimEvent::ReplicaActivated { replica, .. } => {
+                replicas.insert(*replica);
             }
-            SimEvent::LinkShare { link, bw_gbps, .. }
-                if !links.iter().any(|(n, _)| n == link) =>
-            {
-                links.push((link.clone(), *bw_gbps));
+            SimEvent::LinkShare { link, bw_gbps, .. } => {
+                link_slot.entry(link.as_str()).or_insert_with(|| {
+                    links.push((link, *bw_gbps));
+                    links.len() - 1
+                });
             }
             _ => {}
         }
     }
-    for e in events {
-        if let SimEvent::ReplicaActivated { replica, .. } = e {
-            if !replicas.contains(replica) {
-                replicas.push(*replica);
-            }
-        }
-    }
-    replicas.sort_unstable();
+    let replicas: Vec<usize> = replicas.into_iter().collect();
     let replica_slot: FnvHashMap<usize, usize> =
         replicas.iter().enumerate().map(|(slot, &r)| (r, slot)).collect();
 
@@ -216,11 +217,8 @@ pub fn timeline_tsv(events: &[SimEvent], config: &TimelineConfig) -> String {
                 }
             }
             SimEvent::LinkShare { from_ps, to_ps, link, bytes, .. } => {
-                #[expect(
-                    clippy::unwrap_used,
-                    reason = "LinkShare events only name links announced by the preamble pass above"
-                )]
-                let slot = links.iter().position(|(n, _)| n == link).unwrap();
+                // Pass 1 gave every link a slot.
+                let slot = link_slot[link.as_str()];
                 let span = to_ps.saturating_sub(*from_ps);
                 if span == 0 {
                     windows[at(*from_ps)].link_bytes[slot] += bytes;
@@ -353,6 +351,59 @@ mod tests {
         let w1: Vec<&str> = lines[2].split('\t').collect();
         assert_eq!(w1[3], "1", "completed: {tsv}");
         assert_eq!(w1[10], "1.000", "ttft attainment: {tsv}");
+    }
+
+    #[test]
+    fn replica_columns_ascend_and_links_keep_first_seen_order() {
+        let iteration = |replica, start_ps| SimEvent::Iteration {
+            replica,
+            index: 0,
+            start_ps,
+            end_ps: start_ps + 10,
+            batch_size: 1,
+            prefill_slots: 0,
+            prompt_tokens: 0,
+            gen_tokens: 1,
+            queue_depth: 0,
+            kv_used_pages: 1,
+            kv_total_pages: 8,
+            memo_hit: false,
+        };
+        let share = |link: &str, from_ps| SimEvent::LinkShare {
+            from_ps,
+            to_ps: from_ps + 10,
+            link: link.into(),
+            bw_gbps: 1.0,
+            bytes: 0.001,
+        };
+        let events = vec![
+            share("zeta", 0),
+            iteration(7, 0),
+            share("alpha", 5),
+            iteration(2, 5),
+            SimEvent::ReplicaActivated { t_ps: 6, replica: 5, admit_from_ps: 6 },
+            iteration(7, 20),
+            share("zeta", 20),
+            share("mid", 25),
+            iteration(0, 30),
+            share("alpha", 30),
+        ];
+        let cfg = TimelineConfig { window_ps: 100, ..TimelineConfig::default() };
+        let tsv = timeline_tsv(&events, &cfg);
+        let header = tsv.lines().next().unwrap();
+        assert!(
+            header.ends_with(
+                "\tutil:r0\tutil:r2\tutil:r5\tutil:r7\tlink:zeta\tlink:alpha\tlink:mid"
+            ),
+            "{header}"
+        );
+        // Replica 7 ran 20 of the window's 100 ps, replica 5 none; link
+        // zeta carried two of its intervals' bytes.
+        let row: Vec<&str> = tsv.lines().nth(1).unwrap().split('\t').collect();
+        assert_eq!(
+            &row[12..],
+            ["0.1000", "0.1000", "0.0000", "0.2000", "0.0200", "0.0200", "0.0100"]
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@ use llmservingsim::core::{
 };
 use llmservingsim::model::ModelSpec;
 use llmservingsim::net::LinkSpec;
+use llmservingsim::npu::NpuConfig;
 use llmservingsim::scenario::{AnyReport, Scenario, ScenarioError, Sweep};
 use llmservingsim::sched::{
     BurstyTraceSpec, Dataset, SchedulingPolicy, TraceGenerator, WorkloadSpec,
@@ -332,6 +333,61 @@ fn typed_errors_cover_the_failure_modes() {
     let mut s = Scenario::default();
     assert!(matches!(s.set("replcas", "2"), Err(ScenarioError::UnknownKey { .. })));
     assert!(matches!(s.set("parallel", "diag"), Err(ScenarioError::UnknownValue { .. })));
+}
+
+/// A `network` file written to the temp directory under `tag`; the
+/// caller removes it.
+fn network_file(tag: &str, json: &str) -> String {
+    let path =
+        std::env::temp_dir().join(format!("llmss-network-{tag}-{}.json", std::process::id()));
+    std::fs::write(&path, json).unwrap();
+    path.to_string_lossy().into_owned()
+}
+
+fn network_scenario() -> Scenario {
+    Scenario::model("gpt2").npus(1).tensor_parallel().workload(synthetic(16, 40.0, 5))
+}
+
+/// `network` names an NPU config file in the format
+/// `NpuConfig::to_json` writes: the hardware it describes is the
+/// hardware the replicas simulate.
+#[test]
+fn network_file_replaces_the_npu_config() {
+    let mut slow = NpuConfig::table1();
+    slow.mem_bw_gbps /= 2.0;
+    let path = network_file("half-bw", &slow.to_json());
+    let report = network_scenario().network(path.as_str()).run();
+    std::fs::remove_file(&path).unwrap();
+    let report = report.unwrap();
+    let default = network_scenario().run().unwrap();
+    assert_eq!(report.total_completions(), 16);
+    assert!(
+        report.makespan_ps() != default.makespan_ps(),
+        "half the memory bandwidth left the makespan at {} ps",
+        default.makespan_ps()
+    );
+}
+
+#[test]
+fn network_file_errors_are_typed() {
+    let mut zero_clock = NpuConfig::table1();
+    zero_clock.freq_ghz = 0.0;
+    for (tag, json) in [("empty", "{}".to_owned()), ("zero-clock", zero_clock.to_json())] {
+        let path = network_file(tag, &json);
+        let result = network_scenario().network(path.as_str()).run();
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            matches!(&result, Err(ScenarioError::InvalidValue { field, .. }) if field == "network"),
+            "{tag}: {:?}",
+            result.err()
+        );
+    }
+    let missing = network_scenario().network("/nonexistent/npu.json").run();
+    assert!(
+        matches!(&missing, Err(ScenarioError::Io { path, .. }) if path == "/nonexistent/npu.json"),
+        "{:?}",
+        missing.err()
+    );
 }
 
 /// A random-but-valid builder chain: any combination this strategy
