@@ -1,8 +1,6 @@
 //! Simulation configuration (the artifact's 16 CLI parameters).
 
-use std::hash::Hasher;
-
-use llmss_model::{FnvHasher, ModelSpec};
+use llmss_model::ModelSpec;
 use llmss_net::{LinkSpec, TimePs, Topology};
 use llmss_npu::NpuConfig;
 use llmss_pim::PimConfig;
@@ -358,21 +356,6 @@ impl SimConfig {
             link: LinkSpec::pcie4_x16(),
             pool_link: LinkSpec::cxl(),
         }
-    }
-
-    /// A deterministic 64-bit digest of every field that shapes
-    /// simulated outcomes — the namespace key for the cross-replica
-    /// [`SharedReuse`](crate::SharedReuse) tier. Two replicas may share
-    /// cached iteration outcomes only when their fingerprints agree:
-    /// identical configurations produce identical graphs, so a cached
-    /// outcome is a pure function of the batch signature within one
-    /// fingerprint. The digest is FNV-1a over the `Debug` rendering,
-    /// which covers all fields (the struct is not serde-serializable)
-    /// and stays stable for a fixed configuration within one build.
-    pub fn fingerprint(&self) -> u64 {
-        let mut hasher = FnvHasher::default();
-        hasher.write(format!("{self:?}").as_bytes());
-        hasher.finish()
     }
 
     /// Sets the number of NPUs.

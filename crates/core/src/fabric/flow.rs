@@ -231,18 +231,12 @@ impl FlowModel {
     /// Panics if `t` is before the model's clock.
     pub fn advance(&mut self, t: TimePs) -> Vec<FlowDone> {
         self.advance_to(t);
-        let delivered: Vec<(u64, TimePs)> = self
-            .flows
-            .iter()
-            .filter_map(|(&id, f)| f.done_ps.filter(|&d| d <= t).map(|d| (id, d)))
-            .collect();
-        let mut out = Vec::with_capacity(delivered.len());
-        for (id, done_ps) in delivered {
-            #[expect(
-                clippy::expect_used,
-                reason = "the ids were just collected from the flow map"
-            )]
-            let f = self.flows.remove(&id).expect("collected above");
+        let mut out = Vec::new();
+        // `retain` visits flows in id order.
+        self.flows.retain(|&id, f| {
+            let Some(done_ps) = f.done_ps.filter(|&d| d <= t) else {
+                return true;
+            };
             #[cfg(feature = "sanitize")]
             {
                 // A delivered flow has serialized its very last byte: the
@@ -263,7 +257,8 @@ impl FlowModel {
                 bottleneck: f.bottleneck,
                 bytes: f.bytes,
             });
-        }
+            false
+        });
         // Whether flows were delivered or merely finished serializing,
         // the active set may have changed — re-divide.
         self.recompute();
@@ -358,18 +353,17 @@ impl FlowModel {
     fn recompute(&mut self) {
         self.alloc.iter_mut().for_each(|a| *a = 0.0);
         let mut spare = self.caps.clone();
-        // (id, path) of flows still serializing, in id order.
-        let unfrozen: Vec<u64> =
-            self.flows.iter().filter(|(_, f)| f.done_ps.is_none()).map(|(&id, _)| id).collect();
+        // Flows still serializing; each freezes at its bottleneck share.
+        let unfrozen = self.flows.values().filter(|f| f.done_ps.is_none()).count();
         let mut frozen: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        while frozen.len() < unfrozen.len() {
+        while frozen.len() < unfrozen {
             // Count unfrozen flows per link.
             let mut load = vec![0usize; self.caps.len()];
-            for &id in &unfrozen {
-                if frozen.contains(&id) {
+            for (id, f) in &self.flows {
+                if f.done_ps.is_some() || frozen.contains(id) {
                     continue;
                 }
-                for &l in &self.flows[&id].path {
+                for &l in &f.path {
                     load[l] += 1;
                 }
             }
@@ -386,19 +380,11 @@ impl FlowModel {
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("unfrozen flows cross at least one link");
             // Freeze every unfrozen flow crossing it at that share.
-            for &id in &unfrozen {
-                if frozen.contains(&id) {
+            for (&id, f) in &mut self.flows {
+                let settled = f.done_ps.is_some() || frozen.contains(&id);
+                if settled || !f.path.contains(&bottleneck) {
                     continue;
                 }
-                let crosses = self.flows[&id].path.contains(&bottleneck);
-                if !crosses {
-                    continue;
-                }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "unfrozen ids come from the flow map, and recompute removes no flow"
-                )]
-                let f = self.flows.get_mut(&id).expect("active flow");
                 f.rate = share;
                 f.bottleneck = bottleneck;
                 frozen.insert(id);

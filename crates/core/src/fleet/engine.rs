@@ -326,8 +326,8 @@ pub struct FleetEngine {
     dirty: Vec<usize>,
     /// Live count of prefill-role slots, maintained across role
     /// switches and scale-ups. Zero on every cluster fleet, which lets
-    /// the window collector skip the O(replicas) role scan and drain
-    /// members straight off the heap.
+    /// the window collector skip the O(replicas) scan for prefill
+    /// replicas' ready times.
     prefill_slots: usize,
     /// Fault-injection state; unarmed (the default) it leaves every
     /// code path byte-identical to a chaos-free engine.
@@ -504,23 +504,15 @@ impl FleetEngine {
 
     /// Arms the fleet-wide shared reuse cache: every replica keeps its
     /// private iteration/op cache tiers but, on a local miss, consults
-    /// a shared store namespaced by configuration fingerprint — so N
+    /// a shared store namespaced by configuration equality — so N
     /// homogeneous replicas pay one cold miss per signature instead of
     /// N. Fresh entries publish at engine-step boundaries in
     /// replica-index order (first write wins), keeping hit/miss
     /// counters byte-deterministic under any shard count.
     pub fn enable_shared_cache(&mut self) {
-        let shared = self.shared.get_or_insert_with(crate::SharedReuse::new).clone();
-        // Homogeneous fleets repeat one config: fingerprint each run of
-        // equal configs once.
-        let mut previous: Option<(&SimConfig, u64)> = None;
+        let shared = self.shared.get_or_insert_with(crate::SharedReuse::new);
         for (sim, slot) in self.sims.iter_mut().zip(&self.slots) {
-            let fingerprint = match previous {
-                Some((config, fingerprint)) if *config == slot.config => fingerprint,
-                _ => slot.config.fingerprint(),
-            };
-            previous = Some((&slot.config, fingerprint));
-            sim.attach_shared_reuse(shared.clone(), fingerprint);
+            sim.attach_shared_reuse(shared.clone(), shared.namespace(&slot.config));
         }
     }
 
@@ -721,7 +713,7 @@ impl FleetEngine {
                 let index = self.sims.len();
                 sim.set_telemetry(self.telemetry.for_replica(index));
                 if let Some(shared) = &self.shared {
-                    sim.attach_shared_reuse(shared.clone(), config.fingerprint());
+                    sim.attach_shared_reuse(shared.clone(), shared.namespace(&config));
                 }
                 self.sims.push(sim);
                 let mut slot = ReplicaSlot::new(config);
@@ -1337,7 +1329,7 @@ impl FleetEngine {
         // times below only lower the barrier further) and the barrier
         // step handles the barrier event. This keeps dense-arrival
         // phases at O(log replicas) per event instead of paying the
-        // O(replicas) membership scan just to find nothing runnable.
+        // O(replicas) prefill scan just to find nothing runnable.
         match (self.heap.peek(), barrier) {
             (None, _) => return None,
             (Some((t, _)), Some(b)) if t >= b => return None,
@@ -1349,29 +1341,12 @@ impl FleetEngine {
             self.prefill_slots,
             "sanitize: prefill slot counter drifted from the role column"
         );
-        self.window.clear();
-        if self.prefill_slots == 0 {
-            // Prefill-free fleet (every cluster): drain runnable members
-            // straight off the heap in ready order — O(window · log
-            // replicas), independent of fleet size. The pops park each
-            // member in the mirror; `run_window` re-keys them after
-            // stepping. Membership sorts back to replica order so the
-            // post-window bookkeeping stays deterministic.
-            while let Some((t, i)) = self.heap.peek() {
-                if barrier.is_some_and(|b| t >= b) {
-                    break;
-                }
-                self.heap.pop();
-                self.window.push(i);
-            }
-            self.window.sort_unstable();
-        } else {
-            // A prefill iteration can finish a prefill, which both
-            // queues a new pending transfer and moves the commit horizon
-            // — so every prefill replica's next event is itself a
-            // barrier. (They therefore never step inside windows; linked
-            // fleets advance their prefill side one barrier step at a
-            // time.)
+        // A prefill iteration can finish a prefill, which both queues a
+        // new pending transfer and moves the commit horizon — so every
+        // prefill replica's next event is itself a barrier. (They
+        // therefore never step inside windows; linked fleets advance
+        // their prefill side one barrier step at a time.)
+        if self.prefill_slots > 0 {
             for (i, slot) in self.slots.iter().enumerate() {
                 if slot.role == ReplicaRole::Prefill {
                     if let Some(t) = self.heap.ready_of(i) {
@@ -1379,14 +1354,21 @@ impl FleetEngine {
                     }
                 }
             }
-            for i in 0..self.slots.len() {
-                if let Some(t) = self.heap.ready_of(i) {
-                    if barrier.is_none_or(|b| t < b) {
-                        self.window.push(i);
-                    }
-                }
-            }
         }
+        // Drain runnable members straight off the heap in ready order —
+        // O(window · log replicas), independent of fleet size. The pops
+        // park each member in the mirror; `run_window` re-keys them
+        // after stepping. Membership sorts back to replica order so the
+        // post-window bookkeeping stays deterministic.
+        self.window.clear();
+        while let Some((t, i)) = self.heap.peek() {
+            if barrier.is_some_and(|b| t >= b) {
+                break;
+            }
+            self.heap.pop();
+            self.window.push(i);
+        }
+        self.window.sort_unstable();
         if self.window.is_empty() {
             None
         } else {
@@ -1508,30 +1490,26 @@ impl FleetEngine {
         // batch formed at `t`. Transfers that became ready strictly
         // before the fault still commit first (the commit horizon is
         // capped at `fault - 1`).
-        if let Some(ft) = self.next_fault_ps() {
-            let beats_replica = self.heap.peek().is_none_or(|(rt, _)| ft <= rt);
-            let beats_arrival = self.arrivals.front().is_none_or(|r| ft <= r.arrival_ps);
-            let beats_fabric = self.fabric.next_event_ps().is_none_or(|t| ft <= t);
-            if beats_replica && beats_arrival && beats_fabric {
-                self.commit_ready_transfers();
-                // A commit can leave earlier fabric deliveries overdue;
-                // they precede the fault (the capped horizon keeps their
-                // start times pre-fault).
-                if self.fabric.next_event_ps().is_some_and(|t| t <= self.fabric.now_ps()) {
-                    self.deliver_fabric_events(self.fabric.now_ps());
-                    return true;
-                }
-                self.apply_due_faults(ft);
-                return true;
-            }
-        }
+        // Whether the fault wins is decided before the commit pass,
+        // which can move the heap top, the arrivals and the fabric.
+        let fault = self.next_fault_ps().filter(|&ft| {
+            self.heap.peek().is_none_or(|(rt, _)| ft <= rt)
+                && self.arrivals.front().is_none_or(|r| ft <= r.arrival_ps)
+                && self.fabric.next_event_ps().is_none_or(|t| ft <= t)
+        });
         self.commit_ready_transfers();
         // A commit can jump the fabric clock forward (its ready time is
         // only bounded by the *new*-transfer horizon, not by in-flight
         // flows), leaving earlier deliveries overdue — drain those
-        // immediately, with their true completion times intact.
+        // immediately, with their true completion times intact. They
+        // precede a due fault too (the capped horizon keeps their start
+        // times pre-fault).
         if self.fabric.next_event_ps().is_some_and(|t| t <= self.fabric.now_ps()) {
             self.deliver_fabric_events(self.fabric.now_ps());
+            return true;
+        }
+        if let Some(ft) = fault {
+            self.apply_due_faults(ft);
             return true;
         }
         let next_ready = self.heap.peek();

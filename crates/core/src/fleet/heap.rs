@@ -16,8 +16,9 @@ use llmss_sched::TimePs;
 /// mutation re-keys the replica under a fresh stamp, and a stale entry
 /// is discarded as soon as it reaches the top. The top is therefore
 /// always live, so [`peek`](Self::peek) takes `&self` and answers in
-/// O(1). A `ready` mirror keeps the latest value per replica for the
-/// window collector's membership scan ([`ready_of`](Self::ready_of)).
+/// O(1). A `ready` mirror keeps the latest value per replica, which the
+/// window collector reads for prefill replicas
+/// ([`ready_of`](Self::ready_of)).
 #[derive(Debug, Default)]
 pub struct ReadyHeap {
     /// `(ready time, replica, stamp)` entries, earliest first; the top
@@ -89,8 +90,8 @@ impl ReadyHeap {
     }
 
     /// The live ready-time of one replica (`None` = parked/idle) — the
-    /// windowed step loop reads the whole mirror to collect the set of
-    /// replicas runnable before a barrier without disturbing the heap.
+    /// windowed step loop reads it to lower a window's barrier to each
+    /// prefill replica's next event without disturbing the heap.
     pub fn ready_of(&self, replica: usize) -> Option<TimePs> {
         self.ready[replica]
     }

@@ -28,17 +28,15 @@
 //! keys on the hottest path in the simulator, where SipHash is wasted
 //! defense.
 
-use std::hash::Hasher;
+use std::hash::Hash;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use llmss_model::{
-    BatchSignature, FnvHashMap, FnvHasher, OpSignature, SigLayout, SignatureBuilder,
-};
+use llmss_model::{BatchSignature, FnvHashMap, OpSignature, SigLayout, SignatureBuilder};
 use llmss_net::{SimOutcome, TimePs};
 use llmss_sched::IterationBatch;
 use serde::{Deserialize, Serialize};
 
-use crate::DeviceKind;
+use crate::{DeviceKind, SimConfig};
 
 /// Poison-tolerant read lock: a poisoned shared cache only means
 /// another thread panicked mid-publish, and the map itself is always
@@ -59,65 +57,129 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     }
 }
 
-/// Folds a signature-layout KV bucket into a configuration fingerprint.
-///
-/// Replicas annealing under [`BucketAdaptivity`] can reach different
-/// bucket widths at the same virtual time; a signature built under a
-/// 4-token bucket must never answer for one built under 8 tokens even
-/// though the two `BatchSignature` values can collide. Namespacing the
-/// shared maps by `(config fingerprint ⊕ bucket)` makes cross-bucket
-/// aliasing structurally impossible.
-fn bucket_fingerprint(base: u64, kv_bucket: u32) -> u64 {
-    let mut hasher = FnvHasher::default();
-    hasher.write_u64(base);
-    hasher.write_u32(kv_bucket);
-    hasher.finish()
-}
+/// One level of the shared tier: `(config namespace, sub-namespace) →
+/// key → value`.
+type SharedMap<S, K, V> = Arc<RwLock<FnvHashMap<(u32, S), FnvHashMap<K, V>>>>;
 
 /// The cross-replica shared reuse tier: one iteration-outcome map and
 /// one operator-price map, shared by every replica of a fleet. Entries
-/// are namespaced by a [`SimConfig::fingerprint`](crate::SimConfig::fingerprint)
-/// (mixed with the live KV bucket width), so only replicas whose
-/// configurations agree — for which cached outcomes are pure functions
-/// of the signature — ever exchange entries.
+/// are namespaced by configuration: [`namespace`](Self::namespace) gives
+/// equal [`SimConfig`]s one id, so only replicas whose configurations
+/// are equal — for which cached outcomes are pure functions of the
+/// signature — ever exchange entries. Iteration outcomes are further
+/// namespaced by the live KV bucket width.
 ///
 /// # Determinism contract
 ///
 /// Replicas never write through this handle mid-iteration. Locally
 /// discovered entries accumulate in a per-replica `fresh` buffer and
 /// publish (first write wins) only when the owning driver calls
-/// `publish_shared` — the fleet engine does so at its global sync
-/// points (admission, transfer commit, control ticks, faults), in
-/// replica-index order. Between sync points every lookup sees the same
+/// `publish_shared`. The fleet engine does so at the top of every
+/// step, for the replicas that stepped since the last publish, in
+/// replica-index order. Between publishes every lookup sees the same
 /// frozen snapshot regardless of replica stepping order or thread
 /// count, which keeps hit/miss counters byte-deterministic under
 /// sharded stepping.
 #[derive(Debug, Clone, Default)]
 pub struct SharedReuse {
-    /// `fingerprint → batch signature → iteration outcome`.
-    iterations: Arc<RwLock<FnvHashMap<u64, FnvHashMap<BatchSignature, IterationOutcome>>>>,
-    /// `fingerprint → (device, op signature) → price`.
-    ops: Arc<RwLock<FnvHashMap<u64, OpPriceMap>>>,
+    /// The distinct configurations attached so far; a configuration's
+    /// namespace is its index here.
+    configs: Arc<RwLock<Vec<SimConfig>>>,
+    /// `(namespace, kv bucket) → batch signature → iteration outcome`.
+    iterations: SharedMap<u32, BatchSignature, IterationOutcome>,
+    /// `namespace → (device, op signature) → price`.
+    ops: SharedMap<(), (DeviceKind, OpSignature), TimePs>,
 }
-
-/// Published operator prices for one config fingerprint.
-type OpPriceMap = FnvHashMap<(DeviceKind, OpSignature), TimePs>;
 
 impl SharedReuse {
     /// An empty shared tier, ready to be attached to any number of
-    /// replica caches (the handle clones cheaply — it is two `Arc`s).
+    /// replica caches (the handle clones cheaply — it is three `Arc`s).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Iteration outcomes currently published, across all fingerprints.
+    /// The namespace `config` shares under. Equal configurations get the
+    /// same id, numbered in first-attached order: identical
+    /// configurations produce identical graphs, and unequal ones never
+    /// see each other's entries.
+    pub fn namespace(&self, config: &SimConfig) -> u32 {
+        let mut configs = write_lock(&self.configs);
+        let index = match configs.iter().position(|c| c == config) {
+            Some(index) => index,
+            None => {
+                configs.push(config.clone());
+                configs.len() - 1
+            }
+        };
+        // One clone per distinct configuration is held here, so the
+        // count stays far below `u32::MAX`.
+        index as u32
+    }
+
+    /// Iteration outcomes currently published, across all namespaces.
     pub fn iteration_entries(&self) -> usize {
         read_lock(&self.iterations).values().map(FnvHashMap::len).sum()
     }
 
-    /// Operator prices currently published, across all fingerprints.
+    /// Operator prices currently published, across all namespaces.
     pub fn op_entries(&self) -> usize {
         read_lock(&self.ops).values().map(FnvHashMap::len).sum()
+    }
+}
+
+/// One cache level's storage and its side of the shared-tier protocol:
+/// the replica-private map and, once a fleet attaches one, a namespace
+/// of the shared map plus the entries found here and not yet published.
+#[derive(Debug, Clone)]
+struct Tiers<S, K, V> {
+    local: FnvHashMap<K, V>,
+    /// The shared map and the configuration namespace this cache
+    /// shares under.
+    shared: Option<(SharedMap<S, K, V>, u32)>,
+    /// Entries inserted since the last publish, stamped with the
+    /// sub-namespace they were made under.
+    fresh: Vec<(S, K, V)>,
+}
+
+impl<S: Copy + Eq + Hash, K: Clone + Eq + Hash, V: Copy> Tiers<S, K, V> {
+    fn new() -> Self {
+        Self { local: FnvHashMap::default(), shared: None, fresh: Vec::new() }
+    }
+
+    /// The local entry for `key`, else the one published under `sub`,
+    /// promoted into the local map so a recurring key takes the read
+    /// lock once. The flag says whether the shared map answered.
+    fn get(&mut self, sub: S, key: &K) -> Option<(V, bool)> {
+        if let Some(&value) = self.local.get(key) {
+            return Some((value, false));
+        }
+        let (shared, namespace) = self.shared.as_ref()?;
+        let value = *read_lock(shared).get(&(*namespace, sub))?.get(key)?;
+        self.local.insert(key.clone(), value);
+        Some((value, true))
+    }
+
+    /// Stores a locally computed entry, to be published under `sub`
+    /// when a shared map is attached.
+    fn insert(&mut self, sub: S, key: K, value: V) {
+        if self.shared.is_some() {
+            self.fresh.push((sub, key.clone(), value));
+        }
+        self.local.insert(key, value);
+    }
+
+    /// Publishes the fresh entries; the first write of a key wins.
+    fn publish(&mut self) {
+        let Some((shared, namespace)) = &self.shared else {
+            return;
+        };
+        if self.fresh.is_empty() {
+            return;
+        }
+        let mut map = write_lock(shared);
+        for (sub, key, value) in self.fresh.drain(..) {
+            map.entry((*namespace, sub)).or_default().entry(key).or_insert(value);
+        }
     }
 }
 
@@ -277,54 +339,32 @@ impl ReuseStats {
 #[derive(Debug, Clone)]
 pub struct ReuseCache {
     enabled: bool,
-    entries: FnvHashMap<(DeviceKind, OpSignature), TimePs>,
+    /// Prices by `(device, signature)`. Shared hits count as ordinary
+    /// hits: an op price is a pure function of `(device, signature)`
+    /// within one configuration, so where the answer came from is
+    /// invisible to simulated outcomes.
+    tiers: Tiers<(), (DeviceKind, OpSignature), TimePs>,
     stats: ReuseStats,
-    /// The cross-replica tier, consulted after a local miss. Shared op
-    /// hits count as ordinary hits — an op price is a pure function of
-    /// `(device, signature)` within one config fingerprint, so where the
-    /// answer came from is invisible to simulated outcomes.
-    shared: Option<SharedReuse>,
-    /// The fingerprint namespace this cache publishes under.
-    fingerprint: u64,
-    /// Locally executed prices not yet published to the shared tier.
-    fresh: Vec<(DeviceKind, OpSignature, TimePs)>,
 }
 
 impl ReuseCache {
     /// Creates a cache; `enabled = false` forces every lookup to miss.
     pub fn new(enabled: bool) -> Self {
-        Self {
-            enabled,
-            entries: FnvHashMap::default(),
-            stats: ReuseStats::default(),
-            shared: None,
-            fingerprint: 0,
-            fresh: Vec::new(),
-        }
+        Self { enabled, tiers: Tiers::new(), stats: ReuseStats::default() }
     }
 
-    /// Attaches the cross-replica tier under `fingerprint`'s namespace.
-    /// A disabled cache ignores the tier (lookups never consult it).
-    pub fn attach_shared(&mut self, shared: SharedReuse, fingerprint: u64) {
-        self.shared = Some(shared);
-        self.fingerprint = fingerprint;
+    /// Attaches the cross-replica tier under `namespace` (from
+    /// [`SharedReuse::namespace`]). A disabled cache ignores the tier
+    /// (lookups never consult it).
+    pub fn attach_shared(&mut self, shared: SharedReuse, namespace: u32) {
+        self.tiers.shared = Some((shared.ops, namespace));
     }
 
     /// Publishes locally executed prices to the shared tier (first
     /// write wins) — called by drivers at global sync points only; see
     /// [`SharedReuse`]'s determinism contract.
     pub fn publish_shared(&mut self) {
-        let Some(shared) = &self.shared else {
-            return;
-        };
-        if self.fresh.is_empty() {
-            return;
-        }
-        let mut map = write_lock(&shared.ops);
-        let namespace = map.entry(self.fingerprint).or_default();
-        for (device, signature, ps) in self.fresh.drain(..) {
-            namespace.entry((device, signature)).or_insert(ps);
-        }
+        self.tiers.publish();
     }
 
     /// Whether reuse is enabled.
@@ -340,44 +380,21 @@ impl ReuseCache {
         is_attention: bool,
         execute: impl FnOnce() -> TimePs,
     ) -> TimePs {
-        if self.enabled {
-            if let Some(&ps) = self.entries.get(&(device, *signature)) {
-                if is_attention {
-                    self.stats.attention_hits += 1;
-                } else {
-                    self.stats.other_hits += 1;
-                }
-                return ps;
-            }
-            // Local miss: the fleet may already have priced this op.
-            // Promote shared answers into the local tier so the read
-            // lock is taken at most once per (device, signature).
-            if let Some(shared) = &self.shared {
-                let answer = read_lock(&shared.ops)
-                    .get(&self.fingerprint)
-                    .and_then(|ns| ns.get(&(device, *signature)).copied());
-                if let Some(ps) = answer {
-                    self.entries.insert((device, *signature), ps);
-                    if is_attention {
-                        self.stats.attention_hits += 1;
-                    } else {
-                        self.stats.other_hits += 1;
-                    }
-                    return ps;
-                }
-            }
-        }
-        if is_attention {
-            self.stats.attention_misses += 1;
-        } else {
-            self.stats.other_misses += 1;
+        let key = (device, *signature);
+        let hit = if self.enabled { self.tiers.get((), &key) } else { None };
+        let counter = match (is_attention, hit.is_some()) {
+            (true, true) => &mut self.stats.attention_hits,
+            (true, false) => &mut self.stats.attention_misses,
+            (false, true) => &mut self.stats.other_hits,
+            (false, false) => &mut self.stats.other_misses,
+        };
+        *counter += 1;
+        if let Some((ps, _)) = hit {
+            return ps;
         }
         let ps = execute();
         if self.enabled {
-            self.entries.insert((device, *signature), ps);
-            if self.shared.is_some() {
-                self.fresh.push((device, *signature, ps));
-            }
+            self.tiers.insert((), key, ps);
         }
         ps
     }
@@ -400,12 +417,12 @@ impl ReuseCache {
 
     /// Cached entry count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.tiers.local.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.tiers.local.is_empty()
     }
 
     /// Hit/miss statistics.
@@ -416,9 +433,9 @@ impl ReuseCache {
     /// Clears entries and statistics (unpublished fresh prices too; the
     /// shared tier itself is untouched — other replicas own it equally).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.tiers.local.clear();
+        self.tiers.fresh.clear();
         self.stats = ReuseStats::default();
-        self.fresh.clear();
     }
 }
 
@@ -519,7 +536,12 @@ pub enum IterationLookup {
 pub struct IterationCache {
     enabled: bool,
     layout: SigLayout,
-    entries: FnvHashMap<BatchSignature, IterationOutcome>,
+    /// Outcomes by signature, shared under the KV bucket they were
+    /// signed at: under [`BucketAdaptivity`] replicas can reach
+    /// different widths at the same virtual time, and a signature built
+    /// under a 4-token bucket must never answer for one built under 8
+    /// tokens even though the two `BatchSignature` values can collide.
+    tiers: Tiers<u32, BatchSignature, IterationOutcome>,
     /// Reusable signature builder (sort-permutation scratch).
     builder: SignatureBuilder,
     /// The current batch's signature, rebuilt in place each iteration.
@@ -532,16 +554,8 @@ pub struct IterationCache {
     /// Cacheable lookups and hits in the current observation window.
     window_lookups: u64,
     window_hits: u64,
-    /// The cross-replica tier, consulted after a local miss.
-    shared: Option<SharedReuse>,
-    /// The configuration fingerprint this cache shares under (mixed
-    /// with the live KV bucket — see [`bucket_fingerprint`]).
-    fingerprint: u64,
     /// Hits answered by the shared tier (subset of `hits`).
     shared_hits: u64,
-    /// Locally simulated outcomes not yet published to the shared tier,
-    /// stamped with the bucket fingerprint they were signed under.
-    fresh: Vec<(u64, BatchSignature, IterationOutcome)>,
 }
 
 impl IterationCache {
@@ -551,7 +565,7 @@ impl IterationCache {
         Self {
             enabled,
             layout,
-            entries: FnvHashMap::default(),
+            tiers: Tiers::new(),
             builder: SignatureBuilder::new(),
             key: BatchSignature::empty(),
             hits: 0,
@@ -560,39 +574,27 @@ impl IterationCache {
             adapt: None,
             window_lookups: 0,
             window_hits: 0,
-            shared: None,
-            fingerprint: 0,
             shared_hits: 0,
-            fresh: Vec::new(),
         }
     }
 
-    /// Attaches the cross-replica tier under `fingerprint`'s namespace.
-    /// A disabled cache ignores the tier (lookups never consult it).
-    pub fn attach_shared(&mut self, shared: SharedReuse, fingerprint: u64) {
-        self.shared = Some(shared);
-        self.fingerprint = fingerprint;
+    /// Attaches the cross-replica tier under `namespace` (from
+    /// [`SharedReuse::namespace`]). A disabled cache ignores the tier
+    /// (lookups never consult it).
+    pub fn attach_shared(&mut self, shared: SharedReuse, namespace: u32) {
+        self.tiers.shared = Some((shared.iterations, namespace));
     }
 
     /// Whether a shared tier is attached.
     pub fn shared_armed(&self) -> bool {
-        self.shared.is_some()
+        self.tiers.shared.is_some()
     }
 
     /// Publishes locally simulated outcomes to the shared tier (first
     /// write wins) — called by drivers at global sync points only; see
     /// [`SharedReuse`]'s determinism contract.
     pub fn publish_shared(&mut self) {
-        let Some(shared) = &self.shared else {
-            return;
-        };
-        if self.fresh.is_empty() {
-            return;
-        }
-        let mut map = write_lock(&shared.iterations);
-        for (fingerprint, signature, outcome) in self.fresh.drain(..) {
-            map.entry(fingerprint).or_default().entry(signature).or_insert(outcome);
-        }
+        self.tiers.publish();
     }
 
     /// Enables KV-bucket annealing: the layout's bucket starts at
@@ -628,7 +630,7 @@ impl IterationCache {
             // Keys built under the old granularity would alias under the
             // new one — a stale entry must never answer for a batch it
             // does not represent.
-            self.entries.clear();
+            self.tiers.local.clear();
         }
         self.window_lookups = 0;
         self.window_hits = 0;
@@ -654,29 +656,16 @@ impl IterationCache {
         self.maybe_adapt();
         self.window_lookups += 1;
         self.builder.build_into(&batch.slots, &self.layout, &mut self.key);
-        if let Some(out) = self.entries.get(&self.key) {
-            self.hits += 1;
-            self.window_hits += 1;
-            return IterationLookup::Hit(*out);
+        let Some((out, shared)) = self.tiers.get(self.layout.kv_bucket, &self.key) else {
+            self.misses += 1;
+            return IterationLookup::Miss;
+        };
+        self.hits += 1;
+        self.window_hits += 1;
+        if shared {
+            self.shared_hits += 1;
         }
-        // Local miss: another replica may already have simulated this
-        // signature. A shared answer is promoted into the local tier so
-        // recurring steady-state signatures stop taking the read lock.
-        if let Some(shared) = &self.shared {
-            let namespace = bucket_fingerprint(self.fingerprint, self.layout.kv_bucket);
-            let answer = read_lock(&shared.iterations)
-                .get(&namespace)
-                .and_then(|ns| ns.get(&self.key).copied());
-            if let Some(out) = answer {
-                self.entries.insert(self.key.clone(), out);
-                self.hits += 1;
-                self.window_hits += 1;
-                self.shared_hits += 1;
-                return IterationLookup::Hit(out);
-            }
-        }
-        self.misses += 1;
-        IterationLookup::Miss
+        IterationLookup::Hit(out)
     }
 
     /// Stores `outcome` under the signature built by the last
@@ -684,21 +673,17 @@ impl IterationCache {
     /// [`IterationLookup::Miss`]); the scratch key is cloned here, on
     /// the one path that has to own it.
     pub fn insert_current(&mut self, outcome: IterationOutcome) {
-        self.entries.insert(self.key.clone(), outcome);
-        if self.shared.is_some() {
-            let namespace = bucket_fingerprint(self.fingerprint, self.layout.kv_bucket);
-            self.fresh.push((namespace, self.key.clone(), outcome));
-        }
+        self.tiers.insert(self.layout.kv_bucket, self.key.clone(), outcome);
     }
 
     /// Cached iteration count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.tiers.local.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.tiers.local.is_empty()
     }
 
     /// Folds this cache's counters into a stats block.
@@ -708,7 +693,7 @@ impl IterationCache {
         stats.iteration_uncacheable = self.uncacheable;
         stats.kv_bucket_end = self.layout.kv_bucket;
         stats.shared_hits = self.shared_hits;
-        stats.shared_armed = self.shared.is_some();
+        stats.shared_armed = self.shared_armed();
     }
 }
 
@@ -923,7 +908,7 @@ mod tests {
         b.fill_stats(&mut stats);
         assert_eq!((stats.iteration_hits, stats.shared_hits), (1, 1));
         assert!(stats.shared_armed);
-        // A replica under a different fingerprint never sees the entry.
+        // A replica under a different namespace never sees the entry.
         assert_eq!(other.lookup_batch(&batch), IterationLookup::Miss);
     }
 
@@ -952,7 +937,7 @@ mod tests {
     #[test]
     fn shared_tier_namespaces_by_bucket_width() {
         // KV 100 under a 4-token bucket and KV 200 under an 8-token
-        // bucket both sign as bucket index 25 — the bucket fingerprint
+        // bucket both sign as bucket index 25 — the bucket namespace
         // must keep them apart.
         let shared = SharedReuse::new();
         let mut coarse4 = IterationCache::new(true, SigLayout::exact().kv_bucket(4));
@@ -993,6 +978,22 @@ mod tests {
         assert_eq!(ps, 77, "b must answer from the shared tier");
         assert_eq!(execs, 1);
         assert_eq!(b.stats().hits(), 1);
+    }
+
+    #[test]
+    fn namespaces_follow_config_equality() {
+        let shared = SharedReuse::new();
+        let a = crate::SimConfig::new(llmss_model::ModelSpec::gpt2());
+        let b = a.clone().npu_num(2);
+        assert_eq!(
+            [&a, &b, &a].map(|config| shared.namespace(config)),
+            [0, 1, 0],
+            "equal configs share one namespace, numbered in first-attached order"
+        );
+        let decode = shared.namespace(&a.clone().decode_only());
+        let batch = shared.namespace(&a.clone().max_batch(64));
+        assert_eq!((decode, batch), (2, 3), "each changed field gets a namespace of its own");
+        assert_eq!(shared.namespace(&a.max_batch(64)), 3);
     }
 
     #[test]

@@ -162,12 +162,13 @@ impl ServingSimulator {
 
     /// Attaches the fleet-wide [`SharedReuse`](crate::SharedReuse) tier
     /// to both cache levels (iteration outcomes and op prices) under
-    /// `fingerprint`'s namespace. Lookups fall through to the shared
-    /// snapshot after a local miss; locally simulated results stay
-    /// private until [`publish_shared_reuse`](Self::publish_shared_reuse).
-    pub fn attach_shared_reuse(&mut self, shared: crate::SharedReuse, fingerprint: u64) {
-        self.memo.attach_shared(shared.clone(), fingerprint);
-        self.stack.attach_shared(shared, fingerprint);
+    /// `namespace` (from [`SharedReuse::namespace`](crate::SharedReuse::namespace)).
+    /// Lookups fall through to the shared snapshot after a local miss;
+    /// locally simulated results stay private until
+    /// [`publish_shared_reuse`](Self::publish_shared_reuse).
+    pub fn attach_shared_reuse(&mut self, shared: crate::SharedReuse, namespace: u32) {
+        self.memo.attach_shared(shared.clone(), namespace);
+        self.stack.attach_shared(shared, namespace);
     }
 
     /// Publishes fresh cache entries to the shared tier. The fleet

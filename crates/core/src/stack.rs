@@ -108,9 +108,9 @@ impl EngineStack {
     }
 
     /// Attaches the cross-replica shared reuse tier to the op cache
-    /// under `fingerprint`'s namespace.
-    pub fn attach_shared(&mut self, shared: crate::SharedReuse, fingerprint: u64) {
-        self.cache.attach_shared(shared, fingerprint);
+    /// under `namespace`.
+    pub fn attach_shared(&mut self, shared: crate::SharedReuse, namespace: u32) {
+        self.cache.attach_shared(shared, namespace);
     }
 
     /// Publishes freshly executed op prices to the shared tier (driver

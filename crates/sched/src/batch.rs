@@ -110,9 +110,7 @@ pub fn partition_sub_batches(
 
     let mut bins: Vec<(u64, Vec<SeqSlot>)> = vec![(0, Vec::new()); k.min(slots.len()).max(1)];
     for s in sorted {
-        #[expect(clippy::expect_used, reason = "bins is constructed non-empty above")]
-        let lightest =
-            bins.iter_mut().min_by_key(|(w, b)| (*w, b.len())).expect("at least one bin");
+        let Some(lightest) = bins.iter_mut().min_by_key(|(w, b)| (*w, b.len())) else { break };
         lightest.0 += weight(&s);
         lightest.1.push(s);
     }

@@ -239,11 +239,7 @@ impl KvCache {
         let victim = self.order.iter().rev().copied().find(|id| {
             Some(*id) != except && self.entries.get(id).is_some_and(|e| !e.on_host)
         })?;
-        #[expect(
-            clippy::expect_used,
-            reason = "the victim id was just drawn from the resident set"
-        )]
-        let entry = self.entries.get_mut(&victim).expect("victim exists");
+        let entry = self.entries.get_mut(&victim)?;
         entry.on_host = true;
         let pages = entry.pages;
         self.free_pages += pages;

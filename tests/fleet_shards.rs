@@ -10,7 +10,7 @@
 //!   would have recomputed identically); it only converts local misses
 //!   into shared hits. The local hit-rate split must reconstruct the
 //!   un-shared counters exactly.
-//! * **Fingerprint isolation** — replicas with differing
+//! * **Namespace isolation** — replicas with unequal
 //!   [`SimConfig`]s must never serve each other's cached outcomes:
 //!   an all-heterogeneous fleet records `shared_hits == 0` no matter
 //!   the shard count.
@@ -275,8 +275,8 @@ fn sharded_flex_fleet_matches_serial() {
     }
 }
 
-/// An all-heterogeneous fleet: every replica has a distinct config
-/// fingerprint, so the shared cache must never serve a hit.
+/// An all-heterogeneous fleet: every replica has a distinct config, so
+/// the shared cache must never serve a hit.
 fn hetero_fleet(replicas: usize, trace: Vec<Request>) -> FleetEngine {
     let configs: Vec<SimConfig> =
         (0..replicas).map(|i| gpt2_replica().max_batch(2 + 2 * i)).collect();
@@ -284,7 +284,7 @@ fn hetero_fleet(replicas: usize, trace: Vec<Request>) -> FleetEngine {
         .expect("gpt2 fits a single Table-I NPU")
 }
 
-/// A config between two equal ones keeps its own fingerprint: in an
+/// A config between two equal ones keeps its own namespace: in an
 /// `A, A, B, A` fleet of identical requests, each replica trailing the
 /// one before it, the last A reads outcomes the first A published while
 /// the lone B reads none.
@@ -302,6 +302,30 @@ fn a_lone_config_between_equal_ones_shares_nothing() {
         fleet.run().replicas.iter().map(|r| r.report.reuse.shared_hits).collect();
     assert!(hits[3] > 0, "equal configs must share outcomes: {hits:?}");
     assert_eq!(hits[2], 0, "the B replica read another config's outcomes: {hits:?}");
+}
+
+/// A scale-up replica shares its template's namespace: `autoscale`
+/// with 64-request bursts grows to four replicas, replicas 2 and 3
+/// cloning replica 0's config while replica 1 caps its batch at 4. The
+/// clones read outcomes replica 0 published, replica 1 reads none, and
+/// exact buckets keep the timing of the un-shared run.
+#[test]
+fn scale_ups_share_their_template_namespace() {
+    let bursts: &[(&str, &str)] = &[("workload.burst_size", "64")];
+    let shared = report_for("autoscale", bursts, 1, true);
+    let AnyReport::Fleet(fleet) = &shared else {
+        panic!("autoscale runs the fleet shape, got {}", shared.shape());
+    };
+    let hits: Vec<u64> = fleet.replicas.iter().map(|r| r.report.reuse.shared_hits).collect();
+    assert_eq!(hits.len(), 4, "the fleet must grow to four replicas: {hits:?}");
+    assert_eq!(hits[1], 0, "the batch-capped replica read another config's outcomes: {hits:?}");
+    assert!(hits[2] > 0, "a scale-up must share its template's outcomes: {hits:?}");
+    let plain = report_for("autoscale", bursts, 1, false).artifacts();
+    assert_eq!(
+        artifact(&shared.artifacts(), "-fleet.tsv"),
+        artifact(&plain, "-fleet.tsv"),
+        "the shared cache must not change simulated timing"
+    );
 }
 
 proptest! {
@@ -351,7 +375,7 @@ proptest! {
         );
     }
 
-    /// The shared cache never crosses config fingerprints: a fleet of
+    /// The shared cache never crosses config namespaces: a fleet of
     /// all-distinct replicas records zero shared hits under any shard
     /// count, and its timing is identical to the un-shared run.
     #[test]
@@ -376,7 +400,7 @@ proptest! {
         prop_assert!(reuse.shared_armed, "the shared tier must be armed");
         prop_assert_eq!(
             reuse.shared_hits, 0,
-            "distinct fingerprints must never share outcomes"
+            "distinct configs must never share outcomes"
         );
         prop_assert_eq!(base.to_tsv(), shared.to_tsv(), "timing must be unchanged");
         prop_assert_eq!(base.aggregate_reuse().iteration_hits, reuse.iteration_hits);
